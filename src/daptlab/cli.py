@@ -194,6 +194,16 @@ def cmd_tokenizer_train(args, cp) -> int:
     return 0
 
 
+def _save_trained(out: Path, name: str, params, config, log, done: str) -> int:
+    ckpt, loss = out / f"{name}.ckpt", out / f"{name}_loss.tsv"
+    save_checkpoint(params, config, ckpt)
+    atomic_write_text(loss, log.render())
+    final = f"{log.entries[-1][1]:.6f}" if log.entries else "n/a"
+    print(f"{done} {len(log.entries)} steps, final loss {final}")
+    print(f"wrote {ckpt} and {loss}")
+    return 0
+
+
 def cmd_pretrain(args, cp) -> int:
     out = out_dir_of(args, cp)
     vocab = _load_vocab(cp, args.vocab)
@@ -202,12 +212,7 @@ def cmd_pretrain(args, cp) -> int:
     train_config = train_config_from(cp, "train.base", 1e-4, args.seed)
     params = init_params(config, train_config.seed)
     log = train(config, params, texts, vocab, train_config)
-    save_checkpoint(params, config, out / f"{args.name}.ckpt")
-    atomic_write_text(out / f"{args.name}_loss.tsv", log.render())
-    final = f"{log.entries[-1][1]:.6f}" if log.entries else "n/a"
-    print(f"trained {len(log.entries)} steps, final loss {final}")
-    print(f"wrote {out / (args.name + '.ckpt')} and {out / (args.name + '_loss.tsv')}")
-    return 0
+    return _save_trained(out, args.name, params, config, log, "trained")
 
 
 def cmd_dapt(args, cp) -> int:
@@ -218,17 +223,15 @@ def cmd_dapt(args, cp) -> int:
     base_config = train_config_from(cp, "train.base", 1e-4, None)
     dapt_config = train_config_from(cp, "train.dapt", 2e-5, args.seed)
     base_tokens = None
-    base_corpus = cfg_get(cp, "paths", "corpus", None)
-    if base_corpus is not None and Path(base_corpus).is_file():
-        base_tokens = corpus_token_count(_load_texts(Path(base_corpus)), vocab)
+    if cfg_get(cp, "paths", "corpus", None) is None:
+        print("note: [paths] corpus is not set; skipping the corpus-size guard",
+              file=sys.stderr)
+    else:
+        base_corpus = cfg_path(cp, "corpus", None, "base corpus")
+        base_tokens = corpus_token_count(_load_texts(base_corpus), vocab)
     adapted, log = dapt(config, base_params, domain_texts, vocab, dapt_config,
                         base_config, base_token_count=base_tokens)
-    save_checkpoint(adapted, config, out / f"{args.name}.ckpt")
-    atomic_write_text(out / f"{args.name}_loss.tsv", log.render())
-    final = f"{log.entries[-1][1]:.6f}" if log.entries else "n/a"
-    print(f"adapted for {len(log.entries)} steps, final loss {final}")
-    print(f"wrote {out / (args.name + '.ckpt')} and {out / (args.name + '_loss.tsv')}")
-    return 0
+    return _save_trained(out, args.name, adapted, config, log, "adapted for")
 
 
 def cmd_eval_cluster(args, cp) -> int:
@@ -272,7 +275,8 @@ def cmd_eval_similarity(args, cp) -> int:
     return 0
 
 
-def _finetune_common(args, cp):
+def _cmd_finetune(args, cp, kind: str) -> int:
+    """finetune-classify (kind "classify") and finetune-tag (kind "tag")."""
     out = out_dir_of(args, cp)
     vocab = _load_vocab(cp, args.vocab)
     params, config, ckpt = _load_model(cp, args.checkpoint, vocab)
@@ -287,42 +291,34 @@ def _finetune_common(args, cp):
         weight_decay=cfg_get(cp, "finetune", "weight_decay", 0.01, float),
         max_seq=cfg_get(cp, "model", "max_seq", 128, int),
     )
-    return out, vocab, params, config, ckpt, seeds, ft
+    what = "classification data" if kind == "classify" else "tagging data"
+    data_path = cfg_path(cp, f"{kind}_data", args.data, what)
+    records = _read_records(data_path, what)
+    split_seed = cfg_get(cp, "finetune", "split_seed", 0, int)
+    if kind == "classify":
+        dataset = LabeledTextDataset.from_records(
+            records, positive_label=cfg_get(cp, "finetune", "positive_label", None),
+            seed=split_seed)
+        run, metric = finetune_classify, "f1"
+    else:
+        dataset = TaggedTokenDataset.from_records(records, seed=split_seed)
+        run, metric = finetune_tag, "span f1"
+    task = args.task if args.task else data_path.stem
+    name = _model_name(args, ckpt)
+    report = run(config, params, vocab, dataset, seeds, ft, task=task, model_name=name)
+    path = out / f"{kind}_{task}_{name}.tsv"
+    atomic_write_text(path, report.render())
+    print(f"{task}\t{name}\t{metric}={report.formatted}")
+    print(f"wrote {path}")
+    return 0
 
 
 def cmd_finetune_classify(args, cp) -> int:
-    out, vocab, params, config, ckpt, seeds, ft = _finetune_common(args, cp)
-    data_path = cfg_path(cp, "classify_data", args.data, "classification data")
-    records = _read_records(data_path, "classification data")
-    dataset = LabeledTextDataset.from_records(
-        records,
-        positive_label=cfg_get(cp, "finetune", "positive_label", None),
-        seed=cfg_get(cp, "finetune", "split_seed", 0, int),
-    )
-    task = args.task if args.task else data_path.stem
-    name = _model_name(args, ckpt)
-    report = finetune_classify(config, params, vocab, dataset, seeds, ft,
-                               task=task, model_name=name)
-    atomic_write_text(out / f"classify_{task}_{name}.tsv", report.render())
-    print(f"{task}\t{name}\tf1={report.formatted}")
-    print(f"wrote {out / ('classify_' + task + '_' + name + '.tsv')}")
-    return 0
+    return _cmd_finetune(args, cp, "classify")
 
 
 def cmd_finetune_tag(args, cp) -> int:
-    out, vocab, params, config, ckpt, seeds, ft = _finetune_common(args, cp)
-    data_path = cfg_path(cp, "tag_data", args.data, "tagging data")
-    records = _read_records(data_path, "tagging data")
-    dataset = TaggedTokenDataset.from_records(
-        records, seed=cfg_get(cp, "finetune", "split_seed", 0, int))
-    task = args.task if args.task else data_path.stem
-    name = _model_name(args, ckpt)
-    report = finetune_tag(config, params, vocab, dataset, seeds, ft,
-                          task=task, model_name=name)
-    atomic_write_text(out / f"tag_{task}_{name}.tsv", report.render())
-    print(f"{task}\t{name}\tspan f1={report.formatted}")
-    print(f"wrote {out / ('tag_' + task + '_' + name + '.tsv')}")
-    return 0
+    return _cmd_finetune(args, cp, "tag")
 
 
 def _read_scores(path: Path, what: str) -> dict[str, float]:
@@ -411,72 +407,58 @@ def _collect_cells(entries, what: str):
     return cells
 
 
-def _ordered(values) -> list[str]:
-    return sorted(dict.fromkeys(values))
+def _cluster_rows(path: Path, table):
+    for row in table[1:]:
+        if len(row) != 3:
+            raise CliError(f"malformed cluster report {path.name}: {row!r}")
+        model, k, value = row
+        yield k, model, value, float(value), path.name
+
+
+def _similarity_rows(path: Path, table):
+    if len(table) < 2 or len(table[1]) != 2:
+        raise CliError(f"malformed similarity report {path.name}")
+    model, value = table[1]
+    yield "f1", model, value, float(value), path.name
+
+
+def _run_rows(path: Path, table):
+    if len(table) < 2 or len(table[1]) < 6:
+        raise CliError(f"malformed run report {path.name}")
+    task, model, metric, mean, _, formatted = table[1][:6]
+    yield f"{task} ({metric})", model, formatted, float(mean), path.name
+
+
+# One report section per result-file kind: (file glob, title, row label, row
+# parser yielding (row, model, display, mean, source), row sort key).
+_REPORT_SECTIONS = (
+    ("cluster_*.tsv", "clustering (silhouette)", "k", _cluster_rows, int),
+    ("similarity_*.tsv", "word similarity (cloze)", "metric", _similarity_rows, str),
+    ("classify_*.tsv", "classification (mean (std) over seeds)", "task", _run_rows, str),
+    ("tag_*.tsv", "tagging (mean (std) over seeds)", "task", _run_rows, str),
+)
 
 
 def cmd_report(args, cp) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise CliError(f"run directory not found: {run_dir}")
-    cluster_files = sorted(run_dir.glob("cluster_*.tsv"))
-    similarity_files = sorted(run_dir.glob("similarity_*.tsv"))
-    classify_files = sorted(run_dir.glob("classify_*.tsv"))
-    tag_files = sorted(run_dir.glob("tag_*.tsv"))
+    found = [(section, sorted(run_dir.glob(section[0]))) for section in _REPORT_SECTIONS]
     forgetting_file = run_dir / "forgetting.tsv"
-    if not (cluster_files or similarity_files or classify_files or tag_files
-            or forgetting_file.is_file()):
+    if not (any(files for _, files in found) or forgetting_file.is_file()):
         raise CliError(f"no result files found in {run_dir} (expected cluster_*.tsv, "
                        "similarity_*.tsv, classify_*.tsv, tag_*.tsv, forgetting.tsv)")
 
     sections: list[str] = []
-
-    if cluster_files:
-        entries = []
-        for path in cluster_files:
-            for row in _parse_table(path)[1:]:
-                if len(row) != 3:
-                    raise CliError(f"malformed cluster report {path.name}: {row!r}")
-                model, k, value = row
-                entries.append((k, model, value, float(value), path.name))
-        cells = _collect_cells(entries, "clustering k")
-        ks = sorted({key[0] for key in cells}, key=int)
-        models = _ordered(key[1] for key in cells)
-        lines = _merge_grid(ks, models, cells, "k")
-        sections.append("# clustering (silhouette)\n" + "\n".join(lines))
-
-    if similarity_files:
-        entries = []
-        for path in similarity_files:
-            table = _parse_table(path)
-            if len(table) < 2 or len(table[1]) != 2:
-                raise CliError(f"malformed similarity report {path.name}")
-            model, value = table[1]
-            entries.append(("f1", model, value, float(value), path.name))
-        cells = _collect_cells(entries, "similarity")
-        models = _ordered(key[1] for key in cells)
-        lines = _merge_grid(["f1"], models, cells, "metric")
-        sections.append("# word similarity (cloze)\n" + "\n".join(lines))
-
-    for title, files, what in (("classification", classify_files, "classification task"),
-                               ("tagging", tag_files, "tagging task")):
+    for (_, title, row_label, parse_rows, row_key), files in found:
         if not files:
             continue
-        entries = []
-        for path in files:
-            table = _parse_table(path)
-            if len(table) < 2 or len(table[1]) < 6:
-                raise CliError(f"malformed run report {path.name}")
-            row = table[1]
-            task, model, metric, mean, formatted = (row[0], row[1], row[2],
-                                                    row[3], row[5])
-            entries.append((f"{task} ({metric})", model, formatted,
-                            float(mean), path.name))
-        cells = _collect_cells(entries, what)
-        tasks = _ordered(key[0] for key in cells)
-        models = _ordered(key[1] for key in cells)
-        lines = _merge_grid(tasks, models, cells, "task")
-        sections.append(f"# {title} (mean (std) over seeds)\n" + "\n".join(lines))
+        entries = (entry for path in files for entry in parse_rows(path, _parse_table(path)))
+        cells = _collect_cells(entries, f"{title.split(' (')[0]} {row_label}")
+        rows = sorted({row for row, _ in cells}, key=row_key)
+        models = sorted({model for _, model in cells})
+        lines = _merge_grid(rows, models, cells, row_label)
+        sections.append(f"# {title}\n" + "\n".join(lines))
 
     if forgetting_file.is_file():
         sections.append("# forgetting\n" + forgetting_file.read_text(encoding="utf-8").rstrip())

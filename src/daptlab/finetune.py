@@ -17,8 +17,9 @@ import numpy as np
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, backward,
                        cross_entropy_masked, matmul, reshape, select_position,
                        zero_grads)
-from .model import ModelConfig, forward, truncated_normal
-from .optim import AdamState, LrSchedule, adam_step, lr_at_step
+from .model import ModelConfig, forward, pad_rows, truncated_normal
+from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
+from .pretrain import TrainingDiverged
 from .tokenizer import Vocab, encode, encode_words
 
 
@@ -45,17 +46,25 @@ class FinetuneConfig:
 # ---------------------------------------------------------------------------
 # datasets
 
-def _split_records(records, seed: int, ratios=(0.8, 0.1, 0.1)):
-    """Deterministic shuffle-split for records without an explicit split field."""
+def _split_records(records, seed: int, ratios, item):
+    """(train, dev, test) lists of item(record): routed by the records' split
+    field when any record has one, else a deterministic shuffle-split."""
+    if any("split" in rec for rec in records):
+        splits = {"train": [], "dev": [], "test": []}
+        for i, rec in enumerate(records):
+            split = rec.get("split")
+            if split not in splits:
+                raise ValueError(f"record {i}: split must be train/dev/test, got {split!r}")
+            splits[split].append(item(rec))
+        return splits["train"], splits["dev"], splits["test"]
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(records))
     n_train = int(round(len(records) * ratios[0]))
     n_dev = int(round(len(records) * ratios[1]))
-    train = [records[i] for i in order[:n_train]]
-    dev = [records[i] for i in order[n_train:n_train + n_dev]]
-    test = [records[i] for i in order[n_train + n_dev:]]
-    return train, dev, test
+    bounds = (0, n_train, n_train + n_dev, len(records))
+    return tuple([item(records[i]) for i in order[lo:hi]]
+                 for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _check_disjoint(train, dev, test, key):
@@ -99,17 +108,8 @@ class LabeledTextDataset:
             items.append(rec)
         if labels is None:
             labels = tuple(sorted({rec["label"] for rec in items}))
-        if any("split" in rec for rec in items):
-            splits = {"train": [], "dev": [], "test": []}
-            for i, rec in enumerate(items):
-                split = rec.get("split")
-                if split not in splits:
-                    raise ValueError(f"record {i}: split must be train/dev/test, got {split!r}")
-                splits[split].append((rec["text"], rec["label"]))
-            train, dev, test = splits["train"], splits["dev"], splits["test"]
-        else:
-            parts = _split_records(items, seed, ratios)
-            train, dev, test = ([(r["text"], r["label"]) for r in part] for part in parts)
+        train, dev, test = _split_records(items, seed, ratios,
+                                          lambda rec: (rec["text"], rec["label"]))
         return cls(train=train, dev=dev, test=test, labels=tuple(labels),
                    positive_label=positive_label)
 
@@ -147,18 +147,8 @@ class TaggedTokenDataset:
         if tags is None:
             seen = {tag for rec in items for tag in rec.get("tags", ())}
             tags = tuple(sorted(seen | {"O"}))
-        if any("split" in rec for rec in items):
-            splits = {"train": [], "dev": [], "test": []}
-            for i, rec in enumerate(items):
-                split = rec.get("split")
-                if split not in splits:
-                    raise ValueError(f"record {i}: split must be train/dev/test, got {split!r}")
-                splits[split].append((list(rec["tokens"]), list(rec["tags"])))
-            train, dev, test = splits["train"], splits["dev"], splits["test"]
-        else:
-            parts = _split_records(items, seed, ratios)
-            train, dev, test = ([(list(r["tokens"]), list(r["tags"])) for r in part]
-                                for part in parts)
+        train, dev, test = _split_records(
+            items, seed, ratios, lambda rec: (list(rec["tokens"]), list(rec["tags"])))
         return cls(train=train, dev=dev, test=test, tags=tuple(tags))
 
 
@@ -324,10 +314,13 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # fine-tuning loops
 
-def _check_seeds(seeds):
+def _check_protocol(seeds, dataset):
     seeds = [int(s) for s in seeds]
     if len(seeds) != 5 or len(set(seeds)) != 5:
         raise ValueError(f"the protocol needs 5 distinct seeds, got {seeds}")
+    for split_name in ("train", "dev", "test"):
+        if not getattr(dataset, split_name):
+            raise ValueError(f"dataset {split_name} split is empty")
     return seeds
 
 
@@ -353,32 +346,68 @@ def _warn_if_degenerate(labels, what):
                       "a decision boundary", stacklevel=3)
 
 
-def _pad_batch(encodings, vocab):
-    width = max(len(e.ids) for e in encodings)
-    ids = np.full((len(encodings), width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(encodings), width), dtype=np.int64)
-    for row, enc in enumerate(encodings):
-        ids[row, :len(enc.ids)] = enc.ids
-        mask[row, :len(enc.mask)] = enc.mask
-    return ids, mask
+def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, test):
+    """The five-seed protocol shared by both tasks; returns score(test) per seed.
+
+    Per seed: a fresh linear head of n_out outputs on a copy of ``params``,
+    ft.epochs of shuffled mini-batch Adam steps on ``batch_loss(batch, work,
+    tape, rng)``, and the weights of the epoch whose first ``score(dev, work)``
+    entry is best. The seed's rng draws the head, then one permutation per
+    epoch, then dropout inside ``batch_loss``.
+    """
+    schedule = _schedule_for(ft.epochs * math.ceil(len(train) / ft.batch_size), ft.lr)
+    results = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        work = {name: t.copy() for name, t in params.items()}
+        work["head.w"] = Tensor(truncated_normal(rng, (config.hidden, n_out), 0.02))
+        work["head.b"] = Tensor(np.zeros(n_out, dtype=np.float32))
+        state = AdamState.for_params(work)
+        best_f1 = -1.0
+        best = _snapshot(work)
+        step = 0
+        for _ in range(ft.epochs):
+            order = rng.permutation(len(train))
+            for lo in range(0, len(order), ft.batch_size):
+                step += 1
+                tape = Tape()
+                loss = batch_loss([train[i] for i in order[lo:lo + ft.batch_size]],
+                                  work, tape, rng)
+                backward(tape, loss)
+                lr = lr_at_step(schedule, step) if schedule else ft.lr
+                try:
+                    adam_step(work, {n: t.grad for n, t in work.items()}, state, lr,
+                              ft.weight_decay)
+                except NonFiniteGradient as exc:
+                    raise TrainingDiverged(step, f"seed {seed}: non-finite gradient "
+                                           f"for {exc.name!r}") from exc
+                zero_grads(work)
+            dev_f1 = score(dev, work)[0]
+            if dev_f1 > best_f1:
+                best_f1 = dev_f1
+                best = _snapshot(work)
+        _restore(work, best)
+        results.append(score(test, work))
+    return results
 
 
-def _classify_logits(encodings, vocab, config, work, tape=None, rng=None,
-                     train_mode=False):
-    ids, mask = _pad_batch(encodings, vocab)
-    hidden = forward(ids, mask, config, work, train_mode=train_mode,
-                     tape=tape, rng=rng)
-    cls_vec = select_position(hidden[-1], 0, tape)
-    return add(matmul(cls_vec, work["head.w"], tape), work["head.b"], tape)
+def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None,
+                 train_mode=False):
+    """Head output on the [CLS] vector (pooled) or on every piece."""
+    hidden = forward(pad_rows([e.ids for e in encodings], vocab.pad_id),
+                     pad_rows([e.mask for e in encodings], 0), config, work,
+                     train_mode=train_mode, tape=tape, rng=rng)[-1]
+    if pooled:
+        hidden = select_position(hidden, 0, tape)
+    return add(matmul(hidden, work["head.w"], tape), work["head.b"], tape)
 
 
-def _classify_predict(items, encodings, vocab, config, work, labels, batch_size):
-    out = []
-    for lo in range(0, len(items), batch_size):
-        chunk = [encodings[text] for text, _ in items[lo:lo + batch_size]]
-        logits = _classify_logits(chunk, vocab, config, work)
-        out.extend(labels[j] for j in logits.data.argmax(axis=-1))
-    return out
+def _predict_rows(encodings, vocab, config, work, batch_size, pooled):
+    """Argmax head output per encoding, computed batch by batch."""
+    for lo in range(0, len(encodings), batch_size):
+        logits = _head_logits(encodings[lo:lo + batch_size], vocab, config, work,
+                              pooled=pooled)
+        yield from logits.data.argmax(axis=-1)
 
 
 def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
@@ -388,11 +417,7 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
                       ) -> RunReport:
     """Five-seed classification fine-tuning with dev-best checkpoint selection."""
     ft = ft_config or FinetuneConfig()
-    seeds = _check_seeds(seeds)
-    for split_name, split in (("train", dataset.train), ("dev", dataset.dev),
-                              ("test", dataset.test)):
-        if not split:
-            raise ValueError(f"dataset {split_name} split is empty")
+    seeds = _check_protocol(seeds, dataset)
     _warn_if_degenerate([label for _, label in dataset.train], "train")
     labels = dataset.labels
     label_ids = {label: i for i, label in enumerate(labels)}
@@ -400,47 +425,22 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
     encodings = {text: encode(text, vocab, max_seq)
                  for text, _ in dataset.train + dataset.dev + dataset.test}
 
-    scores = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        work = {name: t.copy() for name, t in params.items()}
-        work["head.w"] = Tensor(truncated_normal(rng, (config.hidden, len(labels)), 0.02))
-        work["head.b"] = Tensor(np.zeros(len(labels), dtype=np.float32))
-        state = AdamState.for_params(work)
-        per_epoch = math.ceil(len(dataset.train) / ft.batch_size)
-        schedule = _schedule_for(ft.epochs * per_epoch, ft.lr)
+    def batch_loss(batch, work, tape, rng):
+        logits = _head_logits([encodings[text] for text, _ in batch], vocab, config,
+                              work, pooled=True, tape=tape, rng=rng, train_mode=True)
+        gold = np.array([label_ids[label] for _, label in batch])
+        return cross_entropy_masked(logits, gold, tape)
 
-        best_f1 = -1.0
-        best = _snapshot(work)
-        step = 0
-        for _ in range(ft.epochs):
-            order = rng.permutation(len(dataset.train))
-            for lo in range(0, len(order), ft.batch_size):
-                batch = [dataset.train[i] for i in order[lo:lo + ft.batch_size]]
-                step += 1
-                tape = Tape()
-                logits = _classify_logits([encodings[t] for t, _ in batch], vocab,
-                                          config, work, tape, rng, train_mode=True)
-                gold = np.array([label_ids[label] for _, label in batch])
-                loss = cross_entropy_masked(logits, gold, tape)
-                backward(tape, loss)
-                lr = lr_at_step(schedule, step) if schedule else ft.lr
-                adam_step(work, {n: t.grad for n, t in work.items()}, state, lr,
-                          ft.weight_decay)
-                zero_grads(work)
-            pred = _classify_predict(dataset.dev, encodings, vocab, config, work,
-                                     labels, ft.batch_size)
-            dev_f1 = classification_f1(pred, [g for _, g in dataset.dev], labels,
-                                       dataset.positive_label)
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best = _snapshot(work)
-        _restore(work, best)
-        pred = _classify_predict(dataset.test, encodings, vocab, config, work,
-                                 labels, ft.batch_size)
-        scores.append(classification_f1(pred, [g for _, g in dataset.test], labels,
-                                        dataset.positive_label))
-    return RunReport.from_values(task, model_name, "f1", scores)
+    def score(items, work):
+        choices = _predict_rows([encodings[text] for text, _ in items], vocab, config,
+                                work, ft.batch_size, pooled=True)
+        pred = [labels[j] for j in choices]
+        return (classification_f1(pred, [g for _, g in items], labels,
+                                  dataset.positive_label),)
+
+    scores = _run_seeds(config, params, seeds, ft, len(labels), dataset.train,
+                        batch_loss, score, dataset.dev, dataset.test)
+    return RunReport.from_values(task, model_name, "f1", [s[0] for s in scores])
 
 
 def _encode_tagged(items, vocab, max_seq, tag_ids):
@@ -463,86 +463,38 @@ def _encode_tagged(items, vocab, max_seq, tag_ids):
     return out
 
 
-def _tag_logits(rows, vocab, config, work, tape=None, rng=None, train_mode=False):
-    ids, mask = _pad_batch([enc for enc, _, _ in rows], vocab)
-    hidden = forward(ids, mask, config, work, train_mode=train_mode,
-                     tape=tape, rng=rng)
-    return add(matmul(hidden[-1], work["head.w"], tape), work["head.b"], tape), ids.shape
-
-
-def _tag_predict(rows, vocab, config, work, tags, batch_size):
-    out = []
-    for lo in range(0, len(rows), batch_size):
-        chunk = rows[lo:lo + batch_size]
-        logits, _ = _tag_logits(chunk, vocab, config, work)
-        choice = logits.data.argmax(axis=-1)
-        for row, (_, _, first_piece) in enumerate(chunk):
-            out.append([tags[choice[row, p]] if p >= 0 else "O"
-                        for p in first_piece])
-    return out
-
-
 def finetune_tag(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
                  dataset: TaggedTokenDataset, seeds,
                  ft_config: FinetuneConfig | None = None,
                  task: str = "tagging", model_name: str = "model") -> RunReport:
     """Five-seed IOB tagging fine-tuning; span-level F1 primary, token-level secondary."""
     ft = ft_config or FinetuneConfig()
-    seeds = _check_seeds(seeds)
-    for split_name, split in (("train", dataset.train), ("dev", dataset.dev),
-                              ("test", dataset.test)):
-        if not split:
-            raise ValueError(f"dataset {split_name} split is empty")
+    seeds = _check_protocol(seeds, dataset)
     tags = dataset.tags
     tag_ids = {tag: i for i, tag in enumerate(tags)}
     max_seq = min(ft.max_seq, config.max_seq)
     train_rows = _encode_tagged(dataset.train, vocab, max_seq, tag_ids)
-    dev_rows = _encode_tagged(dataset.dev, vocab, max_seq, tag_ids)
-    test_rows = _encode_tagged(dataset.test, vocab, max_seq, tag_ids)
-    dev_gold = [item[1] for item in dataset.dev]
-    test_gold = [item[1] for item in dataset.test]
+    dev, test = ((_encode_tagged(split, vocab, max_seq, tag_ids), [gold for _, gold in split])
+                 for split in (dataset.dev, dataset.test))
 
-    span_scores = []
-    token_scores = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        work = {name: t.copy() for name, t in params.items()}
-        work["head.w"] = Tensor(truncated_normal(rng, (config.hidden, len(tags)), 0.02))
-        work["head.b"] = Tensor(np.zeros(len(tags), dtype=np.float32))
-        state = AdamState.for_params(work)
-        per_epoch = math.ceil(len(train_rows) / ft.batch_size)
-        schedule = _schedule_for(ft.epochs * per_epoch, ft.lr)
+    def batch_loss(rows, work, tape, rng):
+        logits = _head_logits([enc for enc, _, _ in rows], vocab, config, work,
+                              pooled=False, tape=tape, rng=rng, train_mode=True)
+        labels = pad_rows([lab for _, lab, _ in rows], IGNORE_INDEX)
+        flat = reshape(logits, (labels.size, len(tags)), tape)
+        return cross_entropy_masked(flat, labels.reshape(-1), tape)
 
-        best_f1 = -1.0
-        best = _snapshot(work)
-        step = 0
-        for _ in range(ft.epochs):
-            order = rng.permutation(len(train_rows))
-            for lo in range(0, len(order), ft.batch_size):
-                chunk = [train_rows[i] for i in order[lo:lo + ft.batch_size]]
-                step += 1
-                tape = Tape()
-                logits, (batch, width) = _tag_logits(chunk, vocab, config, work,
-                                                     tape, rng, train_mode=True)
-                labels = np.full((batch, width), IGNORE_INDEX, dtype=np.int64)
-                for row, (_, lab, _) in enumerate(chunk):
-                    labels[row, :lab.size] = lab
-                flat = reshape(logits, (batch * width, len(tags)), tape)
-                loss = cross_entropy_masked(flat, labels.reshape(-1), tape)
-                backward(tape, loss)
-                lr = lr_at_step(schedule, step) if schedule else ft.lr
-                adam_step(work, {n: t.grad for n, t in work.items()}, state, lr,
-                          ft.weight_decay)
-                zero_grads(work)
-            dev_pred = _tag_predict(dev_rows, vocab, config, work, tags, ft.batch_size)
-            dev_f1 = span_f1(dev_pred, dev_gold)
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best = _snapshot(work)
-        _restore(work, best)
-        test_pred = _tag_predict(test_rows, vocab, config, work, tags, ft.batch_size)
-        span_scores.append(span_f1(test_pred, test_gold))
-        token_scores.append(token_f1(test_pred, test_gold))
+    def score(split, work):
+        rows, gold = split
+        choices = _predict_rows([enc for enc, _, _ in rows], vocab, config, work,
+                                ft.batch_size, pooled=False)
+        pred = [[tags[choice[p]] if p >= 0 else "O" for p in first_piece]
+                for choice, (_, _, first_piece) in zip(choices, rows)]
+        return span_f1(pred, gold), token_f1(pred, gold)
+
+    scores = _run_seeds(config, params, seeds, ft, len(tags), train_rows, batch_loss,
+                        score, dev, test)
+    span_scores, token_scores = zip(*scores)
     return RunReport.from_values(task, model_name, "span_f1", span_scores,
                                  secondary_metric="token_f1",
                                  secondary_values=token_scores)

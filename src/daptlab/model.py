@@ -126,6 +126,14 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+def pad_rows(rows, fill: int) -> np.ndarray:
+    """Right-pad 1-D integer rows with ``fill`` into one [B, longest] int64 array."""
+    out = np.full((len(rows), max(len(row) for row in rows)), fill, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
 def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> None:
     if ids.ndim != 2:
         raise ValueError(f"ids must be [S] or [B, S], got shape {ids.shape}")

@@ -9,6 +9,14 @@ import numpy as np
 from .autodiff import Tensor
 
 
+class NonFiniteGradient(ValueError):
+    """A NaN/Inf gradient; the Adam step was rejected before any update."""
+
+    def __init__(self, name: str):
+        super().__init__(f"non-finite gradient for {name!r}: step rejected")
+        self.name = name
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter plus a shared step count."""
@@ -50,7 +58,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.data.shape} for {name!r}")
         if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for {name!r}: step rejected")
+            raise NonFiniteGradient(name)
 
     state.t += 1
     b1, b2 = state.beta1, state.beta2

@@ -19,8 +19,8 @@ import numpy as np
 
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward,
                        cross_entropy_masked, reshape, zero_grads)
-from .model import ModelConfig, forward, mlm_logits
-from .optim import AdamState, LrSchedule, adam_step, lr_at_step
+from .model import ModelConfig, forward, mlm_logits, pad_rows
+from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .tokenizer import Encoding, Vocab, count_pieces, encode
 
 
@@ -29,11 +29,10 @@ class RegimenError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss; parameters still hold the last good step."""
+    """Non-finite loss or gradient; parameters still hold the last good step."""
 
-    def __init__(self, step: int, loss: float, loss_log: "LossLog"):
-        super().__init__(f"non-finite loss {loss} at step {step}; aborting with "
-                         f"last-good parameters")
+    def __init__(self, step: int, reason: str, loss_log: "LossLog | None" = None):
+        super().__init__(f"{reason} at step {step}; aborting with last-good parameters")
         self.step = step
         self.loss_log = loss_log
 
@@ -143,16 +142,10 @@ def encode_corpus(texts, vocab: Vocab, max_seq: int) -> list[Encoding]:
 def _batch_arrays(encodings: list[Encoding], vocab: Vocab, policy: MaskingPolicy,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask each encoding and pad the batch to its longest sequence."""
-    width = max(len(e.ids) for e in encodings)
-    ids = np.full((len(encodings), width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(encodings), width), dtype=np.int64)
-    labels = np.full((len(encodings), width), IGNORE_INDEX, dtype=np.int64)
-    for row, enc in enumerate(encodings):
-        got, lab = apply_masking(enc, vocab, policy, rng)
-        ids[row, :got.size] = got
-        labels[row, :lab.size] = lab
-        mask[row, :len(enc.ids)] = enc.mask
-    return ids, mask, labels
+    masked = [apply_masking(enc, vocab, policy, rng) for enc in encodings]
+    return (pad_rows([got for got, _ in masked], vocab.pad_id),
+            pad_rows([enc.mask for enc in encodings], 0),
+            pad_rows([lab for _, lab in masked], IGNORE_INDEX))
 
 
 def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
@@ -160,8 +153,9 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
     """MLM-train ``params`` in place; returns the full loss log.
 
     Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
-    schedule. Aborts on a non-finite loss before the update is applied, so the
-    parameters always hold the last good state.
+    schedule. Aborts with TrainingDiverged on a non-finite loss or gradient
+    before the update is applied, so the parameters always hold the last good
+    state.
     """
     policy = policy or MaskingPolicy()
     encodings = encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq))
@@ -199,42 +193,48 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
             loss = cross_entropy_masked(flat, labels.reshape(-1), tape)
             value = float(loss.data)
             if not math.isfinite(value):
-                raise TrainingDiverged(step, value, log)
+                raise TrainingDiverged(step, f"non-finite loss {value}", log)
             log.entries.append((step, value))
             backward(tape, loss)
             grads = {name: t.grad for name, t in params.items()}
-            adam_step(params, grads, state, lr_at_step(schedule, step),
-                      train_config.weight_decay)
+            try:
+                adam_step(params, grads, state, lr_at_step(schedule, step),
+                          train_config.weight_decay)
+            except NonFiniteGradient as exc:
+                raise TrainingDiverged(step, f"non-finite gradient for {exc.name!r}",
+                                       log) from exc
             zero_grads(params)
         log.epoch_ends.append(step)
     return log
 
 
-def _eval_batches(encodings, batch_size):
+def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq, what):
+    """Yield (MLM logits, labels) per batch under a fixed-seed corruption draw,
+    skipping batches where the draw masked nothing."""
+    encodings = encode_corpus(texts, vocab, max_seq)
+    if not encodings:
+        raise ValueError(f"{what} needs at least one usable document")
+    policy = policy or MaskingPolicy()
+    rng = np.random.default_rng(seed)
     for lo in range(0, len(encodings), batch_size):
-        yield encodings[lo:lo + batch_size]
+        ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size], vocab, policy, rng)
+        if (labels != IGNORE_INDEX).any():
+            hidden = forward(ids, mask, config, params)
+            yield mlm_logits(hidden[-1], params), labels
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
                policy: MaskingPolicy | None = None, seed: int = 0,
                batch_size: int = 32, max_seq: int | None = None) -> float:
     """exp(mean masked cross-entropy) under a fixed-seed corruption draw."""
-    policy = policy or MaskingPolicy()
-    encodings = encode_corpus(texts, vocab, max_seq or config.max_seq)
-    if not encodings:
-        raise ValueError("perplexity needs at least one usable document")
-    rng = np.random.default_rng(seed)
     total_nll = 0.0
     total_count = 0
-    for chunk in _eval_batches(encodings, batch_size):
-        ids, mask, labels = _batch_arrays(chunk, vocab, policy, rng)
+    for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
+                                       batch_size, max_seq or config.max_seq,
+                                       "perplexity"):
         flat_labels = labels.reshape(-1)
         count = int((flat_labels != IGNORE_INDEX).sum())
-        if count == 0:
-            continue
-        hidden = forward(ids, mask, config, params)
-        logits = mlm_logits(hidden[-1], params)
-        loss = cross_entropy_masked(reshape(logits, (ids.size, config.vocab_size)),
+        loss = cross_entropy_masked(reshape(logits, (labels.size, config.vocab_size)),
                                     flat_labels)
         total_nll += float(loss.data) * count
         total_count += count
@@ -247,20 +247,12 @@ def masked_token_accuracy(config: ModelConfig, params: dict[str, Tensor], texts,
                           vocab: Vocab, policy: MaskingPolicy | None = None,
                           seed: int = 0, batch_size: int = 32) -> float:
     """Fraction of corrupted positions whose argmax prediction is the original."""
-    policy = policy or MaskingPolicy()
-    encodings = encode_corpus(texts, vocab, config.max_seq)
-    if not encodings:
-        raise ValueError("accuracy needs at least one usable document")
-    rng = np.random.default_rng(seed)
     hits = 0
     total = 0
-    for chunk in _eval_batches(encodings, batch_size):
-        ids, mask, labels = _batch_arrays(chunk, vocab, policy, rng)
+    for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
+                                       batch_size, config.max_seq, "accuracy"):
         keep = labels != IGNORE_INDEX
-        if not keep.any():
-            continue
-        hidden = forward(ids, mask, config, params)
-        pred = mlm_logits(hidden[-1], params).data.argmax(axis=-1)
+        pred = logits.data.argmax(axis=-1)
         hits += int((pred[keep] == labels[keep]).sum())
         total += int(keep.sum())
     if total == 0:

@@ -316,6 +316,18 @@ class TestErrorHandling:
         assert "conflicting duplicate rows" in err
         assert "cluster_a.tsv" in err and "cluster_b.tsv" in err
 
+    @pytest.mark.parametrize("name,content", [
+        ("cluster_m.tsv", "model\tk\tsilhouette\nm\t2\n"),
+        ("similarity_m.tsv", "model\tf1\n"),
+        ("classify_t_m.tsv", "task\tmodel\tmetric\nt\tm\tf1\n"),
+        ("tag_t_m.tsv", "task\tmodel\tmetric\nt\tm\tspan_f1\n"),
+    ])
+    def test_report_malformed_table(self, capsys, tmp_path, name, content):
+        (tmp_path / name).write_text(content)
+        assert cli.main(["report", str(tmp_path)]) == 1
+        assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_two(self, pipeline, capsys, tmp_path):
         _, run = pipeline
@@ -329,3 +341,47 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert not (tmp_path / "base.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finetune_divergence_exits_two(self, pipeline, capsys, tmp_path):
+        root, run = pipeline
+        assert cli.main(["finetune-classify", "--data", str(root / "classify.jsonl"),
+                         "--checkpoint", str(run / "base.ckpt"),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
+                        FINETUNE_SETS + ["--set", "finetune.lr=1e12"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite gradient" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDaptCorpusGuard:
+    def dapt_argv(self, root, run, out):
+        return (["dapt", "--corpus", str(root / "domain.jsonl"),
+                 "--checkpoint", str(run / "base.ckpt"),
+                 "--vocab", str(run / "vocab.txt"), "--out", str(out)] + MODEL_SETS +
+                ["--set", "train.dapt.epochs=1", "--set", "train.dapt.batch_size=8",
+                 "--set", "train.dapt.warmup_steps=1"])
+
+    def test_missing_base_corpus_is_an_error(self, pipeline, capsys, tmp_path):
+        root, run = pipeline
+        argv = self.dapt_argv(root, run, tmp_path) + [
+            "--set", f"paths.corpus={tmp_path / 'gone.jsonl'}"]
+        assert cli.main(argv) == 1
+        assert "base corpus not found" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unset_base_corpus_is_reported(self, pipeline, capsys, tmp_path):
+        root, run = pipeline
+        assert cli.main(self.dapt_argv(root, run, tmp_path)) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "skipping the corpus-size guard" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dapt.ckpt", "dapt_loss.tsv"]
+
+    def test_configured_base_corpus_applies_guard(self, pipeline, capsys, tmp_path):
+        root, run = pipeline
+        # the domain corpus is not smaller than itself, so the guard refuses
+        argv = self.dapt_argv(root, run, tmp_path) + [
+            "--set", f"paths.corpus={root / 'domain.jsonl'}"]
+        assert cli.main(argv) == 1
+        assert "must be smaller than the base corpus" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

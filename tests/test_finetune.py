@@ -1,5 +1,6 @@
 """Fine-tuning protocol: metrics vs oracles, datasets, 5-seed reporting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,12 +280,6 @@ def classify_setup():
 
 
 class TestFinetuneClassify:
-    def test_five_distinct_seeds_required(self, classify_setup):
-        config, params, vocab, data = classify_setup
-        for seeds in ((0, 1, 2, 3), (0, 0, 1, 2, 3)):
-            with pytest.raises(ValueError, match="5 distinct"):
-                finetune_classify(config, params, vocab, data, seeds)
-
     def test_report_structure_and_determinism(self, classify_setup):
         config, params, vocab, data = classify_setup
         ft = FinetuneConfig(lr=2e-3, epochs=2, batch_size=16)
@@ -305,14 +300,6 @@ class TestFinetuneClassify:
         finetune_classify(config, params, vocab, data, seeds=(0, 1, 2, 3, 4),
                           ft_config=ft)
         assert all(np.array_equal(before[k], params[k].data) for k in params)
-
-    def test_empty_split_rejected(self, classify_setup):
-        config, params, vocab, _ = classify_setup
-        data = LabeledTextDataset(train=[("a b", "relevant")], dev=[],
-                                  test=[("c d", "irrelevant")],
-                                  labels=("irrelevant", "relevant"))
-        with pytest.raises(ValueError, match="dev split"):
-            finetune_classify(config, params, vocab, data, seeds=(0, 1, 2, 3, 4))
 
     def test_degenerate_train_warns(self, classify_setup):
         config, params, vocab, _ = classify_setup
@@ -357,3 +344,29 @@ class TestFinetuneTag:
         rep = finetune_tag(config, params, vocab, data, seeds=(0, 1, 2, 3, 4),
                            ft_config=ft)
         assert len(rep.values) == 5
+
+
+@pytest.mark.parametrize("task", ["classify", "tag"])
+class TestProtocolChecks:
+    """Input checks both fine-tune tasks make before any training."""
+
+    @pytest.fixture
+    def setup(self, request, task):
+        config, params, vocab, data = request.getfixturevalue(f"{task}_setup")
+        run = finetune_classify if task == "classify" else finetune_tag
+        return run, config, params, vocab, data
+
+    def test_five_distinct_seeds_required(self, setup):
+        run, config, params, vocab, data = setup
+        for seeds in ((0, 1, 2, 3), (0, 0, 1, 2, 3)):
+            with pytest.raises(ValueError, match="5 distinct"):
+                run(config, params, vocab, data, seeds)
+
+    @pytest.mark.parametrize("split", ["train", "dev", "test"])
+    def test_empty_split_rejected(self, setup, split):
+        # the split checks run first: an empty train split must not reach the
+        # degenerate-label warning, which reads its first label
+        run, config, params, vocab, data = setup
+        data = dataclasses.replace(data, **{split: []})
+        with pytest.raises(ValueError, match=f"{split} split is empty"):
+            run(config, params, vocab, data, seeds=(0, 1, 2, 3, 4))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from daptlab import pretrain
 from daptlab.autodiff import IGNORE_INDEX
 from daptlab.model import ModelConfig, init_params
 from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
@@ -248,6 +249,26 @@ class TestTrain:
         assert err.step == len(err.loss_log.entries) + 1
         assert all(math.isfinite(l) for _, l in err.loss_log.entries)
         assert "non-finite" in str(err)
+
+    def test_non_finite_gradient_raises_diverged(self, vocab, monkeypatch):
+        # the loss stays finite; only one gradient entry is poisoned
+        config, params = tiny_setup(vocab)
+        real_backward = pretrain.backward
+
+        def poisoned_backward(tape, loss):
+            real_backward(tape, loss)
+            params["emb.word"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(pretrain, "backward", poisoned_backward)
+        before = {name: t.data.copy() for name, t in params.items()}
+        tc = TrainConfig(peak_lr=1e-3, epochs=2, batch_size=8, warmup_steps=1)
+        with pytest.raises(TrainingDiverged) as info:
+            train(config, params, patterned_corpus(8, sentence_len=6), vocab, tc)
+        err = info.value
+        assert err.step == 1
+        assert "non-finite gradient for 'emb.word'" in str(err)
+        assert [step for step, _ in err.loss_log.entries] == [1]
+        assert all(np.array_equal(before[name], params[name].data) for name in params)
 
     def test_loss_log_render(self):
         from daptlab.pretrain import LossLog
