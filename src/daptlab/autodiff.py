@@ -16,7 +16,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 # Label value that cross_entropy_masked skips.
 IGNORE_INDEX = -100
@@ -253,6 +252,10 @@ def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
     return out
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
                tape: Tape | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
@@ -262,10 +265,15 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
         raise ValueError(f"layer_norm scale/shift must have shape ({h},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # Means as a sum over the axis divided by h: the same values as ndarray.mean
+    # without its per-call Python overhead.
+    mu = _row_sum(a.data)
+    mu /= h
+    centered = a.data - mu
+    var = _row_sum(centered * centered)
+    var /= h
     inv = 1.0 / np.sqrt(var + a.data.dtype.type(eps))
-    xhat = (a.data - mu) * inv
+    xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if tape is not None:
         def bwd():
@@ -276,17 +284,121 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
             _accumulate(gamma, (g * xhat).sum(axis=lead))
             _accumulate(beta, g.sum(axis=lead))
             gx = g * gamma.data
-            term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            term = gx - _row_sum(gx) / h - xhat * (_row_sum(gx * xhat) / h)
             _accumulate(a, inv * term)
         tape.record(bwd)
     return out
 
 
+# ---------------------------------------------------------------------------
+# erf in numpy
+
+# float32: x P(x^2) / Q(x^2) with x clamped to [-4, 4], beyond which erf is
+# +-1 in single precision; the rational form XLA and Eigen use for float32
+# erf. Coefficients highest power first, evaluated by Horner's rule.
+_ERF32_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF32_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+
+# float64: W. J. Cody's rational Chebyshev approximations (Math. Comp. 23:631,
+# 1969; the coefficients of his CALERF). Rows are numerator and denominator,
+# lowest power first.
+_ERF64_SMALL = np.array([  # erf(x) = x R(x^2) for |x| <= 0.46875
+    [3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
+     3.16112374387056560e00, 1.85777706184603153e-1],
+    [2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
+     2.36012909523441209e01, 1.0]])
+_ERF64_MID = np.array([  # erfc(y) = exp(-y^2) R(y) for 0.46875 < y <= 4
+    [1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
+     8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
+     8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8],
+    [1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
+     3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
+     1.17693950891312499e02, 1.57449261107098347e01, 1.0]])
+_ERF64_LARGE = np.array([  # erfc(y) = exp(-y^2) / y (1/sqrt(pi) + z R(z)), z = y^-2, y > 4
+    [-6.58749161529837803e-4, -1.60837851487422766e-2, -1.25781726111229246e-1,
+     -3.60344899949804439e-1, -3.05326634961232344e-1, -1.63153871373020978e-2],
+    [2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+     1.87295284992346725e00, 2.56852019228982242e00, 1.0]])
+_ERF64_SMALL_MAX = 0.46875
+
+
+def _erf32(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = x2 * _ERF32_P[0]
+    for c in _ERF32_P[1:-1]:
+        p += c
+        p *= x2
+    p += _ERF32_P[-1]
+    p *= x
+    q = x2 * _ERF32_Q[0]
+    for c in _ERF32_Q[1:-1]:
+        q += c
+        q *= x2
+    q += _ERF32_Q[-1]
+    p /= q
+    return p
+
+
+def _rational(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """num(t) / den(t) for the coefficient rows of ``coeffs``, as one product
+    with the powers of t (every coefficient used here is of one sign, so the
+    power sums do not cancel)."""
+    powers = np.empty((coeffs.shape[1], t.size))
+    powers[0] = 1.0
+    powers[1] = t.reshape(-1)
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], powers[1], out=powers[k])
+    num, den = coeffs @ powers
+    num /= den
+    return num.reshape(t.shape)
+
+
+def _erf64(x: np.ndarray) -> np.ndarray:
+    x2 = x * x
+    if x2.max(initial=0.0) <= _ERF64_SMALL_MAX ** 2:  # the common case, one range
+        out = _rational(x2, _ERF64_SMALL)
+        out *= x
+        return out
+    y = np.abs(x)
+    out = np.empty_like(x)
+    small = y <= _ERF64_SMALL_MAX
+    out[small] = x[small] * _rational(x2[small], _ERF64_SMALL)
+    mid = ~small & (y <= 4.0)
+    out[mid] = 1.0 - np.exp(-x2[mid]) * _rational(y[mid], _ERF64_MID)
+    large = ~(small | mid)  # NaN lands here and stays NaN
+    z = 1.0 / x2[large]
+    out[large] = 1.0 - (np.exp(-x2[large]) / y[large]
+                        * (1.0 / math.sqrt(math.pi) + z * _rational(z, _ERF64_LARGE)))
+    rest = ~small
+    out[rest] = np.copysign(out[rest], x[rest])
+    return out
+
+
+def erf(x) -> np.ndarray:
+    """Elementwise error function, in numpy alone.
+
+    float32 input gives float32 within 5e-7 of math.erf (at most 4 ulp for
+    |x| < 1), exactly odd and exactly +-1 for |x| >= 4. Any other input is
+    computed in float64, within 1e-13 of math.erf.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.float32:
+        return _erf32(x)
+    return _erf64(x.astype(np.float64, copy=False))
+
+
 def gelu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """GELU with erf: 0.5 * x * (1 + erf(x / sqrt(2))), erf as in ``erf``."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(x.dtype.type(2.0))))
+    cdf = erf(x / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x * cdf)
     if tape is not None:
         def bwd():

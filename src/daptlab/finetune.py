@@ -143,9 +143,15 @@ class TaggedTokenDataset:
     def from_records(cls, records, tags=None, ratios=(0.8, 0.1, 0.1),
                      seed: int = 0) -> "TaggedTokenDataset":
         """records: dicts with tokens/tags lists and an optional split field."""
-        items = list(records)
+        items = []
+        for i, rec in enumerate(records):
+            if not all(isinstance(rec.get(key), list)
+                       and all(isinstance(s, str) for s in rec[key])
+                       for key in ("tokens", "tags")):
+                raise ValueError(f"record {i} needs tokens and tags lists of strings")
+            items.append(rec)
         if tags is None:
-            seen = {tag for rec in items for tag in rec.get("tags", ())}
+            seen = {tag for rec in items for tag in rec["tags"]}
             tags = tuple(sorted(seen | {"O"}))
         train, dev, test = _split_records(
             items, seed, ratios, lambda rec: (list(rec["tokens"]), list(rec["tags"])))

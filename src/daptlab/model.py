@@ -1,9 +1,10 @@
 """A small post-layer-norm bidirectional encoder with a tied MLM head.
 
 Learned absolute position embeddings, segment embeddings (always segment 0),
-exact-erf GELU, and an output projection that shares storage with the token
-embedding table. forward() accepts a single sequence [S] or a batch [B, S];
-hidden-state tensors mirror that rank.
+erf GELU (``autodiff.erf``: within 5e-7 of the exact erf in float32), and an
+output projection that shares storage with the token embedding table.
+forward() accepts a single sequence [S] or a batch [B, S]; hidden-state
+tensors mirror that rank.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> Non
         raise ValueError(f"token id out of range for vocab of {config.vocab_size}")
     if mask.shape != ids.shape:
         raise ValueError(f"attention mask shape {mask.shape} != ids shape {ids.shape}")
-    if not np.isin(mask, (0, 1)).all():
+    if not ((mask == 0) | (mask == 1)).all():  # np.isin costs ~5x more per call
         raise ValueError("attention mask entries must be 0 or 1")
     if (mask.sum(axis=1) == 0).any():
         raise ValueError("every sequence needs at least one unmasked position")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +18,50 @@ class NonFiniteGradient(ValueError):
         self.name = name
 
 
-@dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus a shared step count."""
+    """First/second moment estimates plus a shared step count.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    The moments of all parameters live in one flat buffer each (``m_flat``,
+    ``v_flat``), laid out in the order of the params dict given to
+    ``for_params``; ``m[name]`` and ``v[name]`` are reshaped views into them.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.t = 0
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.slices: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self.slices[name] = (offset, offset + size, tuple(shape))
+            offset += size
+        self.m_flat = np.zeros(offset, dtype=dtype)
+        self.v_flat = np.zeros(offset, dtype=dtype)
+        self.m = self._views(self.m_flat)
+        self.v = self._views(self.v_flat)
+        # scratch for adam_step: gathered gradients, parameters, temporaries
+        self._g_flat = np.empty(offset, dtype=dtype)
+        self._p_flat = np.empty(offset, dtype=dtype)
+        self._tmp = np.empty(offset, dtype=dtype)
+        self._p_views = list(self._views(self._p_flat).values())
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[lo:hi].reshape(shape)
+                for name, (lo, hi, shape) in self.slices.items()}
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor], beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(p.data) for name, p in params.items()},
-            v={name: np.zeros_like(p.data) for name, p in params.items()},
-            t=0, beta1=beta1, beta2=beta2, eps=eps,
-        )
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ValueError("Adam needs parameters of one dtype, got "
+                             + ", ".join(sorted(d.name for d in dtypes)))
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        return cls({name: p.data.shape for name, p in params.items()}, dtype,
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
@@ -45,40 +71,60 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
     Weight decay is decoupled: param -= lr * wd * param before the moment
     update. A NaN/Inf gradient rejects the whole step (poisoned state) before
     any parameter or moment is touched. A missing/None gradient counts as zero.
+    All parameters are updated in one pass over flat copies of the parameters
+    and gradients; the results are written back into each ``p.data`` in place.
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     if weight_decay < 0.0:
         raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-    for name, p in params.items():
+    if params.keys() != state.slices.keys():
+        raise ValueError("params do not match the parameters AdamState was built for")
+    tensors = [params[name] for name in state.slices]
+    dtype = state.m_flat.dtype
+    gathered = []
+    for name, p in zip(state.slices, tensors):
         g = grads.get(name)
         if g is None:
-            continue
-        if g.shape != p.data.shape:
+            g = np.zeros(p.data.shape, dtype=dtype)
+        elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.data.shape} for {name!r}")
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(name)
+        gathered.append(g)
+    g = np.concatenate(gathered, axis=None, out=state._g_flat)
+    if not np.isfinite(g).all():
+        for name, part in zip(state.slices, gathered):
+            if not np.isfinite(part).all():
+                raise NonFiniteGradient(name)
+    flat = np.concatenate([p.data for p in tensors], axis=None, out=state._p_flat)
 
+    # The textbook formulas, evaluated in the same order with in-place
+    # operations on the scratch buffers, so the result is bit for bit the
+    # per-tensor update.
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if weight_decay:
-            p.data -= lr * weight_decay * p.data
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v, tmp = state.m_flat, state.v_flat, state._tmp
+    if weight_decay:
+        np.multiply(flat, lr * weight_decay, out=tmp)
+        flat -= tmp                              # p -= lr * wd * p
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp                                     # m = b1 m + (1 - b1) g
+    v *= b2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - b2
+    v += tmp                                     # v = b2 v + (1 - b2) g^2
+    mhat = np.divide(m, bc1, out=g)
+    vhat = np.divide(v, bc2, out=tmp)
+    np.sqrt(vhat, out=vhat)
+    vhat += state.eps
+    mhat *= lr
+    mhat /= vhat
+    flat -= mhat                                 # p -= lr mhat / (sqrt(vhat) + eps)
+    for p, updated in zip(tensors, state._p_views):
+        np.copyto(p.data, updated)
 
 
 @dataclass(frozen=True)

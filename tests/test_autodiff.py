@@ -7,7 +7,7 @@ import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
 from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const,
-                              backward, cross_entropy_masked, dropout,
+                              backward, cross_entropy_masked, dropout, erf,
                               gather_rows, gelu, layer_norm, matmul, mul,
                               reshape, scale, select_position, softmax,
                               transpose, tsum, zero_grads)
@@ -34,6 +34,41 @@ class TestTensor:
         t.grad = np.ones(1, dtype=np.float32)
         t.zero_grad()
         assert t.grad is None
+
+
+class TestErf:
+    GRID = np.linspace(-6.0, 6.0, 240_001)
+
+    def test_float32_against_math_erf(self):
+        x = self.GRID.astype(np.float32)
+        ref = np.array([math.erf(float(v)) for v in x], dtype=np.float32)
+        got = erf(x)
+        assert got.dtype == np.float32
+        assert np.abs(got.astype(np.float64) - ref).max() <= 5e-7
+        core = np.abs(x) < 1.0
+        ulps = np.abs(np.abs(got[core]).view(np.int32).astype(np.int64)
+                      - np.abs(ref[core]).view(np.int32))
+        assert ulps.max() <= 4
+        assert np.array_equal(erf(-x), -got)
+        far = np.abs(x) >= 4.0
+        assert far.any() and np.array_equal(got[far], np.sign(x[far]))
+
+    def test_float64_against_math_erf(self):
+        ref = np.array([math.erf(v) for v in self.GRID])
+        got = erf(self.GRID)
+        assert got.dtype == np.float64
+        assert np.abs(got - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_limits_and_nan(self, dtype):
+        got = erf(np.array([np.inf, -np.inf, 30.0, np.nan, 0.0], dtype=dtype))
+        assert np.array_equal(got[:3], [1.0, -1.0, 1.0])
+        assert np.isnan(got[3]) and got[4] == 0.0
+
+    def test_shapes_kept(self):
+        assert erf(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+        assert erf(np.array(0.5)).shape == ()
+        assert math.isclose(float(erf(np.array(0.5))), math.erf(0.5), abs_tol=1e-15)
 
 
 class TestForwardValues:

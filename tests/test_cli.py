@@ -280,6 +280,19 @@ class TestErrorHandling:
                          "--out", str(tmp_path)]) == 1
         assert "does not match checkpoint" in capsys.readouterr().err
 
+    def test_finetune_tag_bad_record(self, pipeline, capsys, tmp_path):
+        _, run = pipeline
+        data = tmp_path / "tagged.jsonl"
+        write_jsonl(data, tagging_records(4, seed=0) + [{"words": ["a"], "tags": ["O"]}])
+        out = tmp_path / "out"
+        assert cli.main(["finetune-tag", "--data", str(data),
+                         "--checkpoint", str(run / "base.ckpt"),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(out)] +
+                        FINETUNE_SETS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 4 needs tokens and tags")
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_forgetting_bad_json(self, pipeline, capsys, tmp_path):
         root, _ = pipeline
         broken = tmp_path / "broken.json"

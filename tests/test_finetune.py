@@ -236,6 +236,15 @@ class TestTaggedTokenDataset:
         data = TaggedTokenDataset.from_records(tagging_records(20, seed=0), seed=0)
         assert "O" in data.tags and data.tags == tuple(sorted(data.tags))
 
+    @pytest.mark.parametrize("record", [
+        {"words": ["a"], "tags": ["O"]},
+        {"tokens": "a", "tags": ["O"]},
+        {"tokens": ["a"], "tags": [1]},
+    ], ids=["missing", "not-a-list", "not-strings"])
+    def test_record_fields_validated(self, record):
+        with pytest.raises(ValueError, match="record 1 needs tokens and tags"):
+            TaggedTokenDataset.from_records([{"tokens": ["b"], "tags": ["O"]}, record])
+
     def test_alignment_enforced(self):
         with pytest.raises(ValueError, match="misaligned"):
             TaggedTokenDataset(train=[(["a", "b"], ["O"])], dev=[(["c"], ["O"])],

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from daptlab.autodiff import Tensor
-from daptlab.optim import AdamState, LrSchedule, adam_step, lr_at_step
+from daptlab.optim import (AdamState, LrSchedule, NonFiniteGradient, adam_step,
+                           lr_at_step)
 
 
 def reference_adam(w0, grad_seq, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
@@ -23,6 +24,27 @@ def reference_adam(w0, grad_seq, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
         vhat = v / (1 - b2 ** t)
         w -= lr * mhat / (np.sqrt(vhat) + eps)
     return w
+
+
+def per_tensor_adam(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """Step t of the update one tensor at a time, in the parameters' dtype:
+    the formulas and their order that the flat adam_step must reproduce bit
+    for bit."""
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if wd:
+            p -= lr * wd * p
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 class TestAdam:
@@ -74,6 +96,70 @@ class TestAdam:
         np.testing.assert_allclose(p["b"].data, 1.0)
         np.testing.assert_allclose(state.m["a"], 0.0)
         assert state.t == 0
+
+    def test_flat_step_bit_identical_to_per_tensor(self):
+        rng = np.random.default_rng(11)
+        shapes = {"emb": (13, 6), "w": (6, 6), "b": (6,), "frozen": (4, 3),
+                  "scalar": (), "gamma": (6,)}
+        params = {n: Tensor(rng.standard_normal(s).astype(np.float32))
+                  for n, s in shapes.items()}
+        ref = {n: t.data.copy() for n, t in params.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        state = AdamState.for_params(params)
+        for t in range(1, 51):
+            grads = {n: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3))
+                     .astype(np.float32) for n, s in shapes.items()}
+            grads["frozen"] = None
+            adam_step(params, grads, state, lr=3e-3, weight_decay=0.01)
+            per_tensor_adam(ref, grads, m, v, t, lr=3e-3, wd=0.01)
+        assert state.t == 50
+        for n in shapes:
+            assert params[n].data.dtype == np.float32
+            assert np.array_equal(params[n].data, ref[n]), n
+            assert np.array_equal(state.m[n], m[n]), n
+            assert np.array_equal(state.v[n], v[n]), n
+
+    def test_nan_in_last_tensor_names_it_and_mutates_nothing(self):
+        rng = np.random.default_rng(2)
+        params = {n: Tensor(rng.standard_normal(s).astype(np.float32))
+                  for n, s in (("a", (3, 2)), ("b", (4,)), ("last", (2, 2)))}
+        state = AdamState.for_params(params)
+        grads = {n: np.ones(t.shape, dtype=np.float32) for n, t in params.items()}
+        adam_step(params, grads, state, lr=0.1, weight_decay=0.1)
+        before = {n: t.data.copy() for n, t in params.items()}
+        m, v = state.m_flat.copy(), state.v_flat.copy()
+        grads["last"] = grads["last"].copy()
+        grads["last"][1, 1] = np.nan
+        with pytest.raises(NonFiniteGradient) as exc:
+            adam_step(params, grads, state, lr=0.1, weight_decay=0.1)
+        assert exc.value.name == "last"
+        for n, t in params.items():
+            assert np.array_equal(t.data, before[n])
+        assert np.array_equal(state.m_flat, m) and np.array_equal(state.v_flat, v)
+        assert state.t == 1
+
+    def test_moment_views_share_the_flat_buffers(self):
+        p = {"a": Tensor(np.ones((2, 3), dtype=np.float32)),
+             "b": Tensor(np.ones(4, dtype=np.float32))}
+        state = AdamState.for_params(p)
+        adam_step(p, {"a": np.ones((2, 3), dtype=np.float32), "b": None}, state, lr=0.1)
+        assert state.m["a"].shape == (2, 3) and state.v["b"].shape == (4,)
+        np.testing.assert_allclose(state.m["a"], 0.1)
+        np.testing.assert_allclose(state.m_flat, [0.1] * 6 + [0.0] * 4, rtol=1e-6)
+
+    def test_mixed_dtypes_rejected(self):
+        p = {"a": Tensor(np.ones(2, dtype=np.float32)),
+             "b": Tensor(np.ones(2, dtype=np.float64))}
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamState.for_params(p)
+
+    def test_params_must_match_state(self):
+        p = {"a": Tensor(np.ones(2, dtype=np.float64))}
+        state = AdamState.for_params(p)
+        p["b"] = Tensor(np.ones(2, dtype=np.float64))
+        with pytest.raises(ValueError, match="AdamState was built for"):
+            adam_step(p, {}, state, lr=0.1)
 
     def test_inf_gradient_rejected(self):
         p = {"a": Tensor(np.ones(1, dtype=np.float64))}

@@ -1,0 +1,81 @@
+"""The runtime in fresh interpreters: imports, declared dependencies, and
+trained bytes that do not depend on the BLAS thread count."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import daptlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(daptlab.__file__).resolve().parents[1]
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter that imports daptlab from this checkout."""
+    full_env = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    full_env.update(env)
+    done = subprocess.run([sys.executable, "-c", code], env=full_env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = run_python("import sys, daptlab.cli\n"
+                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    deps = project["dependencies"]
+    assert len(deps) == 1 and deps[0].startswith("numpy")
+
+
+# Trains a desk-geometry model for 3 epochs (batch 64, so the matmuls are large
+# enough for OpenBLAS to split them across threads) and prints the BLAS thread
+# count when the library reports it (-1 otherwise) and the parameters' sha256.
+PROBE = """
+import ctypes, glob, hashlib, os
+import numpy as np
+from daptlab.model import ModelConfig, init_params
+from daptlab.pretrain import TrainConfig, train
+from daptlab.synth import PATTERN_WORDS, patterned_corpus
+from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
+
+threads = -1
+for path in glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            get_threads = getattr(lib, sym)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = get_threads()
+            break
+vocab = Vocab(SPECIAL_TOKENS + PATTERN_WORDS)
+config = ModelConfig.desk(len(vocab), max_seq=32)
+params = init_params(config, seed=0)
+train(config, params, patterned_corpus(192), vocab,
+      TrainConfig(peak_lr=2e-3, epochs=3, batch_size=64, warmup_steps=2))
+digest = hashlib.sha256()
+for name in sorted(params):
+    digest.update(name.encode() + params[name].data.tobytes())
+print(threads, digest.hexdigest())
+"""
+
+
+def test_trained_bytes_independent_of_blas_threads():
+    one = run_python(PROBE, OPENBLAS_NUM_THREADS="1")
+    two = run_python(PROBE, OPENBLAS_NUM_THREADS="2")
+    assert one[0] in ("1", "-1") and two[0] in ("2", "-1")
+    assert one[1] == two[1]
