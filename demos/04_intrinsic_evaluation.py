@@ -17,8 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from daptlab.evaluate import (build_pairs, cloze_similarity_eval, cluster_eval,
-                              evaluate_pairs, load_pairs,
+from daptlab.evaluate import (build_pairs, cluster_eval, evaluate_pairs,
+                              load_pairs, model_cloze_predictor,
                               render_cluster_report, render_similarity_report)
 from daptlab.model import ModelConfig, init_params
 from daptlab.pretrain import TrainConfig, corpus_token_count, dapt, train
@@ -79,7 +79,7 @@ def oracle(w1, w2):
     return (1.0, 0.0) if topic_of[w1] == topic_of[w2] else (0.0, 1.0)
 
 ceiling, _ = evaluate_pairs(pairs, oracle)
-f1, predictions = cloze_similarity_eval(small, params, cloze_vocab, pairs)
+f1, predictions = evaluate_pairs(pairs, model_cloze_predictor(small, params, cloze_vocab))
 report = render_similarity_report("cloze", f1, predictions)
 lines = report.splitlines()
 print("\n".join(lines[:10]))

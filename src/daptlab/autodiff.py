@@ -1,9 +1,13 @@
 """Dense float tensors plus taped reverse-mode differentiation.
 
-All primitives take an optional ``tape``; when one is passed, a backward
-closure is appended so that ``backward(tape, loss)`` can replay adjoints in
-reverse order. Forward values are float32 by default, but float64 arrays are
-kept as-is so the same graph can be re-run at higher precision by oracles.
+All primitives take an optional ``tape``. When one is passed, the primitive
+records one backward closure on it while its own forward runs (``_record``;
+a tape that labels closures by the running op relies on this), and
+``backward(tape, loss)`` replays the closures in reverse order. A closure runs
+only if its op's output got a gradient, so an op whose output never reaches
+the loss leaves its inputs' gradients untouched. Forward values are float32 by
+default, but float64 arrays are kept as-is so the same graph can be re-run at
+higher precision by oracles.
 
 Non-finite values are treated as an error state. NaN/Inf propagates to the
 loss, so enforcement lives at the loss/optimizer boundary (see pretrain and
@@ -76,6 +80,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _record(tape: Tape, out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
+    """Record ``bwd(out.grad)`` on ``tape``, skipped when ``out`` got no gradient."""
+    def run():
+        g = out.grad
+        if g is not None:
+            bwd(g)
+    tape.record(run)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -91,13 +104,10 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise a + b with numpy broadcasting."""
     out = Tensor(a.data + b.data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, _unbroadcast(g, a.data.shape))
             _accumulate(b, _unbroadcast(g, b.data.shape))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -105,12 +115,9 @@ def add_const(a: Tensor, c, tape: Tape | None = None) -> Tensor:
     """a + c for a constant array/scalar; no gradient flows into c."""
     out = Tensor(a.data + c)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, _unbroadcast(g, a.data.shape))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -118,13 +125,10 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise a * b with numpy broadcasting."""
     out = Tensor(a.data * b.data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -132,12 +136,9 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     """a * c for a python scalar constant."""
     out = Tensor(a.data * a.data.dtype.type(c))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, g * a.data.dtype.type(c))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -155,10 +156,7 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ValueError(f"matmul leading extents differ: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             if b.data.ndim == 2:
                 _accumulate(a, g @ b.data.T)
                 k = a.data.shape[-1]
@@ -167,7 +165,7 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             else:
                 _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
                 _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -175,24 +173,18 @@ def transpose(a: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Ten
     out = Tensor(np.transpose(a.data, axes))
     if tape is not None:
         inverse = tuple(np.argsort(axes))
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, np.transpose(g, inverse))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
 def reshape(a: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, g.reshape(a.data.shape))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -205,14 +197,11 @@ def gather_rows(table: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Ten
         raise ValueError(f"gather_rows id out of range for table of {table.data.shape[0]} rows")
     out = Tensor(table.data[ids])
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, ids, g)
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -222,14 +211,11 @@ def select_position(a: Tensor, pos: int, tape: Tape | None = None) -> Tensor:
         raise ValueError(f"position {pos} out of range for shape {a.shape}")
     out = Tensor(a.data[..., pos, :])
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[..., pos, :] += g
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -242,13 +228,10 @@ def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
     p = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(p)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             inner = (g * p).sum(axis=axis, keepdims=True)
             _accumulate(a, p * (g - inner))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -276,17 +259,14 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
     xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             lead = tuple(range(g.ndim - 1))
             _accumulate(gamma, (g * xhat).sum(axis=lead))
             _accumulate(beta, g.sum(axis=lead))
             gx = g * gamma.data
             term = gx - _row_sum(gx) / h - xhat * (_row_sum(gx * xhat) / h)
             _accumulate(a, inv * term)
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -401,13 +381,10 @@ def gelu(a: Tensor, tape: Tape | None = None) -> Tensor:
     cdf *= 0.5
     out = Tensor(x * cdf)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             pdf = np.exp(-0.5 * x * x) / x.dtype.type(math.sqrt(2.0 * math.pi))
             _accumulate(a, g * (cdf + x * pdf))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -422,12 +399,9 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator,
     factor = keep / a.data.dtype.type(1.0 - p)
     out = Tensor(a.data * factor)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, g * factor)
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -435,12 +409,9 @@ def tsum(a: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     out = Tensor(a.data.sum())
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             _accumulate(a, np.broadcast_to(g, a.data.shape))
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 
@@ -471,15 +442,12 @@ def cross_entropy_masked(logits: Tensor, labels: np.ndarray,
     loss = -logp[valid, picked].sum() / logits.data.dtype.type(n)
     out = Tensor(np.asarray(loss, dtype=logits.data.dtype))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             gl = np.zeros_like(logits.data)
             gl[valid] = np.exp(logp[valid]) * (g / n)
             gl[valid, picked] -= g / logits.data.dtype.type(n)
             _accumulate(logits, gl)
-        tape.record(bwd)
+        _record(tape, out, bwd)
     return out
 
 

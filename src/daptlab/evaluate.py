@@ -18,13 +18,12 @@ from .model import ModelConfig, embed_document, forward, mlm_logits
 from .tokenizer import CLS, MASK, SEP, UNK, Encoding, Vocab, split_words, wordpiece
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 300,
-           inertia_trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points, k: int, seed: int, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with distance-weighted (k-means++) seeding.
 
     Ties assign to the lowest-index centroid; an emptied cluster is reseeded
     to the point farthest from its current centroid. Returns (assignments,
-    centroids); pass a list as inertia_trace to record inertia per iteration.
+    centroids).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -57,8 +56,6 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300,
                 new_assign[idx] = j
                 centroids[j] = pts[idx]
                 own[idx] = 0.0
-        if inertia_trace is not None:
-            inertia_trace.append(float(own.sum()))
         if (new_assign == assign).all():
             break
         assign = new_assign
@@ -247,11 +244,6 @@ def evaluate_pairs(pairs, predictor) -> tuple[float, list[tuple[SimilarityPair, 
     return f1, predictions
 
 
-def cloze_similarity_eval(config: ModelConfig, params, vocab: Vocab, pairs
-                          ) -> tuple[float, list[tuple[SimilarityPair, str]]]:
-    return evaluate_pairs(pairs, model_cloze_predictor(config, params, vocab))
-
-
 def render_similarity_report(model_name: str, f1: float, predictions) -> str:
     lines = [f"model\tf1", f"{model_name}\t{f1:.6f}", "",
              "word1\tword2\tgold\tpredicted"]
@@ -284,10 +276,6 @@ class ForgettingReport:
     @property
     def mean_delta(self) -> float:
         return sum(r.delta for r in self.rows) / len(self.rows)
-
-    @property
-    def improved_tasks(self) -> list[str]:
-        return [r.task for r in self.rows if r.improved]
 
     def render(self) -> str:
         lines = ["task\tbase\tadapted\tdelta\tnote"]

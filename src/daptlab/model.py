@@ -88,15 +88,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def count_parameters(config: ModelConfig) -> int:
-    """Closed-form scalar parameter count for the configuration."""
-    h, f, v = config.hidden, config.ffn_dim, config.vocab_size
-    embeddings = v * h + config.max_seq * h + config.type_vocab * h + 2 * h
-    per_layer = 4 * (h * h + h) + 2 * h + (h * f + f) + (f * h + h) + 2 * h
-    head = h * h + h + 2 * h + v
-    return embeddings + config.num_layers * per_layer + head
-
-
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) with values beyond 2*std resampled, not clipped."""
     out = rng.standard_normal(shape) * std

@@ -71,8 +71,9 @@ class Vocab:
 class Encoding:
     """One encoded text: ids/pieces/mask of equal length plus word piece spans.
 
+    Encodings are unpadded (mask all ones); ``model.pad_rows`` pads a batch.
     word_spans[i] is the half-open piece range of pre-tokenized word i; spans
-    partition the content pieces (everything except [CLS]/[SEP]/padding).
+    partition the content pieces (everything except [CLS]/[SEP]).
     """
 
     ids: list[int]
@@ -126,8 +127,7 @@ def wordpiece(word: str, vocab: Vocab) -> list[str] | None:
     return pieces
 
 
-def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int,
-              pad: bool) -> Encoding:
+def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int) -> Encoding:
     if max_seq < 2:
         raise ValueError(f"max_seq must be >= 2, got {max_seq}")
     pieces: list[str] = [CLS]
@@ -143,22 +143,16 @@ def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int,
         spans = [(s, min(e, limit)) for s, e in spans if s < limit]
 
     ids = [vocab.id_of(p) for p in pieces]
-    mask = [1] * len(ids)
-    if pad and len(ids) < max_seq:
-        short = max_seq - len(ids)
-        ids.extend([vocab.pad_id] * short)
-        pieces.extend([PAD] * short)
-        mask.extend([0] * short)
-    return Encoding(ids=ids, pieces=pieces, mask=mask, word_spans=spans)
+    return Encoding(ids=ids, pieces=pieces, mask=[1] * len(ids), word_spans=spans)
 
 
-def encode(text: str, vocab: Vocab, max_seq: int, pad: bool = False) -> Encoding:
+def encode(text: str, vocab: Vocab, max_seq: int) -> Encoding:
     """[CLS] + pieces + [SEP], truncated from the tail with [SEP] preserved."""
     groups = [wordpiece(word, vocab) or [UNK] for word in split_words(text)]
-    return _assemble(groups, vocab, max_seq, pad)
+    return _assemble(groups, vocab, max_seq)
 
 
-def encode_words(words, vocab: Vocab, max_seq: int, pad: bool = False) -> Encoding:
+def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
     """Encode pre-tokenized input; word_spans[i] always covers input word i.
 
     Each input word may still normalize into several sub-words (punctuation
@@ -170,7 +164,7 @@ def encode_words(words, vocab: Vocab, max_seq: int, pad: bool = False) -> Encodi
         for sub in split_words(word):
             pieces.extend(wordpiece(sub, vocab) or [UNK])
         groups.append(pieces or [UNK])
-    return _assemble(groups, vocab, max_seq, pad)
+    return _assemble(groups, vocab, max_seq)
 
 
 def decode(ids, vocab: Vocab) -> str:

@@ -274,6 +274,17 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
 
+    def test_unreached_output_is_skipped(self):
+        # an op whose output never reaches the loss gets no gradient, and its
+        # backward leaves its inputs untouched
+        tape = Tape()
+        x, w = t64((2, 3), 0), t64((3, 4), 1)
+        matmul(x, w, tape)
+        loss = tsum(add(x, x, tape), tape)
+        backward(tape, loss)
+        assert w.grad is None
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
     def test_zero_grads(self):
         params = {"a": t64((2,), 0)}
         params["a"].grad = np.ones(2)

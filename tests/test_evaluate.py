@@ -11,7 +11,6 @@ from daptlab.evaluate import (
     ForgettingRow,
     SimilarityPair,
     build_pairs,
-    cloze_similarity_eval,
     cluster_eval,
     evaluate_pairs,
     forgetting_report,
@@ -86,13 +85,12 @@ class TestKmeans:
         second, _ = kmeans(points, 3, seed=11)
         assert (first == second).all()
 
-    def test_inertia_trace_records_progress(self):
+    def test_points_assigned_to_nearest_returned_centroid(self):
         rng = np.random.default_rng(4)
         points, _ = blobs(rng, [[0.0], [8.0], [16.0]], per_center=10)
-        trace = []
-        kmeans(points, 3, seed=0, inertia_trace=trace)
-        assert trace and all(v >= 0.0 for v in trace)
-        assert trace[-1] <= trace[0] + 1e-9
+        assign, centroids = kmeans(points, 3, seed=0)
+        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert (assign == dists.argmin(axis=1)).all()
 
     def test_duplicate_points_ok(self):
         points = np.ones((8, 2))
@@ -357,7 +355,7 @@ class TestEvaluatePairs:
         assert predict("alpha", "bravo") == (yes, no)
         pairs = [SimilarityPair("alpha", "bravo", SIMILAR),
                  SimilarityPair("carol", "delta", DISSIMILAR)]
-        f1, predictions = cloze_similarity_eval(config, params, vocab, pairs)
+        f1, predictions = evaluate_pairs(pairs, model_cloze_predictor(config, params, vocab))
         assert 0.0 <= f1 <= 1.0
         assert len(predictions) == 2
 
@@ -385,7 +383,7 @@ class TestForgetting:
         report = forgetting_report({"a": 0.9, "b": 0.5, "c": 0.7},
                                    {"a": 0.8, "b": 0.6, "c": 0.7})
         assert report.mean_delta == pytest.approx((-0.1 + 0.1 + 0.0) / 3)
-        assert report.improved_tasks == ["b"]
+        assert [r.task for r in report.rows if r.improved] == ["b"]
         assert [r.task for r in report.rows] == ["a", "b", "c"]
 
     def test_render_exact(self):
@@ -413,4 +411,4 @@ class TestForgetting:
         report = forgetting_report({"total_score": 0.600994},
                                    {"total_score": 0.546831})
         assert report.mean_delta == pytest.approx(-0.0542, abs=1e-4)
-        assert report.improved_tasks == []
+        assert [r.task for r in report.rows if r.improved] == []

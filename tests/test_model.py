@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from daptlab.model import (ModelConfig, count_parameters, embed_document,
-                           forward, init_params, load_checkpoint, mlm_logits,
-                           param_shapes, save_checkpoint, truncated_normal)
-from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
+from daptlab.model import (ModelConfig, embed_document, forward, init_params,
+                           load_checkpoint, mlm_logits, pad_rows, param_shapes,
+                           save_checkpoint, truncated_normal)
+from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
 
 
 def tiny_config(**overrides):
@@ -70,10 +70,17 @@ class TestParamShapes:
             assert shapes[f"layer{i}.ffn.w2"] == (16, 8)
         assert "layer3.attn.wq" not in shapes
 
-    def test_count_matches_enumeration(self):
-        for cfg in (tiny_config(), ModelConfig.desk(321), tiny_config(num_layers=5)):
-            total = sum(int(np.prod(s)) for s in param_shapes(cfg).values())
-            assert count_parameters(cfg) == total
+
+class TestPadRows:
+    def test_ids_and_masks_padded_to_longest(self):
+        vocab = letter_vocab()
+        short, long = encode("a", vocab, 8), encode("a b c", vocab, 8)
+        assert (len(short.ids), len(long.ids)) == (3, 5)
+        ids = pad_rows([short.ids, long.ids], vocab.pad_id)
+        mask = pad_rows([short.mask, long.mask], 0)
+        assert ids.dtype == mask.dtype == np.int64
+        assert ids.tolist() == [short.ids + [vocab.pad_id] * 2, long.ids]
+        assert mask.tolist() == [[1, 1, 1, 0, 0], [1] * 5]
 
 
 class TestInit:
@@ -225,7 +232,6 @@ class TestEmbedDocument:
         params = init_params(config, 0)
         vocab = letter_vocab()
         vec = embed_document("a", vocab, config, params)
-        from daptlab.tokenizer import encode
         enc = encode("a", vocab, config.max_seq)
         hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
         manual = np.concatenate([h.data[1] for h in hidden[-4:]])

@@ -1,6 +1,8 @@
 """The runtime in fresh interpreters: imports, declared dependencies, and
-trained bytes that do not depend on the BLAS thread count."""
+trained bytes that do not depend on the BLAS thread count; and what the
+benchmark's tracer, which patches names from outside the package, relies on."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -79,3 +81,45 @@ def test_trained_bytes_independent_of_blas_threads():
     two = run_python(PROBE, OPENBLAS_NUM_THREADS="2")
     assert one[0] in ("1", "-1") and two[0] in ("2", "-1")
     assert one[1] == two[1]
+
+
+# The op labels the benchmark's tracer gives the backward closures of a
+# dropout-free MLM step. Each op must record its closure while its own forward
+# runs; one recorded anywhere else is labelled "autodiff.bwd.other".
+TRACED_BACKWARD_OPS = ("add", "add_const", "cross_entropy_masked", "gather_rows",
+                       "gelu", "layer_norm", "matmul", "reshape", "scale",
+                       "softmax", "transpose")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
+    from daptlab.model import ModelConfig, init_params
+    from daptlab.pretrain import TrainConfig, train
+    from daptlab.synth import PATTERN_WORDS, patterned_corpus
+    from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
+
+    spans = load_spans()
+    bound = [(mod, attr) for mod, attr, _ in spans.BINDINGS]
+    bound += [("pretrain", "Tape"), ("finetune", "Tape")]
+    modules = {mod: importlib.import_module(f"daptlab.{mod}") for mod, _ in bound}
+    originals = [getattr(modules[mod], attr) for mod, attr in bound]
+
+    vocab = Vocab(SPECIAL_TOKENS + PATTERN_WORDS)
+    config = ModelConfig(num_layers=1, hidden=8, num_heads=2, ffn_dim=16,
+                         vocab_size=len(vocab), max_seq=16, dropout=0.0)
+    params = init_params(config, seed=0)
+    with spans.installed(spans.Tracer()) as tracer:
+        log = train(config, params, patterned_corpus(8), vocab,
+                    TrainConfig(peak_lr=1e-3, epochs=1, batch_size=4, warmup_steps=1))
+    assert [step for step, _ in log.entries] == [1, 2]
+    backward_spans = {name for name in tracer.names if name.startswith("autodiff.bwd.")}
+    assert backward_spans == {f"autodiff.bwd.{op}" for op in TRACED_BACKWARD_OPS}
+    for (mod, attr), original in zip(bound, originals):
+        assert getattr(modules[mod], attr) is original, f"daptlab.{mod}.{attr}"

@@ -116,12 +116,6 @@ class TestEncode:
         b = encode("unaffable!", affable_vocab, max_seq=16)
         assert a.ids == b.ids
 
-    def test_mask_and_padding(self, affable_vocab):
-        enc = encode("unaffable", affable_vocab, max_seq=8, pad=True)
-        assert len(enc.ids) == 8
-        assert list(enc.pieces[4:]) == [SEP, PAD, PAD, PAD]
-        assert list(enc.mask) == [1] * 5 + [0] * 3
-
     def test_truncation_keeps_sep(self, affable_vocab):
         enc = encode("unaffable unaffable unaffable", affable_vocab, max_seq=6)
         assert len(enc.ids) == 6
