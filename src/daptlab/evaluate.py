@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
+from .autodiff import Tensor
 from .finetune import f1_binary
 from .model import ModelConfig, embed_document, forward, mlm_logits
 from .tokenizer import CLS, MASK, SEP, UNK, Encoding, Vocab, split_words, wordpiece
@@ -224,8 +225,8 @@ def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
     def predict(word1: str, word2: str) -> tuple[float, float]:
         enc, mask_pos = render_cloze(word1, word2, vocab, config.max_seq)
         hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
-        logits = mlm_logits(hidden[-1], params).data
-        return float(logits[mask_pos, yes_id]), float(logits[mask_pos, no_id])
+        logits = mlm_logits(Tensor(hidden[-1].data[[mask_pos]]), params).data[0]
+        return float(logits[yes_id]), float(logits[no_id])
 
     return predict
 

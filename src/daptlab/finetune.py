@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, backward,
                        cross_entropy_masked, matmul, reshape, select_position,
                        zero_grads)
-from .model import ModelConfig, forward, pad_rows, truncated_normal
+from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .pretrain import TrainingDiverged
 from .tokenizer import Vocab, encode, encode_words
@@ -400,8 +400,8 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
 def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None,
                  train_mode=False):
     """Head output on the [CLS] vector (pooled) or on every piece."""
-    hidden = forward(pad_rows([e.ids for e in encodings], vocab.pad_id),
-                     pad_rows([e.mask for e in encodings], 0), config, work,
+    rows = [e.ids for e in encodings]
+    hidden = forward(pad_rows(rows, vocab.pad_id), length_mask(rows), config, work,
                      train_mode=train_mode, tape=tape, rng=rng)[-1]
     if pooled:
         hidden = select_position(hidden, 0, tape)

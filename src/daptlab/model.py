@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .autodiff import (Tape, Tensor, add, add_const, dropout, gather_rows, gelu,
-                       layer_norm, matmul, reshape, scale, softmax, transpose)
+from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, dropout, gather_rows,
+                       gelu, layer_norm, matmul, reshape, scale, softmax, transpose)
 from .tokenizer import Vocab, encode
 
 # Additive score for masked-out key columns; exp() of it underflows to exactly 0.
@@ -126,6 +126,12 @@ def pad_rows(rows, fill: int) -> np.ndarray:
     return out
 
 
+def length_mask(rows) -> np.ndarray:
+    """[B, longest] int64 attention mask: 1 on each row's own positions, 0 past them."""
+    lengths = np.array([len(row) for row in rows])
+    return (np.arange(lengths.max()) < lengths[:, None]).astype(np.int64)
+
+
 def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> None:
     if ids.ndim != 2:
         raise ValueError(f"ids must be [S] or [B, S], got shape {ids.shape}")
@@ -168,7 +174,9 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
 
     x = gather_rows(params["emb.word"], ids, tape)
     x = add(x, gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
-    x = add(x, gather_rows(params["emb.segment"], np.zeros_like(ids), tape), tape)
+    # every position is segment 0: gather that one row and let add broadcast it
+    segment = gather_rows(params["emb.segment"], np.zeros(1, dtype=np.int64), tape)
+    x = add(x, segment, tape)
     x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"], tape=tape)
     x = drop(x)
     hidden = [x]
@@ -214,6 +222,15 @@ def mlm_logits(last_hidden: Tensor, params: dict[str, Tensor],
     t = layer_norm(t, params["mlm.ln.gamma"], params["mlm.ln.beta"], tape=tape)
     decoder = transpose(params["emb.word"], (1, 0), tape)
     return add(matmul(t, decoder, tape), params["mlm.bias"], tape)
+
+
+def labelled_rows(flat_hidden: Tensor, labels: np.ndarray,
+                  tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
+    """The rows of [N, H] hidden states whose label is not IGNORE_INDEX, and
+    those labels: all the MLM head has to decode."""
+    labels = labels.reshape(-1)
+    keep = np.flatnonzero(labels != IGNORE_INDEX)
+    return gather_rows(flat_hidden, keep, tape), labels[keep]
 
 
 def embed_document(text: str, vocab: Vocab, config: ModelConfig,

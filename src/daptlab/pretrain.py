@@ -19,7 +19,8 @@ import numpy as np
 
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward,
                        cross_entropy_masked, reshape, zero_grads)
-from .model import ModelConfig, forward, mlm_logits, pad_rows
+from .model import (ModelConfig, forward, labelled_rows, length_mask, mlm_logits,
+                    pad_rows)
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .tokenizer import Encoding, Vocab, count_pieces, encode
 
@@ -101,13 +102,11 @@ def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
     ids = np.asarray(encoding.ids, dtype=np.int64)
     candidates = np.array(
         [i for start, stop in encoding.word_spans for i in range(start, stop)
-         if ids[i] not in vocab.special_ids],
+         if encoding.ids[i] not in vocab.special_ids],
         dtype=np.int64,
     )
     if candidates.size == 0:
         raise ValueError("encoding has no maskable content pieces")
-    allowed = np.array([i for i in range(len(vocab)) if i not in vocab.special_ids],
-                       dtype=np.int64)
 
     labels = np.full_like(ids, IGNORE_INDEX)
     corrupted = ids.copy()
@@ -125,6 +124,7 @@ def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
                          & (action < policy.mask_frac + policy.random_frac)]
     corrupted[to_mask] = vocab.mask_id
     if to_random.size:
+        allowed = vocab.non_special_ids
         corrupted[to_random] = allowed[rng.integers(0, allowed.size, to_random.size)]
     return corrupted, labels
 
@@ -143,9 +143,18 @@ def _batch_arrays(encodings: list[Encoding], vocab: Vocab, policy: MaskingPolicy
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask each encoding and pad the batch to its longest sequence."""
     masked = [apply_masking(enc, vocab, policy, rng) for enc in encodings]
-    return (pad_rows([got for got, _ in masked], vocab.pad_id),
-            pad_rows([enc.mask for enc in encodings], 0),
+    rows = [got for got, _ in masked]
+    return (pad_rows(rows, vocab.pad_id), length_mask(rows),
             pad_rows([lab for _, lab in masked], IGNORE_INDEX))
+
+
+def _decode_labelled(hidden: Tensor, labels: np.ndarray, config: ModelConfig,
+                     params: dict[str, Tensor], tape: Tape | None = None
+                     ) -> tuple[Tensor, np.ndarray]:
+    """MLM logits [n, V] of the n labelled positions only, and their labels."""
+    flat = reshape(hidden, (labels.size, config.hidden), tape)
+    rows, targets = labelled_rows(flat, labels, tape)
+    return mlm_logits(rows, params, tape), targets
 
 
 def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
@@ -188,9 +197,8 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
             tape = Tape()
             hidden = forward(ids, mask, config, params, train_mode=True,
                              tape=tape, rng=rng)
-            logits = mlm_logits(hidden[-1], params, tape)
-            flat = reshape(logits, (ids.size, config.vocab_size), tape)
-            loss = cross_entropy_masked(flat, labels.reshape(-1), tape)
+            logits, targets = _decode_labelled(hidden[-1], labels, config, params, tape)
+            loss = cross_entropy_masked(logits, targets, tape)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(step, f"non-finite loss {value}", log)
@@ -209,8 +217,8 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
 
 
 def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq, what):
-    """Yield (MLM logits, labels) per batch under a fixed-seed corruption draw,
-    skipping batches where the draw masked nothing."""
+    """Yield (MLM logits, labels) of the labelled positions per batch under a
+    fixed-seed corruption draw, skipping batches where the draw masked nothing."""
     encodings = encode_corpus(texts, vocab, max_seq)
     if not encodings:
         raise ValueError(f"{what} needs at least one usable document")
@@ -220,7 +228,7 @@ def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq
         ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size], vocab, policy, rng)
         if (labels != IGNORE_INDEX).any():
             hidden = forward(ids, mask, config, params)
-            yield mlm_logits(hidden[-1], params), labels
+            yield _decode_labelled(hidden[-1], labels, config, params)
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
@@ -232,12 +240,8 @@ def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Voc
     for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
                                        batch_size, max_seq or config.max_seq,
                                        "perplexity"):
-        flat_labels = labels.reshape(-1)
-        count = int((flat_labels != IGNORE_INDEX).sum())
-        loss = cross_entropy_masked(reshape(logits, (labels.size, config.vocab_size)),
-                                    flat_labels)
-        total_nll += float(loss.data) * count
-        total_count += count
+        total_nll += float(cross_entropy_masked(logits, labels).data) * labels.size
+        total_count += labels.size
     if total_count == 0:
         raise ValueError("masking selected no position in the whole corpus")
     return float(math.exp(total_nll / total_count))
@@ -251,10 +255,8 @@ def masked_token_accuracy(config: ModelConfig, params: dict[str, Tensor], texts,
     total = 0
     for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
                                        batch_size, config.max_seq, "accuracy"):
-        keep = labels != IGNORE_INDEX
-        pred = logits.data.argmax(axis=-1)
-        hits += int((pred[keep] == labels[keep]).sum())
-        total += int(keep.sum())
+        hits += int((logits.data.argmax(axis=-1) == labels).sum())
+        total += labels.size
     if total == 0:
         raise ValueError("masking selected no position in the whole corpus")
     return hits / total

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .fileio import atomic_write_text
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -41,6 +43,9 @@ class Vocab:
         self.sep_id = index[SEP]
         self.mask_id = index[MASK]
         self.special_ids = frozenset(index[t] for t in SPECIAL_TOKENS)
+        # ids a random MLM replacement draws from, in id order
+        self.non_special_ids = np.array([i for i in range(len(pieces))
+                                         if i not in self.special_ids], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -71,7 +76,8 @@ class Vocab:
 class Encoding:
     """One encoded text: ids/pieces/mask of equal length plus word piece spans.
 
-    Encodings are unpadded (mask all ones); ``model.pad_rows`` pads a batch.
+    Encodings are unpadded (mask all ones); ``model.pad_rows`` pads a batch and
+    ``model.length_mask`` gives its attention mask.
     word_spans[i] is the half-open piece range of pre-tokenized word i; spans
     partition the content pieces (everything except [CLS]/[SEP]).
     """

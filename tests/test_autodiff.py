@@ -153,6 +153,21 @@ class TestGradients:
         a, b = t64((2, 3, 4), 0), t64((4, 5), 1)
         grad_check([a, b], lambda tape: tsum(matmul(a, b, tape), tape))
 
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_matmul_shared_weight_backward_matches_per_batch(self, prior):
+        # [B, S, k] x [k, n]: each gradient against one np.matmul per batch
+        # entry, also when ``a`` already holds a gradient from another path
+        a, w, g = t64((3, 5, 4), 0), t64((4, 6), 1), t64((3, 5, 6), 2)
+        earlier = t64((3, 5, 4), 3).data if prior else 0.0
+        if prior:
+            a.grad = earlier.copy()
+        tape = Tape()
+        backward(tape, tsum(mul(matmul(a, w, tape), g, tape), tape))
+        want_a = np.stack([np.matmul(g.data[i], w.data.T) for i in range(3)])
+        want_w = sum(np.matmul(a.data[i].T, g.data[i]) for i in range(3))
+        assert np.allclose(a.grad, earlier + want_a, rtol=0.0, atol=1e-6)
+        assert np.allclose(w.grad, want_w, rtol=0.0, atol=1e-6)
+
     def test_matmul_batched_both(self):
         a, b = t64((2, 3, 4), 0), t64((2, 4, 5), 1)
         grad_check([a, b], lambda tape: tsum(matmul(a, b, tape), tape))

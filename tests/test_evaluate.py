@@ -22,7 +22,7 @@ from daptlab.evaluate import (
     render_similarity_report,
     silhouette,
 )
-from daptlab.model import ModelConfig, init_params
+from daptlab.model import ModelConfig, forward, init_params, mlm_logits
 from daptlab.tokenizer import CLS, MASK, SEP, SPECIAL_TOKENS, UNK, Vocab
 
 from helpers import oracle_silhouette
@@ -358,6 +358,15 @@ class TestEvaluatePairs:
         f1, predictions = evaluate_pairs(pairs, model_cloze_predictor(config, params, vocab))
         assert 0.0 <= f1 <= 1.0
         assert len(predictions) == 2
+
+    def test_model_predictor_reads_the_mask_row_of_a_full_decode(self, cluster_setup):
+        config, params, vocab = cluster_setup
+        enc, mask_pos = render_cloze("alpha", "bravo", vocab, config.max_seq)
+        hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
+        full = mlm_logits(hidden[-1], params).data[mask_pos]
+        yes, no = model_cloze_predictor(config, params, vocab)("alpha", "bravo")
+        assert yes == pytest.approx(float(full[vocab.id_of("yes")]), rel=1e-6)
+        assert no == pytest.approx(float(full[vocab.id_of("no")]), rel=1e-6)
 
     def test_render_report(self):
         predictions = [(SimilarityPair("virus", "malware", SIMILAR), SIMILAR),

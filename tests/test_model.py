@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from daptlab.autodiff import IGNORE_INDEX, Tape, Tensor, backward, mul, tsum
 from daptlab.model import (ModelConfig, embed_document, forward, init_params,
-                           load_checkpoint, mlm_logits, pad_rows, param_shapes,
-                           save_checkpoint, truncated_normal)
+                           labelled_rows, length_mask, load_checkpoint, mlm_logits,
+                           pad_rows, param_shapes, save_checkpoint, truncated_normal)
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
 
 
@@ -81,6 +82,29 @@ class TestPadRows:
         assert ids.dtype == mask.dtype == np.int64
         assert ids.tolist() == [short.ids + [vocab.pad_id] * 2, long.ids]
         assert mask.tolist() == [[1, 1, 1, 0, 0], [1] * 5]
+
+
+    def test_length_mask_marks_each_row_length(self):
+        mask = length_mask([[7, 8, 9], [7], [7, 8, 9, 9, 9]])
+        assert mask.dtype == np.int64
+        assert mask.tolist() == [[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1] * 5]
+
+
+class TestLabelledRows:
+    def test_gathers_labelled_rows_in_order(self):
+        flat = Tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
+        labels = np.array([[IGNORE_INDEX, 4, IGNORE_INDEX], [0, IGNORE_INDEX, 9]])
+        rows, targets = labelled_rows(flat, labels)
+        assert rows.data.tolist() == [[2, 3], [6, 7], [10, 11]]
+        assert targets.tolist() == [4, 0, 9]
+
+    def test_gradient_lands_on_labelled_rows_only(self):
+        flat = Tensor(np.ones((4, 3), dtype=np.float32))
+        tape = Tape()
+        rows, _ = labelled_rows(flat, np.array([IGNORE_INDEX, 2, IGNORE_INDEX, 1]), tape)
+        weights = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        backward(tape, tsum(mul(rows, weights, tape), tape))
+        assert flat.grad.tolist() == [[0, 0, 0], [0, 1, 2], [0, 0, 0], [3, 4, 5]]
 
 
 class TestInit:
@@ -194,6 +218,27 @@ class TestForward:
         out = forward(np.array([1, 5, 2]), np.ones(3, dtype=int), config,
                       params, train_mode=True)
         assert len(out) == config.num_layers + 1
+
+
+    def test_segment_row_gets_every_position_gradient(self, tiny):
+        # every position adds segment row 0 and its own position row, so row 0
+        # collects the sum of all position-row gradients; row 1 stays zero
+        config, params = tiny
+        tape = Tape()
+        ids = np.array([[1, 5, 6, 2], [1, 7, 2, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+        hidden = forward(ids, mask, config, params, tape=tape)
+        weights = Tensor(np.random.default_rng(0).standard_normal(
+            hidden[-1].shape).astype(np.float32))
+        backward(tape, tsum(mul(hidden[-1], weights, tape), tape))
+        try:
+            segment, pos = params["emb.segment"].grad, params["emb.pos"].grad
+            assert np.abs(segment[0]).max() > 0
+            assert np.allclose(segment[0], pos.sum(axis=0), rtol=1e-5, atol=1e-7)
+            assert not segment[1].any()
+        finally:
+            for t in params.values():
+                t.zero_grad()
 
 
 class TestMlmLogits:

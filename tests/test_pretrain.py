@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from daptlab import pretrain
-from daptlab.autodiff import IGNORE_INDEX
-from daptlab.model import ModelConfig, init_params
+from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
+                              reshape, zero_grads)
+from daptlab.model import ModelConfig, forward, init_params, mlm_logits
 from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
                               TrainingDiverged, apply_masking,
                               corpus_token_count, dapt, encode_corpus,
@@ -146,6 +147,31 @@ class TestApplyMasking:
         with pytest.raises(ValueError, match="maskable"):
             apply_masking(enc, vocab, MaskingPolicy(), np.random.default_rng(0))
 
+    def test_draws_pinned_with_scattered_specials(self):
+        # specials spread through the id range, so a random replacement must map
+        # its draw through the non-special id table; fixed seed, fixed arrays
+        vocab = Vocab(["alpha", "bravo", "charlie", "[MASK]", "delta", "echo",
+                       "foxtrot", "[PAD]", "[SEP]", "golf", "hotel", "india",
+                       "[UNK]", "[CLS]", "juliett", "kilo", "lima"])
+        policy = MaskingPolicy(select_prob=0.7, mask_frac=0.2, random_frac=0.6,
+                               keep_frac=0.2)
+        rng = np.random.default_rng(11)
+        expected = [
+            ("alpha bravo charlie delta echo foxtrot",
+             [13, 3, 3, 2, 1, 9, 6, 8], [-100, 0, 1, 2, 4, 5, -100, -100]),
+            ("golf hotel india juliett kilo lima alpha",
+             [13, 16, 10, 5, 14, 16, 10, 0, 8],
+             [-100, 9, 10, 11, -100, 15, 16, -100, -100]),
+            ("zulu bravo", [13, 12, 1, 8], [-100, -100, 1, -100]),
+            ("lima kilo juliett india hotel golf foxtrot echo",
+             [13, 16, 6, 5, 11, 11, 9, 3, 6, 8],
+             [-100, -100, 15, 14, 11, 10, -100, 6, 5, -100]),
+        ]
+        for text, want_ids, want_labels in expected:
+            corrupted, labels = apply_masking(encode(text, vocab, 16), vocab, policy, rng)
+            assert corrupted.tolist() == want_ids
+            assert labels.tolist() == want_labels
+
     def test_module_scale_statistics(self, vocab):
         # acceptance re-checks this at >=100k candidates; quick version here
         enc = encode(" ".join(PATTERN_WORDS), vocab, 32)
@@ -274,6 +300,94 @@ class TestTrain:
         from daptlab.pretrain import LossLog
         log = LossLog(entries=[(1, 3.5), (2, 3.25)], epoch_ends=[2])
         assert log.render() == "step\tloss\n1\t3.500000\n2\t3.250000\n"
+
+
+def full_decode_loss(config, params, ids, mask, labels, tape=None):
+    """Oracle: decode every position, then let the loss skip the unlabelled ones."""
+    hidden = forward(ids, mask, config, params, tape=tape)
+    logits = mlm_logits(hidden[-1], params, tape)
+    flat = reshape(logits, (ids.size, config.vocab_size), tape)
+    return cross_entropy_masked(flat, labels.reshape(-1), tape)
+
+
+class TestLabelledRowsOnly:
+    def test_step_matches_full_decode_oracle(self, vocab, monkeypatch):
+        config = ModelConfig(num_layers=1, hidden=8, num_heads=2, ffn_dim=16,
+                             vocab_size=len(vocab), max_seq=16, dropout=0.0)
+        params = {name: Tensor(t.data.astype(np.float64))
+                  for name, t in init_params(config, 0).items()}
+        batches, step_grads = [], []
+        real_batch_arrays = pretrain._batch_arrays
+
+        def recording_batch_arrays(*args):
+            batches.append(real_batch_arrays(*args))
+            return batches[-1]
+
+        def recording_adam_step(params_, grads, *args):  # parameters stay put
+            step_grads.append({name: g.copy() for name, g in grads.items()})
+
+        monkeypatch.setattr(pretrain, "_batch_arrays", recording_batch_arrays)
+        monkeypatch.setattr(pretrain, "adam_step", recording_adam_step)
+        log = train(config, params, patterned_corpus(12, sentence_len=6), vocab,
+                    TrainConfig(peak_lr=1e-3, epochs=2, batch_size=12, warmup_steps=1))
+        assert len(batches) == len(step_grads) == len(log.entries) == 2
+        for (ids, mask, labels), grads, (_, loss) in zip(batches, step_grads, log.entries):
+            tape = Tape()
+            want = full_decode_loss(config, params, ids, mask, labels, tape)
+            backward(tape, want)
+            assert loss == pytest.approx(float(want.data), rel=1e-5)
+            for name, t in params.items():
+                np.testing.assert_allclose(grads[name], t.grad, rtol=1e-5, atol=1e-12,
+                                           err_msg=name)
+            zero_grads(params)
+
+    def test_train_decodes_one_row_per_labelled_position(self, vocab, monkeypatch):
+        config, params = tiny_setup(vocab)
+        events = []
+        real_batch_arrays, real_mlm_logits = pretrain._batch_arrays, pretrain.mlm_logits
+
+        def recording_batch_arrays(*args):
+            ids, mask, labels = real_batch_arrays(*args)
+            events.append(("labelled", int((labels != IGNORE_INDEX).sum())))
+            return ids, mask, labels
+
+        def recording_mlm_logits(last_hidden, params, tape=None):
+            events.append(("decoded", last_hidden.data.shape))
+            return real_mlm_logits(last_hidden, params, tape)
+
+        monkeypatch.setattr(pretrain, "_batch_arrays", recording_batch_arrays)
+        monkeypatch.setattr(pretrain, "mlm_logits", recording_mlm_logits)
+        log = train(config, params, patterned_corpus(10, sentence_len=6), vocab,
+                    TrainConfig(peak_lr=1e-3, epochs=3, batch_size=4, warmup_steps=2))
+        decoded = [(before, got) for before, got in zip(events, events[1:])
+                   if got[0] == "decoded"]
+        assert len(decoded) == len(log.entries) == 9
+        for (kind, labelled), (_, shape) in decoded:
+            assert kind == "labelled"
+            assert shape == (labelled, config.hidden)
+
+    def test_eval_matches_full_decode_oracle(self, vocab, trained_tiny):
+        config, params, _, _, _ = trained_tiny
+        texts = patterned_corpus(20, sentence_len=7)
+        encodings = encode_corpus(texts, vocab, config.max_seq)
+        rng = np.random.default_rng(5)
+        nll = count = hits = 0
+        for lo in range(0, len(encodings), 8):
+            ids, mask, labels = pretrain._batch_arrays(encodings[lo:lo + 8], vocab,
+                                                       MaskingPolicy(), rng)
+            keep = labels != IGNORE_INDEX
+            if not keep.any():
+                continue
+            n = int(keep.sum())
+            nll += float(full_decode_loss(config, params, ids, mask, labels).data) * n
+            count += n
+            logits = mlm_logits(forward(ids, mask, config, params)[-1], params).data
+            hits += int((logits.argmax(axis=-1)[keep] == labels[keep]).sum())
+        assert 0 < hits < count
+        assert perplexity(config, params, texts, vocab, seed=5, batch_size=8) == \
+            pytest.approx(math.exp(nll / count), rel=1e-5)
+        assert masked_token_accuracy(config, params, texts, vocab, seed=5,
+                                     batch_size=8) == hits / count
 
 
 class TestPerplexity:

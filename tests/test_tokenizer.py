@@ -51,6 +51,11 @@ class TestVocab:
         assert [v.id_of(p) for p in v.pieces] == list(range(len(v.pieces)))
         assert v.pad_id == 0 and v.unk_id == 1
 
+    def test_non_special_ids(self):
+        v = Vocab(["a", MASK, "b", PAD, SEP, "c", UNK, CLS])
+        assert v.non_special_ids.dtype == np.int64
+        assert v.non_special_ids.tolist() == [0, 2, 5]
+
     def test_missing_special_rejected(self):
         with pytest.raises(ValueError, match=r"\[MASK\]"):
             Vocab([PAD, UNK, CLS, SEP, "a"])
