@@ -5,7 +5,10 @@ records one backward closure on it while its own forward runs (``_record``;
 a tape that labels closures by the running op relies on this), and
 ``backward(tape, loss)`` replays the closures in reverse order. A closure runs
 only if its op's output got a gradient, so an op whose output never reaches
-the loss leaves its inputs' gradients untouched. Forward values are float32 by
+the loss leaves its inputs' gradients untouched. A closure takes its output's
+gradient off the tensor before it runs, so each adjoint is freed as soon as it
+is used: after ``backward`` only leaves (tensors no recorded op produced, such
+as parameters) hold a ``.grad``. Forward values are float32 by
 default, but float64 arrays are kept as-is so the same graph can be re-run at
 higher precision by oracles.
 
@@ -81,10 +84,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _record(tape: Tape, out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
-    """Record ``bwd(out.grad)`` on ``tape``, skipped when ``out`` got no gradient."""
+    """Record ``bwd(out.grad)`` on ``tape``, skipped when ``out`` got no gradient.
+
+    The closure releases ``out.grad`` before it runs: every op that consumes
+    ``out`` was recorded later, so its backward has already added to it.
+    """
     def run():
         g = out.grad
         if g is not None:
+            out.grad = None
             bwd(g)
     tape.record(run)
 
@@ -142,11 +150,13 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Matrix product over the last two axes.
+def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
+           bias: Tensor | None = None) -> Tensor:
+    """Matrix product over the last two axes, plus an optional [n] ``bias``.
 
     Supported shapes: [.., m, k] x [k, n] (shared weight) and
-    [d0.., m, k] x [d0.., k, n] (batched, identical leading dims).
+    [d0.., m, k] x [d0.., k, n] (batched, identical leading dims). ``bias``
+    needs the 2-D weight; the result has the bits of ``add(matmul(a, b), bias)``.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
@@ -154,9 +164,16 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ValueError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError(f"matmul leading extents differ: {a.shape} x {b.shape}")
+    if bias is not None and (b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]):
+        raise ValueError(f"matmul bias needs a 2-D weight and shape ({b.shape[-1]},), "
+                         f"got {b.shape} and {bias.shape}")
     out = Tensor(a.data @ b.data)
+    if bias is not None:
+        out.data += bias.data
     if tape is not None:
         def bwd(g):
+            if bias is not None:
+                _accumulate(bias, _unbroadcast(g, bias.data.shape))
             if b.data.ndim == 2:
                 # One 2-D GEMM per gradient: numpy runs a stacked g @ b.T far slower.
                 g2 = g.reshape(-1, b.data.shape[1])
@@ -219,18 +236,32 @@ def select_position(a: Tensor, pos: int, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtracted)."""
+def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None, *,
+            scale: float | None = None, bias: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax of ``a * scale + bias`` along ``axis``.
+
+    ``scale`` is a python scalar and ``bias`` a constant array broadcast onto
+    ``a`` (an additive attention mask); no gradient flows into either. The
+    result has the bits of the unfused ``scale``, ``add_const``, ``softmax``.
+    """
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    x = a.data
+    if scale is not None:
+        x = x * x.dtype.type(scale)
+    if bias is not None:
+        x = x + bias
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(p)
     if tape is not None:
         def bwd(g):
             inner = (g * p).sum(axis=axis, keepdims=True)
-            _accumulate(a, p * (g - inner))
+            ga = p * (g - inner)
+            if scale is not None:
+                ga *= a.data.dtype.type(scale)
+            _accumulate(a, ga)
         _record(tape, out, bwd)
     return out
 
@@ -240,9 +271,14 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
-               tape: Tape | None = None) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    h = a.data.shape[-1]
+               tape: Tape | None = None, *, residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    With ``residual``, normalizes ``a + residual`` (a post-LN residual
+    connection) and gives both the same input gradient.
+    """
+    x = a.data if residual is None else a.data + residual.data
+    h = x.shape[-1]
     if h == 0:
         raise ValueError("layer_norm over a zero-length axis")
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
@@ -250,12 +286,12 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
                          f"got {gamma.shape} and {beta.shape}")
     # Means as a sum over the axis divided by h: the same values as ndarray.mean
     # without its per-call Python overhead.
-    mu = _row_sum(a.data)
+    mu = _row_sum(x)
     mu /= h
-    centered = a.data - mu
+    centered = x - mu
     var = _row_sum(centered * centered)
     var /= h
-    inv = 1.0 / np.sqrt(var + a.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if tape is not None:
@@ -265,7 +301,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
             _accumulate(beta, g.sum(axis=lead))
             gx = g * gamma.data
             term = gx - _row_sum(gx) / h - xhat * (_row_sum(gx * xhat) / h)
-            _accumulate(a, inv * term)
+            gin = inv * term
+            _accumulate(a, gin)
+            if residual is not None:
+                _accumulate(residual, gin)
         _record(tape, out, bwd)
     return out
 
@@ -456,7 +495,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Adjoints accumulate into each participating tensor's ``.grad``; a tensor
     used several times (e.g. a tied embedding table) ends up with the sum of
-    all its path contributions.
+    all its path contributions. Each op's closure releases its output's
+    adjoint once it has run, so afterwards only leaves keep a ``.grad``; the
+    loss and every intermediate hold None.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")

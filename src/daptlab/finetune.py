@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, backward,
-                       cross_entropy_masked, matmul, reshape, select_position,
-                       zero_grads)
+from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
+                       matmul, reshape, select_position, zero_grads)
+from .autodiff import add  # noqa: F401  (the benchmark's tracer rebinds it here)
 from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .pretrain import TrainingDiverged
@@ -405,7 +405,7 @@ def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None,
                      train_mode=train_mode, tape=tape, rng=rng)[-1]
     if pooled:
         hidden = select_position(hidden, 0, tape)
-    return add(matmul(hidden, work["head.w"], tape), work["head.b"], tape)
+    return matmul(hidden, work["head.w"], tape, bias=work["head.b"])
 
 
 def _predict_rows(encodings, vocab, config, work, batch_size, pooled):

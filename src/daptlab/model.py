@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, dropout, gather_rows,
-                       gelu, layer_norm, matmul, reshape, scale, softmax, transpose)
+from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, dropout, gather_rows, gelu,
+                       layer_norm, matmul, reshape, softmax, transpose)
+from .autodiff import add_const, scale  # noqa: F401  (the benchmark's tracer rebinds them here)
 from .tokenizer import Vocab, encode
 
 # Additive score for masked-out key columns; exp() of it underflows to exactly 0.
@@ -186,27 +187,24 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
 
     for i in range(config.num_layers):
         p = f"layer{i}"
-        q = add(matmul(x, params[f"{p}.attn.wq"], tape), params[f"{p}.attn.bq"], tape)
-        k = add(matmul(x, params[f"{p}.attn.wk"], tape), params[f"{p}.attn.bk"], tape)
-        v = add(matmul(x, params[f"{p}.attn.wv"], tape), params[f"{p}.attn.bv"], tape)
+        q = matmul(x, params[f"{p}.attn.wq"], tape, bias=params[f"{p}.attn.bq"])
+        k = matmul(x, params[f"{p}.attn.wk"], tape, bias=params[f"{p}.attn.bk"])
+        v = matmul(x, params[f"{p}.attn.wv"], tape, bias=params[f"{p}.attn.bv"])
         qh = transpose(reshape(q, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
         kt = transpose(reshape(k, (batch, seq, heads, dh), tape), (0, 2, 3, 1), tape)
         vh = transpose(reshape(v, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
-        scores = scale(matmul(qh, kt, tape), 1.0 / np.sqrt(dh), tape)
-        scores = add_const(scores, key_bias, tape)
-        probs = drop(softmax(scores, -1, tape))
+        probs = drop(softmax(matmul(qh, kt, tape), -1, tape,
+                             scale=1.0 / np.sqrt(dh), bias=key_bias))
         ctx = transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape)
         ctx = reshape(ctx, (batch, seq, h), tape)
-        attn = drop(add(matmul(ctx, params[f"{p}.attn.wo"], tape),
-                        params[f"{p}.attn.bo"], tape))
-        x = layer_norm(add(x, attn, tape), params[f"{p}.attn.ln.gamma"],
-                       params[f"{p}.attn.ln.beta"], tape=tape)
-        inner = gelu(add(matmul(x, params[f"{p}.ffn.w1"], tape),
-                         params[f"{p}.ffn.b1"], tape), tape)
-        out = drop(add(matmul(inner, params[f"{p}.ffn.w2"], tape),
-                       params[f"{p}.ffn.b2"], tape))
-        x = layer_norm(add(x, out, tape), params[f"{p}.ffn.ln.gamma"],
-                       params[f"{p}.ffn.ln.beta"], tape=tape)
+        attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))
+        x = layer_norm(attn, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"],
+                       tape=tape, residual=x)
+        inner = gelu(matmul(x, params[f"{p}.ffn.w1"], tape, bias=params[f"{p}.ffn.b1"]),
+                     tape)
+        out = drop(matmul(inner, params[f"{p}.ffn.w2"], tape, bias=params[f"{p}.ffn.b2"]))
+        x = layer_norm(out, params[f"{p}.ffn.ln.gamma"], params[f"{p}.ffn.ln.beta"],
+                       tape=tape, residual=x)
         hidden.append(x)
 
     if single:
@@ -217,11 +215,11 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
 def mlm_logits(last_hidden: Tensor, params: dict[str, Tensor],
                tape: Tape | None = None) -> Tensor:
     """Transform + layer norm, then decode against the tied embedding table."""
-    t = gelu(add(matmul(last_hidden, params["mlm.dense.w"], tape),
-                 params["mlm.dense.b"], tape), tape)
+    t = gelu(matmul(last_hidden, params["mlm.dense.w"], tape, bias=params["mlm.dense.b"]),
+             tape)
     t = layer_norm(t, params["mlm.ln.gamma"], params["mlm.ln.beta"], tape=tape)
     decoder = transpose(params["emb.word"], (1, 0), tape)
-    return add(matmul(t, decoder, tape), params["mlm.bias"], tape)
+    return matmul(t, decoder, tape, bias=params["mlm.bias"])
 
 
 def labelled_rows(flat_hidden: Tensor, labels: np.ndarray,

@@ -96,15 +96,26 @@ class LossLog:
         return "\n".join(lines) + "\n"
 
 
-def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one encoding; returns (input ids, labels with IGNORE_INDEX)."""
-    ids = np.asarray(encoding.ids, dtype=np.int64)
-    candidates = np.array(
+def maskable_positions(encoding: Encoding, vocab: Vocab) -> np.ndarray:
+    """Positions masking may select: content pieces that are not special tokens."""
+    return np.array(
         [i for start, stop in encoding.word_spans for i in range(start, stop)
          if encoding.ids[i] not in vocab.special_ids],
         dtype=np.int64,
     )
+
+
+def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
+                  rng: np.random.Generator, candidates: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt one encoding; returns (input ids, labels with IGNORE_INDEX).
+
+    ``candidates`` is ``maskable_positions(encoding, vocab)``, for callers
+    that draw the same encoding many times; it is computed when not given.
+    """
+    ids = np.asarray(encoding.ids, dtype=np.int64)
+    if candidates is None:
+        candidates = maskable_positions(encoding, vocab)
     if candidates.size == 0:
         raise ValueError("encoding has no maskable content pieces")
 
@@ -139,10 +150,13 @@ def encode_corpus(texts, vocab: Vocab, max_seq: int) -> list[Encoding]:
     return encodings
 
 
-def _batch_arrays(encodings: list[Encoding], vocab: Vocab, policy: MaskingPolicy,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask each encoding and pad the batch to its longest sequence."""
-    masked = [apply_masking(enc, vocab, policy, rng) for enc in encodings]
+def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab: Vocab,
+                  policy: MaskingPolicy, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask each encoding, given its maskable positions, and pad the batch to
+    its longest sequence."""
+    masked = [apply_masking(enc, vocab, policy, rng, cand)
+              for enc, cand in zip(encodings, candidates)]
     rows = [got for got, _ in masked]
     return (pad_rows(rows, vocab.pad_id), length_mask(rows),
             pad_rows([lab for _, lab in masked], IGNORE_INDEX))
@@ -181,15 +195,19 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
     schedule = LrSchedule(train_config.peak_lr, train_config.warmup_steps, total_steps)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(train_config.seed)
+    candidates = [maskable_positions(enc, vocab) for enc in encodings]
 
     step = 0
     for _ in range(train_config.epochs):
         order = rng.permutation(len(encodings))
         for lo in range(0, len(encodings), train_config.batch_size):
-            chunk = [encodings[i] for i in order[lo:lo + train_config.batch_size]]
+            picked = order[lo:lo + train_config.batch_size]
+            chunk = [encodings[i] for i in picked]
+            chunk_candidates = [candidates[i] for i in picked]
             step += 1
             for _ in range(20):
-                ids, mask, labels = _batch_arrays(chunk, vocab, policy, rng)
+                ids, mask, labels = _batch_arrays(chunk, chunk_candidates, vocab,
+                                                  policy, rng)
                 if (labels != IGNORE_INDEX).any():
                     break
             else:
@@ -224,8 +242,10 @@ def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq
         raise ValueError(f"{what} needs at least one usable document")
     policy = policy or MaskingPolicy()
     rng = np.random.default_rng(seed)
+    candidates = [maskable_positions(enc, vocab) for enc in encodings]
     for lo in range(0, len(encodings), batch_size):
-        ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size], vocab, policy, rng)
+        ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size],
+                                          candidates[lo:lo + batch_size], vocab, policy, rng)
         if (labels != IGNORE_INDEX).any():
             hidden = forward(ids, mask, config, params)
             yield _decode_labelled(hidden[-1], labels, config, params)

@@ -11,11 +11,22 @@ from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const,
                               gather_rows, gelu, layer_norm, matmul, mul,
                               reshape, scale, select_position, softmax,
                               transpose, tsum, zero_grads)
+from daptlab.model import ATTENTION_MASK_BIAS
 
 
 def t64(shape, seed):
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal(shape))  # float64 preserved
+
+
+def t32(shape, seed):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+
+def key_bias(lengths, seq, dtype):
+    """[B, 1, 1, S] attention-mask bias: 0 on each row's keys, -1e9 past them."""
+    mask = np.arange(seq) < np.asarray(lengths)[:, None]
+    return ((1.0 - mask) * ATTENTION_MASK_BIAS).astype(dtype)[:, None, None, :]
 
 
 class TestTensor:
@@ -275,6 +286,160 @@ class TestGradients:
         out = tsum(add(a, a, tape), tape)
         backward(tape, out)
         np.testing.assert_allclose(a.grad, 2.0)
+
+
+# (batch, seq, hidden, heads, ffn): desk geometry at batch 64, and the CLI's
+# configs/desk.ini geometry at batch 8
+GEOMETRIES = {"desk": (64, 18, 64, 4, 256), "cli": (8, 18, 32, 4, 128)}
+
+
+def taped_step(build, leaves, weights):
+    """Output of ``build(tape)`` and each leaf's gradient of sum(out * weights)."""
+    for t in [*leaves, weights]:
+        t.zero_grad()
+    tape = Tape()
+    out = build(tape)
+    backward(tape, tsum(mul(out, weights, tape), tape))
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_same_bits(fused, unfused, leaves, weights):
+    out_fused, grads_fused = taped_step(fused, leaves, weights)
+    out_unfused, grads_unfused = taped_step(unfused, leaves, weights)
+    assert np.array_equal(out_fused, out_unfused)
+    for got, want in zip(grads_fused, grads_unfused):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return out_fused, grads_fused
+
+
+class TestFusedEpilogues:
+    """Each fused operand against the op sequence it replaces: the same bits
+    forward and in every input gradient, and finite differences."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_matmul_bias_bits(self, geometry):
+        batch, seq, h, _, ffn = GEOMETRIES[geometry]
+        # q/k/v/o, FFN in, FFN out, and the decoder on labelled rows [n, H]
+        for lead, k, n in (((batch, seq), h, h), ((batch, seq), h, ffn),
+                           ((batch, seq), ffn, h), ((batch * 2,), h, 500)):
+            x, w, bias = t32((*lead, k), 0), t32((k, n), 1), t32((n,), 2)
+            assert_same_bits(lambda tape: matmul(x, w, tape, bias=bias),
+                             lambda tape: add(matmul(x, w, tape), bias, tape),
+                             [x, w, bias], t32((*lead, n), 3))
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_softmax_scale_and_mask_bits(self, geometry):
+        batch, seq, h, heads, _ = GEOMETRIES[geometry]
+        scores = t32((batch, heads, seq, seq), 0)
+        lengths = np.random.default_rng(1).integers(1, seq + 1, batch)
+        lengths[0] = seq // 2
+        mask_bias = key_bias(lengths, seq, np.float32)
+        c = 1.0 / np.sqrt(h // heads)
+        probs, (grad,) = assert_same_bits(
+            lambda tape: softmax(scores, -1, tape, scale=c, bias=mask_bias),
+            lambda tape: softmax(add_const(scale(scores, c, tape), mask_bias, tape),
+                                 -1, tape),
+            [scores], t32(scores.shape, 2))
+        padded = np.broadcast_to(mask_bias != 0, scores.shape)
+        assert padded.any()
+        assert not probs[padded].any() and not grad[padded].any()
+        assert grad[~padded].any()
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_layer_norm_residual_bits(self, geometry):
+        batch, seq, h, _, _ = GEOMETRIES[geometry]
+        x, sub = t32((batch, seq, h), 0), t32((batch, seq, h), 1)
+        gamma, beta = t32((h,), 2), t32((h,), 3)
+        assert_same_bits(
+            lambda tape: layer_norm(sub, gamma, beta, tape=tape, residual=x),
+            lambda tape: layer_norm(add(x, sub, tape), gamma, beta, tape=tape),
+            [x, sub, gamma, beta], t32((batch, seq, h), 4))
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_matmul_bias_gradients(self, lead):
+        x, w, bias = t64((*lead, 4), 0), t64((4, 5), 1), t64((5,), 2)
+        weights = t64((*lead, 5), 3)
+        grad_check([x, w, bias], lambda tape: tsum(
+            mul(matmul(x, w, tape, bias=bias), weights, tape), tape))
+
+    def test_softmax_scale_and_mask_gradients(self):
+        scores = t64((2, 2, 3, 3), 0)
+        mask_bias = key_bias([3, 2], 3, np.float64)
+        weights = t64((2, 2, 3, 3), 1)
+        grad_check([scores], lambda tape: tsum(mul(
+            softmax(scores, -1, tape, scale=0.35, bias=mask_bias), weights, tape), tape))
+        assert not scores.grad[1, :, :, 2].any()
+
+    def test_layer_norm_residual_gradients(self):
+        a, r = t64((2, 3, 6), 0), t64((2, 3, 6), 1)
+        gamma, beta = t64((6,), 2), t64((6,), 3)
+        weights = t64((2, 3, 6), 4)
+        grad_check([a, r, gamma, beta], lambda tape: tsum(mul(
+            layer_norm(a, gamma, beta, tape=tape, residual=r), weights, tape), tape),
+            tol=1e-5)
+        assert np.array_equal(a.grad, r.grad)
+
+    def test_matmul_bias_needs_2d_weight_and_vector(self):
+        with pytest.raises(ValueError, match="bias"):
+            matmul(t64((2, 3, 4), 0), t64((2, 4, 5), 1), bias=t64((5,), 2))
+        with pytest.raises(ValueError, match="bias"):
+            matmul(t64((3, 4), 0), t64((4, 5), 1), bias=t64((1, 5), 2))
+
+
+class TestAdjointRelease:
+    """Each op frees its output's adjoint once its backward has run."""
+
+    def test_only_leaves_keep_grads(self):
+        x, w, bias = t64((4, 5), 0), t64((5, 6), 1), t64((6,), 2)
+        gamma, beta = t64((6,), 3), t64((6,), 4)
+        tape = Tape()
+        h = matmul(x, w, tape, bias=bias)
+        g = gelu(h, tape)
+        n = layer_norm(g, gamma, beta, tape=tape, residual=h)
+        loss = cross_entropy_masked(n, np.array([0, 3, IGNORE_INDEX, 5]), tape)
+        backward(tape, loss)
+        assert all(t.grad is None for t in (h, g, n, loss))
+        assert all(t.grad is not None for t in (x, w, bias, gamma, beta))
+
+    def test_input_shared_by_projections_and_residual(self):
+        # an intermediate x feeds q, k, v and the residual of the layer norm
+        # after attention: its producer must see the sum of all four paths
+        x0, wq, wk, wv = t64((2, 3, 4), 0), t64((4, 4), 1), t64((4, 4), 2), t64((4, 4), 3)
+        bq, bk, bv = t64((4,), 4), t64((4,), 5), t64((4,), 6)
+        ones, zeros = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        weights = t64((2, 3, 4), 7)
+        mask_bias = key_bias([3, 2], 3, np.float64)
+
+        def run(tape):
+            x = layer_norm(x0, ones, zeros, tape=tape)
+            q = matmul(x, wq, tape, bias=bq)
+            kt = transpose(matmul(x, wk, tape, bias=bk), (0, 2, 1), tape)
+            probs = softmax(matmul(q, kt, tape), -1, tape, scale=0.5, bias=mask_bias[:, 0])
+            attn = matmul(probs, matmul(x, wv, tape, bias=bv), tape)
+            out = layer_norm(attn, ones, zeros, tape=tape, residual=x)
+            return tsum(mul(out, weights, tape), tape)
+
+        # bk shifts every key's score of a row equally, so softmax cancels its
+        # gradient to round-off that finite differences cannot resolve
+        grad_check([x0, wq, wk, wv, bq, bv], run, tol=1e-5)
+
+    def test_residual_of_itself(self):
+        x0, gamma, beta = t64((3, 6), 0), t64((6,), 1), t64((6,), 2)
+        weights = t64((3, 6), 3)
+
+        def run(tape):
+            x = gelu(x0, tape)
+            return tsum(mul(layer_norm(x, gamma, beta, tape=tape, residual=x),
+                            weights, tape), tape)
+
+        grad_check([x0, gamma, beta], run, tol=1e-5)
+        fused = x0.grad
+        x0.zero_grad()
+        tape = Tape()
+        x = gelu(x0, tape)
+        backward(tape, tsum(mul(layer_norm(add(x, x, tape), gamma, beta, tape=tape),
+                                weights, tape), tape))
+        assert np.array_equal(fused, x0.grad)
 
 
 class TestPlumbing:

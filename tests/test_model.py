@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from daptlab.autodiff import IGNORE_INDEX, Tape, Tensor, backward, mul, tsum
-from daptlab.model import (ModelConfig, embed_document, forward, init_params,
+from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, backward,
+                              cross_entropy_masked, dropout, gather_rows, gelu, layer_norm,
+                              matmul, mul, reshape, scale, softmax, transpose, tsum)
+from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, embed_document, forward,
+                           init_params,
                            labelled_rows, length_mask, load_checkpoint, mlm_logits,
                            pad_rows, param_shapes, save_checkpoint, truncated_normal)
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
@@ -239,6 +242,126 @@ class TestForward:
         finally:
             for t in params.values():
                 t.zero_grad()
+
+
+def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
+    """The MLM training loss with every epilogue as its own op: bias adds, the
+    attention scale and mask, the residual adds. The reference the fused
+    ``forward`` and ``mlm_logits`` must match bit for bit."""
+    batch, seq = ids.shape
+    h, heads = config.hidden, config.num_heads
+    dh = h // heads
+
+    def drop(t):
+        return dropout(t, config.dropout, rng, tape)
+
+    def linear(t, w, b):
+        return add(matmul(t, params[w], tape), params[b], tape)
+
+    def norm(t, prefix):
+        return layer_norm(t, params[prefix + ".gamma"], params[prefix + ".beta"], tape=tape)
+
+    def split_heads(t, axes):
+        return transpose(reshape(t, (batch, seq, heads, dh), tape), axes, tape)
+
+    x = add(gather_rows(params["emb.word"], ids, tape),
+            gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
+    x = add(x, gather_rows(params["emb.segment"], np.zeros(1, dtype=np.int64), tape), tape)
+    x = drop(norm(x, "emb.ln"))
+    mask_bias = ((1.0 - mask) * ATTENTION_MASK_BIAS).astype(np.float32)[:, None, None, :]
+    for i in range(config.num_layers):
+        p = f"layer{i}."
+        q, k, v = (linear(x, f"{p}attn.w{c}", f"{p}attn.b{c}") for c in "qkv")
+        scores = matmul(split_heads(q, (0, 2, 1, 3)), split_heads(k, (0, 2, 3, 1)), tape)
+        scores = add_const(scale(scores, 1.0 / np.sqrt(dh), tape), mask_bias, tape)
+        probs = drop(softmax(scores, -1, tape))
+        ctx = transpose(matmul(probs, split_heads(v, (0, 2, 1, 3)), tape), (0, 2, 1, 3), tape)
+        attn = drop(linear(reshape(ctx, (batch, seq, h), tape), p + "attn.wo", p + "attn.bo"))
+        x = norm(add(x, attn, tape), p + "attn.ln")
+        inner = gelu(linear(x, p + "ffn.w1", p + "ffn.b1"), tape)
+        x = norm(add(x, drop(linear(inner, p + "ffn.w2", p + "ffn.b2")), tape), p + "ffn.ln")
+    rows, targets = labelled_rows(reshape(x, (batch * seq, h), tape), labels, tape)
+    t = norm(gelu(linear(rows, "mlm.dense.w", "mlm.dense.b"), tape), "mlm.ln")
+    decoder = transpose(params["emb.word"], (1, 0), tape)
+    logits = add(matmul(t, decoder, tape), params["mlm.bias"], tape)
+    return cross_entropy_masked(logits, targets, tape)
+
+
+def fused_mlm_loss(ids, mask, labels, config, params, tape, rng):
+    hidden = forward(ids, mask, config, params, train_mode=True, tape=tape, rng=rng)[-1]
+    rows, targets = labelled_rows(reshape(hidden, (ids.size, config.hidden), tape),
+                                  labels, tape)
+    return cross_entropy_masked(mlm_logits(rows, params, tape), targets, tape)
+
+
+class TestMlmStep:
+    """One MLM training step: fused epilogues, released adjoints, tied table."""
+
+    @staticmethod
+    def batch(config, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array([config.max_seq, 3, 7, config.max_seq - 1, 5, 2, 9, 4])
+        mask = (np.arange(config.max_seq) < lengths[:, None]).astype(np.int64)
+        ids = np.where(mask == 1, rng.integers(5, config.vocab_size, mask.shape), 0)
+        labels = np.where((mask == 1) & (rng.random(mask.shape) < 0.3), ids, IGNORE_INDEX)
+        return ids, mask, labels
+
+    def test_step_matches_unfused_ops_and_frees_intermediate_grads(self, monkeypatch):
+        # the CLI geometry with dropout on, so both paths also draw the same masks
+        config = tiny_config(hidden=32, num_heads=4, ffn_dim=128, vocab_size=40,
+                             max_seq=12, dropout=0.1)
+        ids, mask, labels = self.batch(config, 0)
+        params = init_params(config, seed=3)
+        for t in params.values():  # nonzero biases and layer-norm shifts
+            t.data += np.random.default_rng(4).normal(0.0, 0.02, t.shape).astype(np.float32)
+
+        tape = Tape()
+        want = unfused_mlm_loss(ids, mask, labels, config, params, tape,
+                                np.random.default_rng(5))
+        backward(tape, want)
+        want_grads = {name: t.grad for name, t in params.items()}
+        for t in params.values():
+            t.zero_grad()
+
+        created = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, data):
+            real_init(self, data)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        tape = Tape()
+        got = fused_mlm_loss(ids, mask, labels, config, params, tape,
+                             np.random.default_rng(5))
+        backward(tape, got)
+        monkeypatch.undo()
+
+        assert len(created) == len(tape)  # the outputs of the recorded ops
+        assert np.array_equal(got.data, want.data)
+        for name, t in params.items():
+            assert np.array_equal(t.grad, want_grads[name]), name
+        assert all(t.grad is None for t in created)
+
+    def test_tied_embedding_gets_gather_and_decoder_paths(self):
+        config = tiny_config(vocab_size=20, max_seq=12)
+        ids, mask, labels = self.batch(config, 1)
+        params = {name: Tensor(t.data.astype(np.float64))
+                  for name, t in init_params(config, seed=0).items()}
+        tape = Tape()
+        backward(tape, fused_mlm_loss(ids, mask, labels, config, params, tape, None))
+        tied = params["emb.word"].grad
+
+        encoder = {name: Tensor(t.data.copy()) for name, t in params.items()}
+        decoder = dict(encoder, **{"emb.word": Tensor(params["emb.word"].data.copy())})
+        tape = Tape()
+        hidden = forward(ids, mask, config, encoder, tape=tape)[-1]
+        rows, targets = labelled_rows(reshape(hidden, (ids.size, config.hidden), tape),
+                                      labels, tape)
+        backward(tape, cross_entropy_masked(mlm_logits(rows, decoder, tape), targets, tape))
+        gathered, decoded = encoder["emb.word"].grad, decoder["emb.word"].grad
+        assert np.abs(gathered).max() > 0 and np.abs(decoded).max() > 0
+        np.testing.assert_allclose(tied, gathered + decoded, rtol=1e-12, atol=1e-15)
 
 
 class TestMlmLogits:

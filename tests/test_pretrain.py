@@ -12,7 +12,8 @@ from daptlab.model import ModelConfig, forward, init_params, mlm_logits
 from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
                               TrainingDiverged, apply_masking,
                               corpus_token_count, dapt, encode_corpus,
-                              masked_token_accuracy, perplexity, train)
+                              maskable_positions, masked_token_accuracy, perplexity,
+                              train)
 from daptlab.synth import PATTERN_WORDS, patterned_corpus
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
 
@@ -171,6 +172,59 @@ class TestApplyMasking:
             corrupted, labels = apply_masking(encode(text, vocab, 16), vocab, policy, rng)
             assert corrupted.tolist() == want_ids
             assert labels.tolist() == want_labels
+
+    def test_batch_draws_pinned_with_candidates_given(self):
+        # the batch path hands each encoding's maskable positions to
+        # apply_masking; the draws and the rng stream are those of the path that
+        # found them itself, recorded before the positions were precomputed
+        vocab = Vocab(["alpha", "bravo", "charlie", "[MASK]", "delta", "echo",
+                       "foxtrot", "[PAD]", "[SEP]", "golf", "hotel", "india",
+                       "[UNK]", "[CLS]", "juliett", "kilo", "lima"])
+        texts = ["alpha bravo charlie delta", "zulu golf hotel",
+                 "india juliett kilo lima echo foxtrot", "bravo zulu alpha"]
+        encodings = encode_corpus(texts, vocab, 16)
+        candidates = [maskable_positions(e, vocab) for e in encodings]
+        assert candidates[1].tolist() == [2, 3]  # the [UNK] at 1 is never a candidate
+        policy = MaskingPolicy(select_prob=0.5, mask_frac=0.5, random_frac=0.3,
+                               keep_frac=0.2)
+        rng = np.random.default_rng(4)
+        expected = [
+            ([[13, 0, 1, 2, 4, 8, 7, 7], [13, 12, 9, 10, 8, 7, 7, 7],
+              [13, 11, 14, 3, 16, 5, 6, 8], [13, 1, 12, 5, 8, 7, 7, 7]],
+             [[-100, -100, -100, -100, 4, -100, -100, -100],
+              [-100, -100, -100, 10, -100, -100, -100, -100],
+              [-100, -100, -100, 15, 16, -100, -100, -100],
+              [-100, -100, -100, 0, -100, -100, -100, -100]]),
+            ([[13, 0, 1, 2, 3, 8, 7, 7], [13, 12, 9, 10, 8, 7, 7, 7],
+              [13, 3, 14, 15, 16, 5, 6, 8], [13, 3, 12, 0, 8, 7, 7, 7]],
+             [[-100, -100, -100, -100, 4, -100, -100, -100],
+              [-100, -100, 9, -100, -100, -100, -100, -100],
+              [-100, 11, 14, -100, -100, -100, -100, -100],
+              [-100, 1, -100, -100, -100, -100, -100, -100]]),
+        ]
+        for want_ids, want_labels in expected:
+            ids, _, labels = pretrain._batch_arrays(encodings, candidates, vocab, policy, rng)
+            assert ids.tolist() == want_ids
+            assert labels.tolist() == want_labels
+        assert rng.integers(0, 1 << 30) == 394798592
+
+    def test_candidates_built_once_per_encoding_per_call(self, vocab, monkeypatch):
+        calls = []
+        real = pretrain.maskable_positions
+
+        def counting(encoding, vocab_):
+            calls.append(encoding)
+            return real(encoding, vocab_)
+
+        monkeypatch.setattr(pretrain, "maskable_positions", counting)
+        config, params = tiny_setup(vocab)
+        texts = patterned_corpus(10, sentence_len=6)
+        train(config, params, texts, vocab,
+              TrainConfig(peak_lr=1e-3, epochs=3, batch_size=4, warmup_steps=2))
+        assert len(calls) == 10 and len({id(e) for e in calls}) == 10
+        calls.clear()
+        perplexity(config, params, texts, vocab, batch_size=4)
+        assert len(calls) == 10
 
     def test_module_scale_statistics(self, vocab):
         # acceptance re-checks this at >=100k candidates; quick version here
@@ -373,8 +427,10 @@ class TestLabelledRowsOnly:
         rng = np.random.default_rng(5)
         nll = count = hits = 0
         for lo in range(0, len(encodings), 8):
-            ids, mask, labels = pretrain._batch_arrays(encodings[lo:lo + 8], vocab,
-                                                       MaskingPolicy(), rng)
+            batch = encodings[lo:lo + 8]
+            ids, mask, labels = pretrain._batch_arrays(
+                batch, [maskable_positions(e, vocab) for e in batch], vocab,
+                MaskingPolicy(), rng)
             keep = labels != IGNORE_INDEX
             if not keep.any():
                 continue

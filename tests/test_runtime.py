@@ -86,9 +86,8 @@ def test_trained_bytes_independent_of_blas_threads():
 # The op labels the benchmark's tracer gives the backward closures of a
 # dropout-free MLM step. Each op must record its closure while its own forward
 # runs; one recorded anywhere else is labelled "autodiff.bwd.other".
-TRACED_BACKWARD_OPS = ("add", "add_const", "cross_entropy_masked", "gather_rows",
-                       "gelu", "layer_norm", "matmul", "reshape", "scale",
-                       "softmax", "transpose")
+TRACED_BACKWARD_OPS = ("add", "cross_entropy_masked", "gather_rows", "gelu",
+                       "layer_norm", "matmul", "reshape", "softmax", "transpose")
 
 
 def load_spans():
