@@ -7,10 +7,12 @@
 # Finishes in well under a minute; every artifact lands in <workdir>/run.
 set -euo pipefail
 
-command -v daptlab >/dev/null || {
-    echo "daptlab not on PATH; install first: pip install --no-build-isolation -e ." >&2
-    exit 1
-}
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+if ! command -v daptlab >/dev/null; then
+    # not installed: run the package straight from this checkout
+    export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+    daptlab() { python3 -m daptlab.cli "$@"; }
+fi
 
 WORK="${1:-$(mktemp -d)}"
 RUN="$WORK/run"
@@ -66,7 +68,7 @@ print("inputs written:", ", ".join(sorted(p.name for p in work.iterdir())))
 PY
 
 # every stage shares one desk-scale profile; --set can still override it
-CONFIG="$(cd "$(dirname "$0")/.." && pwd)/configs/desk.ini"
+CONFIG="$ROOT/configs/desk.ini"
 
 echo "== corpus-build"
 daptlab corpus-build "$WORK/dump.jsonl" --config "$CONFIG" --out "$RUN"
@@ -111,8 +113,8 @@ daptlab forgetting --base "$WORK/base_scores.json" \
 echo "== report"
 daptlab report "$RUN" --config "$CONFIG"
 
-echo "== artifacts in $RUN"
-ls "$RUN"
+echo "== artifacts in $RUN (sha256)"
+(cd "$RUN" && sha256sum -- *)
 
 echo "== report.txt"
 cat "$RUN/report.txt"

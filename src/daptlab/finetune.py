@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
-                       matmul, reshape, select_position, zero_grads)
-from .autodiff import add  # noqa: F401  (the benchmark's tracer rebinds it here)
+from .autodiff import (IGNORE_INDEX, Tensor, cross_entropy_masked, matmul, reshape,
+                       select_position)
 from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
-from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
-from .pretrain import TrainingDiverged
+from .optim import LrSchedule, lr_at_step
+from .pretrain import TrainingDiverged, fit
+# the benchmark's tracer rebinds these here; the fine-tunes train through fit
+from .autodiff import Tape, add, backward  # noqa: F401
+from .optim import adam_step  # noqa: F401
 from .tokenizer import Vocab, encode, encode_words
 
 
@@ -330,20 +332,11 @@ def _check_protocol(seeds, dataset):
     return seeds
 
 
-def _schedule_for(total_steps: int, lr: float):
+def _lr_at(total_steps: int, lr: float):
     if total_steps < 2:
-        return None
-    warmup = max(1, min(total_steps // 10, total_steps - 1))
-    return LrSchedule(lr, warmup, total_steps)
-
-
-def _snapshot(params):
-    return {name: t.data.copy() for name, t in params.items()}
-
-
-def _restore(params, snapshot):
-    for name, t in params.items():
-        t.data = snapshot[name].copy()
+        return lambda step: lr
+    schedule = LrSchedule(lr, max(1, min(total_steps // 10, total_steps - 1)), total_steps)
+    return lambda step: lr_at_step(schedule, step)
 
 
 def _warn_if_degenerate(labels, what):
@@ -356,43 +349,35 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
     """The five-seed protocol shared by both tasks; returns score(test) per seed.
 
     Per seed: a fresh linear head of n_out outputs on a copy of ``params``,
-    ft.epochs of shuffled mini-batch Adam steps on ``batch_loss(batch, work,
-    tape, rng)``, and the weights of the epoch whose first ``score(dev, work)``
-    entry is best. The seed's rng draws the head, then one permutation per
-    epoch, then dropout inside ``batch_loss``.
+    ``pretrain.fit`` over ft.epochs of ``batch_loss(batch, work, tape, rng)``,
+    and the weights of the epoch whose first ``score(dev, work)`` entry (an F1)
+    is best. The seed's rng draws the head, then one permutation per epoch,
+    then dropout inside ``batch_loss``. Divergence is re-raised as "seed N: ...".
     """
-    schedule = _schedule_for(ft.epochs * math.ceil(len(train) / ft.batch_size), ft.lr)
+    lr_at = _lr_at(ft.epochs * math.ceil(len(train) / ft.batch_size), ft.lr)
     results = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         work = {name: t.copy() for name, t in params.items()}
         work["head.w"] = Tensor(truncated_normal(rng, (config.hidden, n_out), 0.02))
         work["head.b"] = Tensor(np.zeros(n_out, dtype=np.float32))
-        state = AdamState.for_params(work)
-        best_f1 = -1.0
-        best = _snapshot(work)
-        step = 0
-        for _ in range(ft.epochs):
-            order = rng.permutation(len(train))
-            for lo in range(0, len(order), ft.batch_size):
-                step += 1
-                tape = Tape()
-                loss = batch_loss([train[i] for i in order[lo:lo + ft.batch_size]],
-                                  work, tape, rng)
-                backward(tape, loss)
-                lr = lr_at_step(schedule, step) if schedule else ft.lr
-                try:
-                    adam_step(work, {n: t.grad for n, t in work.items()}, state, lr,
-                              ft.weight_decay)
-                except NonFiniteGradient as exc:
-                    raise TrainingDiverged(step, f"seed {seed}: non-finite gradient "
-                                           f"for {exc.name!r}") from exc
-                zero_grads(work)
+        best_f1, best = -1.0, None
+
+        def keep_if_best():
+            nonlocal best_f1, best
             dev_f1 = score(dev, work)[0]
             if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best = _snapshot(work)
-        _restore(work, best)
+                best_f1, best = dev_f1, {name: t.data.copy() for name, t in work.items()}
+
+        try:
+            fit(work, len(train), ft, rng, lr_at,
+                lambda picked, tape: batch_loss([train[i] for i in picked], work, tape, rng),
+                keep_if_best)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(exc.step, f"seed {seed}: {exc.reason}",
+                                   exc.loss_log) from exc
+        for name, t in work.items():
+            t.data = best[name]
         results.append(score(test, work))
     return results
 

@@ -9,6 +9,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class NonFiniteGradient(ValueError):
     """A NaN/Inf gradient; the Adam step was rejected before any update."""
@@ -26,12 +28,8 @@ class AdamState:
     ``for_params``; ``m[name]`` and ``v[name]`` are reshaped views into them.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype):
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.slices: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in shapes.items():
@@ -53,15 +51,13 @@ class AdamState:
                 for name, (lo, hi, shape) in self.slices.items()}
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ValueError("Adam needs parameters of one dtype, got "
                              + ", ".join(sorted(d.name for d in dtypes)))
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        return cls({name: p.data.shape for name, p in params.items()}, dtype,
-                   beta1=beta1, beta2=beta2, eps=eps)
+        return cls({name: p.data.shape for name, p in params.items()}, dtype)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
@@ -102,24 +98,23 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
     # operations on the scratch buffers, so the result is bit for bit the
     # per-tensor update.
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     m, v, tmp = state.m_flat, state.v_flat, state._tmp
     if weight_decay:
         np.multiply(flat, lr * weight_decay, out=tmp)
         flat -= tmp                              # p -= lr * wd * p
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=tmp)
     m += tmp                                     # m = b1 m + (1 - b1) g
-    v *= b2
+    v *= BETA2
     np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - b2
+    tmp *= 1.0 - BETA2
     v += tmp                                     # v = b2 v + (1 - b2) g^2
     mhat = np.divide(m, bc1, out=g)
     vhat = np.divide(v, bc2, out=tmp)
     np.sqrt(vhat, out=vhat)
-    vhat += state.eps
+    vhat += EPS
     mhat *= lr
     mhat /= vhat
     flat -= mhat                                 # p -= lr mhat / (sqrt(vhat) + eps)

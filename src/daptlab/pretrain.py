@@ -5,6 +5,8 @@ probability select_prob; a selected position is replaced by [MASK], by a
 random non-special token, or kept, per the policy fractions. Sequences where
 the draw selects nothing are resampled once.
 
+fit() is the one training loop, run by train(), dapt() and every fine-tune seed.
+
 dapt() is the guarded continuation entry point: it rejects configurations
 that do not lower the learning rate (and, when the caller supplies the base
 token count, those whose adaptation corpus is not smaller).
@@ -32,9 +34,10 @@ class RegimenError(ValueError):
 class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradient; parameters still hold the last good step."""
 
-    def __init__(self, step: int, reason: str, loss_log: "LossLog | None" = None):
+    def __init__(self, step: int, reason: str, loss_log: "LossLog"):
         super().__init__(f"{reason} at step {step}; aborting with last-good parameters")
         self.step = step
+        self.reason = reason
         self.loss_log = loss_log
 
 
@@ -171,52 +174,26 @@ def _decode_labelled(hidden: Tensor, labels: np.ndarray, config: ModelConfig,
     return mlm_logits(rows, params, tape), targets
 
 
-def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
-          train_config: TrainConfig, policy: MaskingPolicy | None = None) -> LossLog:
-    """MLM-train ``params`` in place; returns the full loss log.
+def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generator,
+        lr_at, batch_loss, end_epoch=None) -> LossLog:
+    """The one training loop: Adam on ``params`` in place; returns the loss log.
 
-    Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
-    schedule. Aborts with TrainingDiverged on a non-finite loss or gradient
-    before the update is applied, so the parameters always hold the last good
-    state.
+    ``regimen`` (a TrainConfig or FinetuneConfig) gives epochs, batch_size and
+    weight_decay. Each epoch draws one ``rng.permutation(n_items)``; each batch
+    of indices gets a fresh training tape, ``batch_loss(indices, tape)``, its
+    backward and an Adam step at ``lr_at(step)``. ``end_epoch()`` runs after
+    each epoch. A non-finite loss or gradient raises TrainingDiverged before
+    the update is applied, so ``params`` hold the last good step.
     """
-    policy = policy or MaskingPolicy()
-    encodings = encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq))
-    if not encodings:
-        raise ValueError("training corpus has no usable documents")
-    log = LossLog()
-    if train_config.epochs == 0:
-        return log
-    per_epoch = math.ceil(len(encodings) / train_config.batch_size)
-    total_steps = train_config.epochs * per_epoch
-    if total_steps <= train_config.warmup_steps:
-        raise ValueError(f"warmup_steps ({train_config.warmup_steps}) must be below "
-                         f"total steps ({total_steps}); lower it for short runs")
-    schedule = LrSchedule(train_config.peak_lr, train_config.warmup_steps, total_steps)
     state = AdamState.for_params(params)
-    rng = np.random.default_rng(train_config.seed)
-    candidates = [maskable_positions(enc, vocab) for enc in encodings]
-
+    log = LossLog()
     step = 0
-    for _ in range(train_config.epochs):
-        order = rng.permutation(len(encodings))
-        for lo in range(0, len(encodings), train_config.batch_size):
-            picked = order[lo:lo + train_config.batch_size]
-            chunk = [encodings[i] for i in picked]
-            chunk_candidates = [candidates[i] for i in picked]
+    for _ in range(regimen.epochs):
+        order = rng.permutation(n_items)
+        for lo in range(0, n_items, regimen.batch_size):
             step += 1
-            for _ in range(20):
-                ids, mask, labels = _batch_arrays(chunk, chunk_candidates, vocab,
-                                                  policy, rng)
-                if (labels != IGNORE_INDEX).any():
-                    break
-            else:
-                raise RuntimeError("could not draw a batch with any masked position")
             tape = Tape()
-            hidden = forward(ids, mask, config, params, train_mode=True,
-                             tape=tape, rng=rng)
-            logits, targets = _decode_labelled(hidden[-1], labels, config, params, tape)
-            loss = cross_entropy_masked(logits, targets, tape)
+            loss = batch_loss(order[lo:lo + regimen.batch_size], tape)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(step, f"non-finite loss {value}", log)
@@ -224,14 +201,54 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
             backward(tape, loss)
             grads = {name: t.grad for name, t in params.items()}
             try:
-                adam_step(params, grads, state, lr_at_step(schedule, step),
-                          train_config.weight_decay)
+                adam_step(params, grads, state, lr_at(step), regimen.weight_decay)
             except NonFiniteGradient as exc:
                 raise TrainingDiverged(step, f"non-finite gradient for {exc.name!r}",
                                        log) from exc
             zero_grads(params)
         log.epoch_ends.append(step)
+        if end_epoch is not None:
+            end_epoch()
     return log
+
+
+def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
+          train_config: TrainConfig, policy: MaskingPolicy | None = None) -> LossLog:
+    """MLM-train ``params`` in place through ``fit``; returns the full loss log.
+
+    Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
+    schedule. One rng, seeded by the config, draws each epoch's permutation,
+    then each batch's masking, then its dropout.
+    """
+    policy = policy or MaskingPolicy()
+    encodings = encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq))
+    if not encodings:
+        raise ValueError("training corpus has no usable documents")
+    if train_config.epochs == 0:
+        return LossLog()
+    total_steps = train_config.epochs * math.ceil(len(encodings) / train_config.batch_size)
+    if total_steps <= train_config.warmup_steps:
+        raise ValueError(f"warmup_steps ({train_config.warmup_steps}) must be below "
+                         f"total steps ({total_steps}); lower it for short runs")
+    schedule = LrSchedule(train_config.peak_lr, train_config.warmup_steps, total_steps)
+    rng = np.random.default_rng(train_config.seed)
+    candidates = [maskable_positions(enc, vocab) for enc in encodings]
+
+    def batch_loss(picked, tape):
+        chunk = [encodings[i] for i in picked]
+        chunk_candidates = [candidates[i] for i in picked]
+        for _ in range(20):
+            ids, mask, labels = _batch_arrays(chunk, chunk_candidates, vocab, policy, rng)
+            if (labels != IGNORE_INDEX).any():
+                break
+        else:
+            raise RuntimeError("could not draw a batch with any masked position")
+        hidden = forward(ids, mask, config, params, train_mode=True, tape=tape, rng=rng)
+        logits, targets = _decode_labelled(hidden[-1], labels, config, params, tape)
+        return cross_entropy_masked(logits, targets, tape)
+
+    return fit(params, len(encodings), train_config, rng,
+               lambda step: lr_at_step(schedule, step), batch_loss)
 
 
 def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq, what):

@@ -363,7 +363,7 @@ class TestErrorHandling:
                          "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
                         FINETUNE_SETS + ["--set", "finetune.lr=1e12"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite gradient" in err
+        assert err.startswith("error:") and "non-finite loss" in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from daptlab import finetune, pretrain
+from daptlab.autodiff import Tensor, cross_entropy_masked, matmul
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               TaggedTokenDataset, aggregate, classification_f1,
                               f1_binary, finetune_classify, finetune_tag,
                               format_mean_std, iob_spans, span_f1, token_f1)
 from daptlab.model import ModelConfig, init_params
+from daptlab.pretrain import TrainingDiverged
 from daptlab.synth import classification_records, tagging_records
 from daptlab.tokenizer import train_vocab
 from helpers import (oracle_binary_f1, oracle_span_f1, oracle_spans,
@@ -322,6 +325,49 @@ class TestFinetuneClassify:
                               ft_config=ft)
 
 
+class TestFinetuneDivergence:
+    """A diverged seed stops the protocol with TrainingDiverged, as pretraining does."""
+
+    SEEDS = (0, 1, 2, 3, 4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises_with_log(self, classify_setup):
+        config, params, vocab, data = classify_setup
+        before = {k: t.data.copy() for k, t in params.items()}
+        with pytest.raises(TrainingDiverged) as info:
+            finetune_classify(config, params, vocab, data, self.SEEDS,
+                              ft_config=FinetuneConfig(lr=1e12, epochs=2, batch_size=16))
+        err = info.value
+        assert str(err).startswith("seed 0: non-finite loss")
+        assert err.step == len(err.loss_log.entries) + 1
+        assert all(math.isfinite(loss) for _, loss in err.loss_log.entries)
+        assert all(np.array_equal(before[k], params[k].data) for k in params)
+
+    def test_non_finite_gradient_raises_through_pretrain_bindings(self, classify_setup,
+                                                                  monkeypatch):
+        # the loss stays finite; backward, looked up in pretrain, poisons the head
+        config, params, vocab, data = classify_setup
+        heads = []
+        real_matmul, real_backward = finetune.matmul, pretrain.backward
+
+        def recording_matmul(a, b, tape=None, **kwargs):  # only the head's matmul
+            heads.append(b)
+            return real_matmul(a, b, tape, **kwargs)
+
+        def poisoned_backward(tape, loss):
+            real_backward(tape, loss)
+            heads[-1].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(finetune, "matmul", recording_matmul)
+        monkeypatch.setattr(pretrain, "backward", poisoned_backward)
+        with pytest.raises(TrainingDiverged) as info:
+            finetune_classify(config, params, vocab, data, self.SEEDS,
+                              ft_config=FinetuneConfig(lr=1e-3, epochs=1, batch_size=16))
+        err = info.value
+        assert str(err).startswith("seed 0: non-finite gradient for 'head.w' at step 1")
+        assert err.step == 1 and [step for step, _ in err.loss_log.entries] == [1]
+
+
 @pytest.fixture(scope="module")
 def tag_setup():
     records = tagging_records(40, seed=6)
@@ -379,3 +425,48 @@ class TestProtocolChecks:
         data = dataclasses.replace(data, **{split: []})
         with pytest.raises(ValueError, match=f"{split} split is empty"):
             run(config, params, vocab, data, seeds=(0, 1, 2, 3, 4))
+
+
+class TestSeedProtocol:
+    """The per-seed loop of ``_run_seeds``: which training items each step sees
+    (head, then one permutation per epoch, then the dropout draws inside
+    ``batch_loss``, all from the seed's rng) and the dev-best selection."""
+
+    # Recorded before _run_seeds trained through pretrain.fit; integers, so
+    # the record holds on every platform.
+    BATCHES = {
+        0: [[2, 1, 3], [6, 0, 4], [5], [1, 2, 6], [0, 4, 3], [5], [2, 6, 5],
+            [0, 1, 4], [3]],
+        1: [[3, 0, 1], [4, 5, 6], [2], [0, 5, 3], [1, 6, 2], [4], [5, 2, 3],
+            [0, 4, 6], [1]],
+    }
+
+    def test_batches_and_dev_best_weights_pinned(self):
+        config = ModelConfig(num_layers=1, hidden=4, num_heads=2, ffn_dim=8,
+                             vocab_size=16, max_seq=8)
+        params = {"w": Tensor(np.ones(3, dtype=np.float32))}
+        ft = FinetuneConfig(lr=1e-2, epochs=3, batch_size=3)
+        batches, weights, dev_f1 = [], [], []
+
+        def batch_loss(batch, work, tape, rng):
+            batches.append([int(i) for i in batch])
+            # stands in for the encoder: consumes the rng as dropout would
+            x = Tensor(rng.standard_normal((len(batch), config.hidden), dtype=np.float32))
+            logits = matmul(x, work["head.w"], tape, bias=work["head.b"])
+            return cross_entropy_masked(logits, np.array(batch) % 2, tape)
+
+        def score(items, work):
+            weights.append({k: t.data.copy() for k, t in work.items()})
+            return (dev_f1.pop(0) if items == "dev" else 0.0,)
+
+        for seed, want in self.BATCHES.items():
+            batches.clear()
+            weights.clear()
+            dev_f1[:] = [0.2, 0.9, 0.5]
+            finetune._run_seeds(config, params, [seed], ft, 2, list(range(7)),
+                                batch_loss, score, "dev", "test")
+            assert batches == want
+            assert len(weights) == 4 and dev_f1 == []
+            epoch2, epoch3, tested = weights[1], weights[2], weights[3]
+            assert all(np.array_equal(tested[k], epoch2[k]) for k in epoch2)
+            assert not np.array_equal(epoch3["head.w"], epoch2["head.w"])
