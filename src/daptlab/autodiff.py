@@ -506,8 +506,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         fn()
 
 
-def zero_grads(params) -> None:
-    """Clear gradients on an iterable (or dict) of tensors."""
-    tensors = params.values() if isinstance(params, dict) else params
-    for t in tensors:
+def zero_grads(params: dict[str, Tensor]) -> None:
+    """Clear the gradient of every tensor in a parameter dict."""
+    for t in params.values():
         t.zero_grad()

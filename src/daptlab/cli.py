@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
+import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -87,29 +90,32 @@ def out_dir_of(args, cp) -> Path:
     return path
 
 
+# The INI keys each config dataclass reads from its own section. Every one
+# of them takes max_seq from [model] max_seq.
+_MODEL_KEYS = ("num_layers", "hidden", "num_heads", "ffn_dim", "dropout")
+_TRAIN_KEYS = ("peak_lr", "epochs", "batch_size", "weight_decay", "warmup_steps", "seed")
+_FINETUNE_KEYS = ("lr", "epochs", "batch_size", "weight_decay")
+
+
+def _from_ini(cp, section: str, keys, base, **given):
+    """A copy of the config dataclass ``base`` with each of ``keys`` read from
+    ``[section]``, max_seq from ``[model]``, and the ``given`` values set as
+    they are. A key left out keeps ``base``'s value; a value read is cast to
+    its field's annotated type."""
+    hints = typing.get_type_hints(type(base))
+    sections = dict.fromkeys(keys, section) | {"max_seq": "model"}
+    read = {name: cfg_get(cp, where, name, getattr(base, name), hints[name])
+            for name, where in sections.items() if name not in given}
+    return dataclasses.replace(base, **read, **given)
+
+
 def model_config_from(cp, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        num_layers=cfg_get(cp, "model", "num_layers", 4, int),
-        hidden=cfg_get(cp, "model", "hidden", 64, int),
-        num_heads=cfg_get(cp, "model", "num_heads", 4, int),
-        ffn_dim=cfg_get(cp, "model", "ffn_dim", 256, int),
-        vocab_size=vocab_size,
-        max_seq=cfg_get(cp, "model", "max_seq", 128, int),
-        dropout=cfg_get(cp, "model", "dropout", 0.1, float),
-    )
+    return _from_ini(cp, "model", _MODEL_KEYS, ModelConfig.desk(vocab_size))
 
 
 def train_config_from(cp, section: str, default_lr: float, seed_override) -> TrainConfig:
-    seed = seed_override if seed_override is not None else cfg_get(cp, section, "seed", 0, int)
-    return TrainConfig(
-        peak_lr=cfg_get(cp, section, "peak_lr", default_lr, float),
-        epochs=cfg_get(cp, section, "epochs", 30, int),
-        batch_size=cfg_get(cp, section, "batch_size", 64, int),
-        weight_decay=cfg_get(cp, section, "weight_decay", 0.01, float),
-        warmup_steps=cfg_get(cp, section, "warmup_steps", 100, int),
-        seed=seed,
-        max_seq=cfg_get(cp, "model", "max_seq", 128, int),
-    )
+    given = {} if seed_override is None else {"seed": seed_override}
+    return _from_ini(cp, section, _TRAIN_KEYS, TrainConfig(peak_lr=default_lr), **given)
 
 
 def _load_texts(path: Path) -> list[str]:
@@ -284,13 +290,7 @@ def _cmd_finetune(args, cp, kind: str) -> int:
         seeds = tuple(range(args.seed, args.seed + 5))
     else:
         seeds = cfg_get(cp, "finetune", "seeds", (0, 1, 2, 3, 4), _int_list)
-    ft = FinetuneConfig(
-        lr=cfg_get(cp, "finetune", "lr", 2e-5, float),
-        epochs=cfg_get(cp, "finetune", "epochs", 4, int),
-        batch_size=cfg_get(cp, "finetune", "batch_size", 16, int),
-        weight_decay=cfg_get(cp, "finetune", "weight_decay", 0.01, float),
-        max_seq=cfg_get(cp, "model", "max_seq", 128, int),
-    )
+    ft = _from_ini(cp, "finetune", _FINETUNE_KEYS, FinetuneConfig())
     what = "classification data" if kind == "classify" else "tagging data"
     data_path = cfg_path(cp, f"{kind}_data", args.data, what)
     records = _read_records(data_path, what)
@@ -333,6 +333,8 @@ def _read_scores(path: Path, what: str) -> dict[str, float]:
     for task, value in data.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CliError(f"{what}: score for task {task!r} is not a number")
+        if not math.isfinite(value):
+            raise CliError(f"{what}: score for task {task!r} is not a finite number")
         scores[str(task)] = float(value)
     return scores
 

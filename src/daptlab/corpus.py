@@ -147,10 +147,9 @@ def dedupe(documents) -> list[Document]:
     return kept
 
 
-def build_corpus(paths, rules=None) -> tuple[list[Document], DropReport, int]:
-    """Ingest dumps in sorted path order, filter, dedupe; returns skip count too."""
-    if rules is None:
-        rules = default_rules()
+def build_corpus(paths) -> tuple[list[Document], DropReport, int]:
+    """Ingest dumps in sorted path order, filter by the default rules, dedupe;
+    returns skip count too."""
     merged: list[Document] = []
     skipped = 0
     for path in sorted(str(p) for p in paths):
@@ -162,7 +161,7 @@ def build_corpus(paths, rules=None) -> tuple[list[Document], DropReport, int]:
         if doc.id in seen_ids:
             raise ValueError(f"duplicate document id {doc.id!r} across dumps")
         seen_ids[doc.id] = doc.source
-    kept, report = apply_filters(merged, rules)
+    kept, report = apply_filters(merged, default_rules())
     return dedupe(kept), report, skipped
 
 

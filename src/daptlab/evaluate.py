@@ -211,8 +211,7 @@ def render_cloze(word1: str, word2: str, vocab: Vocab, max_seq: int
     if len(pieces) > max_seq:
         raise ValueError(f"template needs {len(pieces)} pieces but max_seq is {max_seq}")
     ids = [vocab.id_of(p) for p in pieces]
-    return Encoding(ids=ids, pieces=pieces, mask=[1] * len(ids),
-                    word_spans=spans), mask_pos
+    return Encoding(ids=ids, pieces=pieces, word_spans=spans), mask_pos
 
 
 def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
@@ -224,7 +223,8 @@ def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
 
     def predict(word1: str, word2: str) -> tuple[float, float]:
         enc, mask_pos = render_cloze(word1, word2, vocab, config.max_seq)
-        hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
+        hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+                         config, params)
         logits = mlm_logits(Tensor(hidden[-1].data[[mask_pos]]), params).data[0]
         return float(logits[yes_id]), float(logits[no_id])
 

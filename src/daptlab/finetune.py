@@ -48,9 +48,9 @@ class FinetuneConfig:
 # ---------------------------------------------------------------------------
 # datasets
 
-def _split_records(records, seed: int, ratios, item):
+def _split_records(records, seed: int, item):
     """(train, dev, test) lists of item(record): routed by the records' split
-    field when any record has one, else a deterministic shuffle-split."""
+    field when any record has one, else a deterministic 80/10/10 shuffle-split."""
     if any("split" in rec for rec in records):
         splits = {"train": [], "dev": [], "test": []}
         for i, rec in enumerate(records):
@@ -59,11 +59,9 @@ def _split_records(records, seed: int, ratios, item):
                 raise ValueError(f"record {i}: split must be train/dev/test, got {split!r}")
             splits[split].append(item(rec))
         return splits["train"], splits["dev"], splits["test"]
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(records))
-    n_train = int(round(len(records) * ratios[0]))
-    n_dev = int(round(len(records) * ratios[1]))
+    n_train = int(round(len(records) * 0.8))
+    n_dev = int(round(len(records) * 0.1))
     bounds = (0, n_train, n_train + n_dev, len(records))
     return tuple([item(records[i]) for i in order[lo:hi]]
                  for lo, hi in zip(bounds, bounds[1:]))
@@ -100,19 +98,17 @@ class LabeledTextDataset:
         _check_disjoint(self.train, self.dev, self.test, key=lambda it: it[0])
 
     @classmethod
-    def from_records(cls, records, labels=None, positive_label=None,
-                     ratios=(0.8, 0.1, 0.1), seed: int = 0) -> "LabeledTextDataset":
-        """records: dicts with text/label and an optional split field."""
+    def from_records(cls, records, positive_label=None, seed: int = 0) -> "LabeledTextDataset":
+        """records: dicts with text/label and an optional split field; the
+        labels are the sorted set of the records' labels."""
         items = []
         for i, rec in enumerate(records):
             if not isinstance(rec.get("text"), str) or not isinstance(rec.get("label"), str):
                 raise ValueError(f"record {i} needs string text and label fields")
             items.append(rec)
-        if labels is None:
-            labels = tuple(sorted({rec["label"] for rec in items}))
-        train, dev, test = _split_records(items, seed, ratios,
-                                          lambda rec: (rec["text"], rec["label"]))
-        return cls(train=train, dev=dev, test=test, labels=tuple(labels),
+        labels = tuple(sorted({rec["label"] for rec in items}))
+        train, dev, test = _split_records(items, seed, lambda rec: (rec["text"], rec["label"]))
+        return cls(train=train, dev=dev, test=test, labels=labels,
                    positive_label=positive_label)
 
 
@@ -142,9 +138,9 @@ class TaggedTokenDataset:
                         key=lambda it: tuple(it[0]))
 
     @classmethod
-    def from_records(cls, records, tags=None, ratios=(0.8, 0.1, 0.1),
-                     seed: int = 0) -> "TaggedTokenDataset":
-        """records: dicts with tokens/tags lists and an optional split field."""
+    def from_records(cls, records, seed: int = 0) -> "TaggedTokenDataset":
+        """records: dicts with tokens/tags lists and an optional split field;
+        the tag set is the sorted set of the records' tags plus "O"."""
         items = []
         for i, rec in enumerate(records):
             if not all(isinstance(rec.get(key), list)
@@ -152,16 +148,23 @@ class TaggedTokenDataset:
                        for key in ("tokens", "tags")):
                 raise ValueError(f"record {i} needs tokens and tags lists of strings")
             items.append(rec)
-        if tags is None:
-            seen = {tag for rec in items for tag in rec["tags"]}
-            tags = tuple(sorted(seen | {"O"}))
+        tags = tuple(sorted({tag for rec in items for tag in rec["tags"]} | {"O"}))
         train, dev, test = _split_records(
-            items, seed, ratios, lambda rec: (list(rec["tokens"]), list(rec["tags"])))
-        return cls(train=train, dev=dev, test=test, tags=tuple(tags))
+            items, seed, lambda rec: (list(rec["tokens"]), list(rec["tags"])))
+        return cls(train=train, dev=dev, test=test, tags=tags)
 
 
 # ---------------------------------------------------------------------------
 # metrics
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    """F1 from true/false positive and false negative counts; 0 when undefined."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
 
 def f1_binary(pred, gold, positive) -> float:
     """Precision/recall F1 for one positive class; 0 when undefined."""
@@ -170,11 +173,7 @@ def f1_binary(pred, gold, positive) -> float:
     tp = sum(1 for p, g in zip(pred, gold) if p == positive and g == positive)
     fp = sum(1 for p, g in zip(pred, gold) if p == positive and g != positive)
     fn = sum(1 for p, g in zip(pred, gold) if p != positive and g == positive)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(tp, fp, fn)
 
 
 def classification_f1(pred, gold, labels, positive_label=None) -> float:
@@ -239,11 +238,7 @@ def span_f1(pred_tags, gold_tags) -> float:
         tp += len(p_spans & g_spans)
         fp += len(p_spans - g_spans)
         fn += len(g_spans - p_spans)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(tp, fp, fn)
 
 
 def token_f1(pred_tags, gold_tags) -> float:
@@ -259,11 +254,7 @@ def token_f1(pred_tags, gold_tags) -> float:
                     fp += 1
                 if g != "O":
                     fn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(tp, fp, fn)
 
 
 def aggregate(values) -> tuple[float, float]:

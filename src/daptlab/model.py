@@ -245,7 +245,8 @@ def embed_document(text: str, vocab: Vocab, config: ModelConfig,
     positions = [i for start, stop in enc.word_spans for i in range(start, stop)]
     if not positions:
         raise ValueError("cannot embed a text with no content pieces")
-    hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
+    hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+                     config, params)
     stacked = np.concatenate([layer.data[positions] for layer in hidden[-4:]], axis=-1)
     return stacked.mean(axis=0).astype(np.float32)
 
@@ -295,8 +296,7 @@ class _Reader:
         return out
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None
-                    ) -> tuple[dict[str, Tensor], ModelConfig]:
+def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Read and validate a checkpoint; the MLM decoder stays tied on load."""
     reader = _Reader(Path(path).read_bytes(), path)
     if reader.take_bytes(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -309,9 +309,6 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
     config = ModelConfig(num_layers=layers, hidden=hidden, num_heads=heads,
                          ffn_dim=ffn, vocab_size=vocab, max_seq=max_seq,
                          type_vocab=type_vocab, dropout=drop_rate)
-    if expected_config is not None and config != expected_config:
-        raise ValueError(f"checkpoint config {config} does not match expected "
-                         f"{expected_config}")
     expected = param_shapes(config)
     (n_tensors,) = reader.take("<I")
     params: dict[str, Tensor] = {}

@@ -213,14 +213,15 @@ def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generat
 
 
 def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
-          train_config: TrainConfig, policy: MaskingPolicy | None = None) -> LossLog:
+          train_config: TrainConfig) -> LossLog:
     """MLM-train ``params`` in place through ``fit``; returns the full loss log.
 
     Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
-    schedule. One rng, seeded by the config, draws each epoch's permutation,
-    then each batch's masking, then its dropout.
+    schedule, masking with the default MaskingPolicy. One rng, seeded by the
+    config, draws each epoch's permutation, then each batch's masking, then
+    its dropout.
     """
-    policy = policy or MaskingPolicy()
+    policy = MaskingPolicy()
     encodings = encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq))
     if not encodings:
         raise ValueError("training corpus has no usable documents")
@@ -251,13 +252,14 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
                lambda step: lr_at_step(schedule, step), batch_loss)
 
 
-def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq, what):
+def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
     """Yield (MLM logits, labels) of the labelled positions per batch under a
-    fixed-seed corruption draw, skipping batches where the draw masked nothing."""
-    encodings = encode_corpus(texts, vocab, max_seq)
+    fixed-seed default-policy corruption draw, skipping batches where the draw
+    masked nothing."""
+    encodings = encode_corpus(texts, vocab, config.max_seq)
     if not encodings:
         raise ValueError(f"{what} needs at least one usable document")
-    policy = policy or MaskingPolicy()
+    policy = MaskingPolicy()
     rng = np.random.default_rng(seed)
     candidates = [maskable_positions(enc, vocab) for enc in encodings]
     for lo in range(0, len(encodings), batch_size):
@@ -269,13 +271,11 @@ def _masked_eval(config, params, texts, vocab, policy, seed, batch_size, max_seq
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
-               policy: MaskingPolicy | None = None, seed: int = 0,
-               batch_size: int = 32, max_seq: int | None = None) -> float:
+               seed: int = 0, batch_size: int = 32) -> float:
     """exp(mean masked cross-entropy) under a fixed-seed corruption draw."""
     total_nll = 0.0
     total_count = 0
-    for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
-                                       batch_size, max_seq or config.max_seq,
+    for logits, labels in _masked_eval(config, params, texts, vocab, seed, batch_size,
                                        "perplexity"):
         total_nll += float(cross_entropy_masked(logits, labels).data) * labels.size
         total_count += labels.size
@@ -285,13 +285,12 @@ def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Voc
 
 
 def masked_token_accuracy(config: ModelConfig, params: dict[str, Tensor], texts,
-                          vocab: Vocab, policy: MaskingPolicy | None = None,
-                          seed: int = 0, batch_size: int = 32) -> float:
+                          vocab: Vocab, seed: int = 0, batch_size: int = 32) -> float:
     """Fraction of corrupted positions whose argmax prediction is the original."""
     hits = 0
     total = 0
-    for logits, labels in _masked_eval(config, params, texts, vocab, policy, seed,
-                                       batch_size, config.max_seq, "accuracy"):
+    for logits, labels in _masked_eval(config, params, texts, vocab, seed, batch_size,
+                                       "accuracy"):
         hits += int((logits.data.argmax(axis=-1) == labels).sum())
         total += labels.size
     if total == 0:
@@ -306,8 +305,7 @@ def corpus_token_count(texts, vocab: Vocab) -> int:
 
 def dapt(config: ModelConfig, base_params: dict[str, Tensor], domain_texts,
          vocab: Vocab, dapt_config: TrainConfig, base_config: TrainConfig,
-         base_token_count: int | None = None,
-         policy: MaskingPolicy | None = None) -> tuple[dict[str, Tensor], LossLog]:
+         base_token_count: int | None = None) -> tuple[dict[str, Tensor], LossLog]:
     """Continue pretraining on a domain corpus under the reduced regimen.
 
     The base parameters are copied, never mutated; with epochs=0 the returned
@@ -322,5 +320,5 @@ def dapt(config: ModelConfig, base_params: dict[str, Tensor], domain_texts,
             raise RegimenError(f"adaptation corpus ({domain_tokens} tokens) must be "
                                f"smaller than the base corpus ({base_token_count})")
     adapted = {name: t.copy() for name, t in base_params.items()}
-    log = train(config, adapted, domain_texts, vocab, dapt_config, policy)
+    log = train(config, adapted, domain_texts, vocab, dapt_config)
     return adapted, log

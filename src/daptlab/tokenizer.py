@@ -74,17 +74,16 @@ class Vocab:
 
 @dataclass
 class Encoding:
-    """One encoded text: ids/pieces/mask of equal length plus word piece spans.
+    """One encoded text: ids and pieces of equal length plus word piece spans.
 
-    Encodings are unpadded (mask all ones); ``model.pad_rows`` pads a batch and
-    ``model.length_mask`` gives its attention mask.
+    Encodings are unpadded, so every position is attended; ``model.pad_rows``
+    pads a batch and ``model.length_mask`` gives its attention mask.
     word_spans[i] is the half-open piece range of pre-tokenized word i; spans
     partition the content pieces (everything except [CLS]/[SEP]).
     """
 
     ids: list[int]
     pieces: list[str]
-    mask: list[int]
     word_spans: list[tuple[int, int]]
 
 
@@ -149,7 +148,7 @@ def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int) -> Encod
         spans = [(s, min(e, limit)) for s, e in spans if s < limit]
 
     ids = [vocab.id_of(p) for p in pieces]
-    return Encoding(ids=ids, pieces=pieces, mask=[1] * len(ids), word_spans=spans)
+    return Encoding(ids=ids, pieces=pieces, word_spans=spans)
 
 
 def encode(text: str, vocab: Vocab, max_seq: int) -> Encoding:

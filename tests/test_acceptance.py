@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
         got, lab = apply_masking(enc, vocab, policy, rng)
         ids[row, :got.size] = got
         labels[row, :lab.size] = lab
-        mask[row, :len(enc.ids)] = enc.mask
+        mask[row, :len(enc.ids)] = 1
     assert (labels != IGNORE_INDEX).sum() >= 4, "unlucky masking draw"
 
     def mlm_loss(tape):

@@ -5,10 +5,14 @@ model, then individual tests inspect artifacts, exit codes, and determinism.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from daptlab import cli
+from daptlab.finetune import FinetuneConfig
+from daptlab.model import ModelConfig
+from daptlab.pretrain import TrainConfig
 from daptlab.synth import PAIR_WORDS, classification_records, tagging_records
 
 POOL = PAIR_WORDS[:16]
@@ -311,6 +315,19 @@ class TestErrorHandling:
                          "--out", str(tmp_path)]) == 1
         assert "is not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    def test_forgetting_non_finite_score(self, capsys, tmp_path, raw):
+        base, adapted = tmp_path / "base.json", tmp_path / "adapted.json"
+        base.write_text('{"relevance": 0.5, "entities": 0.6}')
+        adapted.write_text(f'{{"relevance": 0.5, "entities": {raw}}}')
+        out = tmp_path / "out"
+        assert cli.main(["forgetting", "--base", str(base), "--adapted", str(adapted),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == ("error: adapted score file: score for task 'entities' "
+                               "is not a finite number")
+        assert not (out / "forgetting.tsv").exists()
+
     def test_report_empty_dir(self, capsys, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == 1
         assert "no result files found" in capsys.readouterr().err
@@ -365,6 +382,42 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite loss" in err
         assert list(tmp_path.iterdir()) == []
+
+
+# INI keys the CLI does not read; setting them must change no built config.
+IGNORED_SETS = ["model.type_vocab=3", "model.vocab_size=7", "train.base.max_seq=8",
+                "finetune.max_seq=8"]
+
+
+class TestConfigDefaults:
+    """A key left out of the INI takes the config dataclass's own default."""
+
+    @pytest.mark.parametrize("overrides", [[], IGNORED_SETS], ids=["empty", "ignored"])
+    def test_model_and_train_configs(self, overrides):
+        cp = cli.load_config(None, overrides)
+        assert cli.model_config_from(cp, 50) == ModelConfig.desk(50)
+        assert cli.train_config_from(cp, "train.base", 1e-4, None) == \
+            TrainConfig(peak_lr=1e-4)
+        assert cli.train_config_from(cp, "train.dapt", 2e-5, None) == \
+            TrainConfig(peak_lr=2e-5)
+
+    @pytest.mark.parametrize("overrides", [[], IGNORED_SETS], ids=["empty", "ignored"])
+    def test_finetune_config(self, pipeline, monkeypatch, tmp_path, overrides):
+        root, run = pipeline
+        seen = []
+
+        def capture(config, params, vocab, dataset, seeds, ft, **kwargs):
+            seen.append(ft)
+            return SimpleNamespace(render=lambda: "", formatted="-")
+
+        monkeypatch.setattr(cli, "finetune_classify", capture)
+        argv = ["finetune-classify", "--data", str(root / "classify.jsonl"),
+                "--vocab", str(run / "vocab.txt"), "--checkpoint", str(run / "base.ckpt"),
+                "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        assert seen == [FinetuneConfig()]
 
 
 class TestDaptCorpusGuard:

@@ -292,7 +292,6 @@ class TestRenderCloze:
                               "?", MASK, SEP]
         assert mask_pos == 7
         assert enc.pieces[mask_pos] == MASK
-        assert enc.mask == [1] * 9
         assert enc.ids == [vocab.id_of(p) for p in enc.pieces]
         # spans cover the six template words, not [CLS]/[MASK]/[SEP]
         assert enc.word_spans == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
@@ -362,7 +361,8 @@ class TestEvaluatePairs:
     def test_model_predictor_reads_the_mask_row_of_a_full_decode(self, cluster_setup):
         config, params, vocab = cluster_setup
         enc, mask_pos = render_cloze("alpha", "bravo", vocab, config.max_seq)
-        hidden = forward(np.asarray(enc.ids), np.asarray(enc.mask), config, params)
+        hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+                         config, params)
         full = mlm_logits(hidden[-1], params).data[mask_pos]
         yes, no = model_cloze_predictor(config, params, vocab)("alpha", "bravo")
         assert yes == pytest.approx(float(full[vocab.id_of("yes")]), rel=1e-6)

@@ -195,14 +195,14 @@ class TestLabeledTextDataset:
     def test_split_field_routing(self):
         records = [{"text": f"t{i}", "label": "a", "split": s}
                    for i, s in enumerate(["train", "train", "dev", "test"])]
-        data = LabeledTextDataset.from_records(records, labels=("a", "b"))
+        data = LabeledTextDataset.from_records(records)
         assert [t for t, _ in data.train] == ["t0", "t1"]
         assert [t for t, _ in data.dev] == ["t2"]
 
     def test_bad_split_name(self):
         records = [{"text": "x", "label": "a", "split": "validation"}]
         with pytest.raises(ValueError, match="split"):
-            LabeledTextDataset.from_records(records, labels=("a",))
+            LabeledTextDataset.from_records(records)
 
     def test_labels_inferred_sorted(self):
         data = LabeledTextDataset.from_records(self.records(20), seed=0)
