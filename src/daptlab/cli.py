@@ -324,7 +324,8 @@ def cmd_finetune_tag(args, cp) -> int:
 def _read_scores(path: Path, what: str) -> dict[str, float]:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            # integers read as floats, so one too large for a float is inf
+            data = json.load(handle, parse_int=float)
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not data:

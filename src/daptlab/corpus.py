@@ -1,8 +1,8 @@
 """Corpus ingestion, per-source filtering, exact dedupe, and token statistics.
 
-Dumps are JSON Lines with fields id/source/text. Filtering is data-driven:
-each source kind gets at most one FilterRule (minimum character length and/or
-a keyword allowlist matched on whole lowercased word tokens).
+Dumps are JSON Lines with fields id/source/text. A blog post is kept at 300
+characters or more, an arXiv paper at 3000 or more, a tweet only if one of its
+lowercased word tokens is a keyword, and every NVD entry is kept.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from . import fileio
 from .tokenizer import Vocab, count_pieces, split_words
 
 SOURCES = ("blog", "arxiv", "nvd", "twitter")
+
+# Shortest text kept, in characters, per source; a source not listed has no floor.
+MIN_CHARS = {"blog": 300, "arxiv": 3000}
 
 # Whole-token keyword allowlist for the tweet stream.
 TWITTER_KEYWORDS = frozenset({
@@ -36,46 +39,12 @@ class Document:
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
 
-    @property
-    def char_len(self) -> int:
-        return len(self.text)
 
-
-@dataclass(frozen=True)
-class FilterRule:
-    """Keep a document of ``source`` iff it passes every set criterion."""
-
-    source: str
-    min_chars: int = 0
-    keywords: frozenset[str] | None = None
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
-        if self.min_chars < 0:
-            raise ValueError("min_chars must be >= 0")
-        if self.keywords is not None and not self.keywords:
-            raise ValueError("keyword rule must list at least one keyword")
-
-    def keeps(self, doc: Document) -> bool:
-        if doc.char_len < self.min_chars:
-            return False
-        if self.keywords is not None:
-            words = set(split_words(doc.text))
-            if not words & self.keywords:
-                return False
-        return True
-
-
-def default_rules() -> list[FilterRule]:
-    """Shipped rule set: length floors for blog/arxiv, keyword gate for twitter,
-    nvd passed through untouched."""
-    return [
-        FilterRule("blog", min_chars=300),
-        FilterRule("arxiv", min_chars=3000),
-        FilterRule("twitter", keywords=TWITTER_KEYWORDS),
-        FilterRule("nvd"),
-    ]
+def keeps(doc: Document) -> bool:
+    """The curation rule: the source's length floor, and a keyword for tweets."""
+    if len(doc.text) < MIN_CHARS.get(doc.source, 0):
+        return False
+    return doc.source != "twitter" or not TWITTER_KEYWORDS.isdisjoint(split_words(doc.text))
 
 
 @dataclass
@@ -116,25 +85,6 @@ class DropReport:
         return "\n".join(lines) + "\n"
 
 
-def apply_filters(documents, rules) -> tuple[list[Document], DropReport]:
-    """Apply at most one rule per source; sources without a rule pass through."""
-    by_source: dict[str, FilterRule] = {}
-    for rule in rules:
-        if rule.source in by_source:
-            raise ValueError(f"duplicate filter rule for source {rule.source!r}")
-        by_source[rule.source] = rule
-    kept: list[Document] = []
-    report = DropReport(dropped={src: 0 for src in by_source})
-    for doc in documents:
-        rule = by_source.get(doc.source)
-        if rule is None or rule.keeps(doc):
-            kept.append(doc)
-        else:
-            report.dropped[doc.source] += 1
-    report.kept = len(kept)
-    return kept, report
-
-
 def dedupe(documents) -> list[Document]:
     """Drop exact text duplicates, keeping the first occurrence."""
     seen: set[str] = set()
@@ -148,8 +98,9 @@ def dedupe(documents) -> list[Document]:
 
 
 def build_corpus(paths) -> tuple[list[Document], DropReport, int]:
-    """Ingest dumps in sorted path order, filter by the default rules, dedupe;
-    returns skip count too."""
+    """Ingest dumps in sorted path order, keep what ``keeps`` passes, dedupe;
+    returns skip count too. The report counts drops per source and the kept
+    documents before dedupe."""
     merged: list[Document] = []
     skipped = 0
     for path in sorted(str(p) for p in paths):
@@ -161,7 +112,14 @@ def build_corpus(paths) -> tuple[list[Document], DropReport, int]:
         if doc.id in seen_ids:
             raise ValueError(f"duplicate document id {doc.id!r} across dumps")
         seen_ids[doc.id] = doc.source
-    kept, report = apply_filters(merged, default_rules())
+    kept: list[Document] = []
+    report = DropReport(dropped=dict.fromkeys(SOURCES, 0))
+    for doc in merged:
+        if keeps(doc):
+            kept.append(doc)
+        else:
+            report.dropped[doc.source] += 1
+    report.kept = len(kept)
     return dedupe(kept), report, skipped
 
 

@@ -1,4 +1,4 @@
-"""Lowercasing WordPiece tokenizer: vocabulary training, encoding, decoding.
+"""Lowercasing WordPiece tokenizer: vocabulary training and encoding.
 
 Pre-tokenization lowercases, splits on whitespace, and breaks out every
 non-alphanumeric character as a standalone single-character word (digits stay
@@ -55,11 +55,6 @@ class Vocab:
 
     def id_of(self, piece: str) -> int:
         return self.index[piece]
-
-    def piece_of(self, piece_id: int) -> str:
-        if not 0 <= piece_id < len(self.pieces):
-            raise ValueError(f"piece id {piece_id} out of range (vocab size {len(self.pieces)})")
-        return self.pieces[piece_id]
 
     def save(self, path) -> None:
         atomic_write_text(path, "\n".join(self.pieces) + "\n")
@@ -170,20 +165,6 @@ def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
             pieces.extend(wordpiece(sub, vocab) or [UNK])
         groups.append(pieces or [UNK])
     return _assemble(groups, vocab, max_seq)
-
-
-def decode(ids, vocab: Vocab) -> str:
-    """Drop specials, fuse "##" continuations, join words with single spaces."""
-    words: list[str] = []
-    for piece_id in ids:
-        piece = vocab.piece_of(int(piece_id))
-        if piece_id in vocab.special_ids:
-            continue
-        if piece.startswith("##") and words:
-            words[-1] += piece[2:]
-        else:
-            words.append(piece[2:] if piece.startswith("##") else piece)
-    return " ".join(words)
 
 
 def count_pieces(text: str, vocab: Vocab) -> int:

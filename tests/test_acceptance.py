@@ -15,7 +15,7 @@ import pytest
 
 from daptlab import cli
 from daptlab.autodiff import Tensor, cross_entropy_masked, reshape
-from daptlab.corpus import Document, compute_stats, dedupe, default_rules
+from daptlab.corpus import Document, compute_stats, dedupe, keeps
 from daptlab.evaluate import (SIMILAR, DISSIMILAR, SimilarityPair, cluster_eval,
                               evaluate_pairs, forgetting_report, render_cloze,
                               silhouette)
@@ -253,13 +253,11 @@ def test_criterion_8_reporting_protocol(dapt_setup):
 
 
 def test_criterion_9_corpus_rules():
-    rules = {r.source: r for r in default_rules()}
-    blog, arxiv, twitter = rules["blog"], rules["arxiv"], rules["twitter"]
     boundaries_ok = (
-        not blog.keeps(Document("a", "blog", "x" * 299))
-        and blog.keeps(Document("b", "blog", "x" * 300))
-        and not arxiv.keeps(Document("c", "arxiv", "x" * 2999))
-        and arxiv.keeps(Document("d", "arxiv", "x" * 3000)))
+        not keeps(Document("a", "blog", "x" * 299))
+        and keeps(Document("b", "blog", "x" * 300))
+        and not keeps(Document("c", "arxiv", "x" * 2999))
+        and keeps(Document("d", "arxiv", "x" * 3000)))
 
     docs = [Document("1", "nvd", "alpha beta"), Document("2", "nvd", "alpha beta"),
             Document("3", "nvd", "gamma"), Document("4", "nvd", "alpha beta")]
@@ -267,10 +265,10 @@ def test_criterion_9_corpus_rules():
     dedupe_ok = ([d.id for d in once] == ["1", "3"] and dedupe(once) == once)
 
     keyword_ok = (
-        twitter.keeps(Document("e", "twitter", "the security hole"))
-        and twitter.keeps(Document("f", "twitter", "SOC analyst on duty"))
-        and not twitter.keeps(Document("g", "twitter", "socks are comfy"))
-        and not twitter.keeps(Document("h", "twitter", "cybersecurity summit")))
+        keeps(Document("e", "twitter", "the security hole"))
+        and keeps(Document("f", "twitter", "SOC analyst on duty"))
+        and not keeps(Document("g", "twitter", "socks are comfy"))
+        and not keeps(Document("h", "twitter", "cybersecurity summit")))
 
     letters = tuple("abcdefghijklmnopqrstuvwxyz")
     vocab = Vocab(SPECIAL_TOKENS + letters + tuple("##" + c for c in letters))

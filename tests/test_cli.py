@@ -315,7 +315,8 @@ class TestErrorHandling:
                          "--out", str(tmp_path)]) == 1
         assert "is not a number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity",
+                                     pytest.param("9" * 400, id="400-digit")])
     def test_forgetting_non_finite_score(self, capsys, tmp_path, raw):
         base, adapted = tmp_path / "base.json", tmp_path / "adapted.json"
         base.write_text('{"relevance": 0.5, "entities": 0.6}')

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from daptlab.corpus import (MAX_MALFORMED_FRACTION, SOURCES, TWITTER_KEYWORDS,
-                            Document, FilterRule, apply_filters, build_corpus,
-                            compute_stats, dedupe, default_rules, ingest,
-                            read_corpus, write_corpus)
+                            Document, build_corpus, compute_stats, dedupe,
+                            ingest, keeps, read_corpus, write_corpus)
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -23,9 +22,6 @@ def write_dump(path, records):
 
 
 class TestDocument:
-    def test_char_len(self):
-        assert doc(text="abcd").char_len == 4
-
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="source"):
             Document(id="x", source="reddit", text="t")
@@ -36,21 +32,15 @@ class TestDocument:
 
 class TestFilterBoundaries:
     def test_blog_300_chars(self):
-        rules = default_rules()
-        kept, report = apply_filters(
-            [doc("a", "blog", "x" * 299), doc("b", "blog", "x" * 300)], rules)
-        assert [d.id for d in kept] == ["b"]
-        assert report.dropped.get("blog") == 1
+        assert not keeps(doc("a", "blog", "x" * 299))
+        assert keeps(doc("b", "blog", "x" * 300))
 
     def test_arxiv_3000_chars(self):
-        kept, _ = apply_filters(
-            [doc("a", "arxiv", "y" * 2999), doc("b", "arxiv", "y" * 3000)],
-            default_rules())
-        assert [d.id for d in kept] == ["b"]
+        assert not keeps(doc("a", "arxiv", "y" * 2999))
+        assert keeps(doc("b", "arxiv", "y" * 3000))
 
     def test_nvd_passes_through(self):
-        kept, _ = apply_filters([doc("a", "nvd", "x")], default_rules())
-        assert [d.id for d in kept] == ["a"]
+        assert keeps(doc("a", "nvd", "x"))
 
 
 class TestTwitterKeywords:
@@ -70,14 +60,11 @@ class TestTwitterKeywords:
         ("socks are comfy", False),             # "soc" must be whole token
     ])
     def test_whole_token_match(self, text, kept):
-        rule = FilterRule(source="twitter", keywords=TWITTER_KEYWORDS)
-        assert rule.keeps(doc("t", "twitter", text)) is kept
+        assert keeps(doc("t", "twitter", text)) is kept
 
     def test_twitter_rule_in_defaults(self):
-        kept, _ = apply_filters(
-            [doc("a", "twitter", "a threat emerges"),
-             doc("b", "twitter", "lunch was good")], default_rules())
-        assert [d.id for d in kept] == ["a"]
+        assert keeps(doc("a", "twitter", "a threat emerges"))
+        assert not keeps(doc("b", "twitter", "lunch was good"))
 
 
 class TestDedupe:
@@ -145,6 +132,22 @@ class TestBuildCorpus:
         assert skipped == 0
         assert report.kept == 3  # filter survivors, counted before dedupe
 
+    def test_every_rule_boundary_in_one_dump(self, tmp_path):
+        write_dump(tmp_path / "d.jsonl", [
+            {"id": "b299", "source": "blog", "text": "x" * 299},
+            {"id": "b300", "source": "blog", "text": "x" * 300},
+            {"id": "a2999", "source": "arxiv", "text": "y" * 2999},
+            {"id": "a3000", "source": "arxiv", "text": "y" * 3000},
+            {"id": "t-kw", "source": "twitter", "text": "new infosec report"},
+            {"id": "t-sub", "source": "twitter", "text": "infosecurity conference"},
+            {"id": "t-upper", "source": "twitter", "text": "THREAT intel today"},
+            {"id": "n1", "source": "nvd", "text": "z"}])
+        docs, report, skipped = build_corpus([tmp_path / "d.jsonl"])
+        assert [d.id for d in docs] == ["b300", "a3000", "t-kw", "t-upper", "n1"]
+        assert skipped == 0
+        assert report.render() == ("source\tdropped\narxiv\t1\nblog\t1\nnvd\t0\n"
+                                   "twitter\t1\nkept\t5\n")
+
     def test_duplicate_id_across_dumps_rejected(self, tmp_path):
         write_dump(tmp_path / "a.jsonl", [{"id": "x", "source": "nvd", "text": "1"}])
         write_dump(tmp_path / "b.jsonl", [{"id": "x", "source": "nvd", "text": "2"}])
@@ -165,19 +168,11 @@ class TestBuildCorpus:
 
 
 class TestApplyFilters:
-    def test_duplicate_rule_rejected(self):
-        rules = [FilterRule(source="nvd"), FilterRule(source="nvd", min_chars=5)]
-        with pytest.raises(ValueError, match="nvd"):
-            apply_filters([doc()], rules)
-
-    def test_unruled_source_passes(self):
-        kept, report = apply_filters([doc("a", "blog", "hi")], [])
-        assert [d.id for d in kept] == ["a"]
-        assert report.kept == 1
-
-    def test_drop_report_render(self):
-        docs = [doc("a", "blog", "short"), doc("b", "nvd", "fine")]
-        _, report = apply_filters(docs, default_rules())
+    def test_drop_report_render(self, tmp_path):
+        write_dump(tmp_path / "d.jsonl", [
+            {"id": "a", "source": "blog", "text": "short"},
+            {"id": "b", "source": "nvd", "text": "fine"}])
+        _, report, _ = build_corpus([tmp_path / "d.jsonl"])
         text = report.render()
         assert "source\tdropped" in text
         assert "blog\t1" in text

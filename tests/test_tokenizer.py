@@ -1,4 +1,4 @@
-"""WordPiece vocab, encoding, decoding, and the trainer."""
+"""WordPiece vocab, encoding, and the trainer."""
 
 import string
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from daptlab.tokenizer import (CLS, MAX_WORD_CHARS, MASK, PAD, SEP,
                                SPECIAL_TOKENS, UNK, Vocab, count_pieces,
-                               decode, encode, encode_words, split_words,
+                               encode, encode_words, split_words,
                                train_vocab, wordpiece)
 
 
@@ -165,25 +165,6 @@ class TestEncodeWords:
     def test_empty_word_becomes_unk(self, affable_vocab):
         enc = encode_words([" "], affable_vocab, max_seq=16)
         assert enc.pieces == [CLS, UNK, SEP]
-
-
-class TestDecode:
-    def test_decode_fuses_continuations(self, affable_vocab):
-        enc = encode("unaffable", affable_vocab, max_seq=16)
-        assert decode(enc.ids, affable_vocab) == "unaffable"
-
-    def test_decode_empty(self, affable_vocab):
-        enc = encode("", affable_vocab, max_seq=16)
-        assert decode(enc.ids, affable_vocab) == ""
-
-    def test_roundtrip_in_vocab_word(self, affable_vocab):
-        for word in ("able", "un", "a"):
-            enc = encode(word, affable_vocab, max_seq=16)
-            assert decode(enc.ids, affable_vocab) == word
-
-    def test_id_out_of_range(self, affable_vocab):
-        with pytest.raises(ValueError):
-            decode([len(affable_vocab.pieces)], affable_vocab)
 
 
 class TestCountPieces:
