@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -41,12 +42,15 @@ class CliError(ValueError):
 # configuration
 
 def load_config(path: str | None, overrides: list[str]) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str
     if path is not None:
         if not Path(path).is_file():
             raise CliError(f"config file not found: {path}")
-        cp.read(path, encoding="utf-8")
+        try:
+            cp.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise CliError(f"bad config file {path}: {exc}") from None
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep or "." not in key:
@@ -313,14 +317,6 @@ def _cmd_finetune(args, cp, kind: str) -> int:
     return 0
 
 
-def cmd_finetune_classify(args, cp) -> int:
-    return _cmd_finetune(args, cp, "classify")
-
-
-def cmd_finetune_tag(args, cp) -> int:
-    return _cmd_finetune(args, cp, "tag")
-
-
 def _read_scores(path: Path, what: str) -> dict[str, float]:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -357,32 +353,18 @@ def cmd_forgetting(args, cp) -> int:
 # ---------------------------------------------------------------------------
 # consolidated report
 
-def _mark_best(cells: list[str], means: list[float | None]) -> list[str]:
-    present = [m for m in means if m is not None]
-    if len(present) < 2:
-        return cells
-    best = max(present)
-    return [cell + "*" if mean is not None and mean == best else cell
-            for cell, mean in zip(cells, means)]
-
-
 def _merge_grid(rows: list[str], columns: list[str],
                 cells: dict[tuple[str, str], tuple[str, float]],
                 row_label: str) -> list[str]:
+    """One line per row; a missing cell reads "-", and once a row has two or
+    more cells, every cell holding its best mean is starred."""
     lines = [row_label + "\t" + "\t".join(columns)]
-    mark = len(columns) >= 2
     for row in rows:
-        text, means = [], []
-        for column in columns:
-            if (row, column) in cells:
-                value, mean = cells[(row, column)]
-                text.append(value)
-                means.append(mean)
-            else:
-                text.append("-")
-                means.append(None)
-        if mark:
-            text = _mark_best(text, means)
+        got = [cells.get((row, column), ("-", None)) for column in columns]
+        means = [mean for _, mean in got if mean is not None]
+        best = max(means) if len(means) >= 2 else None
+        text = [value + "*" if best is not None and mean == best else value
+                for value, mean in got]
         lines.append(row + "\t" + "\t".join(text))
     return lines
 
@@ -485,12 +467,60 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                     help="override a config value (repeatable)")
-    sub.add_argument("--out", help="output directory (default: [paths] out or ./runs)")
-    sub.add_argument("--seed", type=int, help="override the command's seed")
+# Flags that several commands share: name -> add_argument keywords.
+_FLAGS = {
+    "--corpus": dict(help="curated corpus JSONL"),
+    "--vocab": dict(help="vocab file"),
+    "--checkpoint": dict(help="model checkpoint"),
+    "--task": dict(help="task name (default: data file stem)"),
+    "--model-name": dict(help="name in the report (default: checkpoint stem)"),
+    "--config": dict(help="INI config file"),
+    "--set": dict(action="append", metavar="SECTION.KEY=VALUE",
+                  help="override a config value (repeatable)"),
+    "--out": dict(help="output directory (default: [paths] out or ./runs)"),
+    "--seed": dict(type=int, help="override the command's seed"),
+}
+_CONFIGURED = ("--config", "--set", "--out")
+_SEEDED = (*_CONFIGURED, "--seed")
+
+# One row per command: (name, handler, help, flags). A flag is a name in
+# _FLAGS or a (name, add_argument keywords) pair of the command's own.
+_COMMANDS = (
+    ("corpus-build", cmd_corpus_build, "filter/dedupe raw dumps into a corpus",
+     (("dumps", dict(nargs="*", help="raw JSONL dump files")), *_CONFIGURED)),
+    ("corpus-stats", cmd_corpus_stats, "per-source token statistics table",
+     ("--corpus", "--vocab", *_CONFIGURED)),
+    ("tokenizer-train", cmd_tokenizer_train, "train a WordPiece vocab",
+     ("--corpus", *_CONFIGURED)),
+    ("pretrain", cmd_pretrain, "train a base model from scratch",
+     ("--corpus", "--vocab",
+      ("--name", dict(default="base", help="checkpoint name (default base)")), *_SEEDED)),
+    ("dapt", cmd_dapt, "continue pretraining on a domain corpus",
+     (("--corpus", dict(help="domain corpus JSONL")), "--vocab",
+      ("--checkpoint", dict(help="base checkpoint")),
+      ("--name", dict(default="dapt", help="checkpoint name (default dapt)")), *_SEEDED)),
+    ("eval-cluster", cmd_eval_cluster, "k-means silhouette over embeddings",
+     (("--corpus", dict(help="evaluation corpus JSONL")), "--vocab", "--checkpoint",
+      "--model-name", *_SEEDED)),
+    ("eval-similarity", cmd_eval_similarity, "zero-shot cloze word similarity",
+     (("--pairs", dict(help="word pair JSONL")), "--vocab", "--checkpoint",
+      "--model-name", *_SEEDED)),
+    ("finetune-classify", functools.partial(_cmd_finetune, kind="classify"),
+     "5-seed classification fine-tune",
+     (("--data", dict(help="labeled JSONL (text/label)")), "--vocab", "--checkpoint",
+      "--task", "--model-name", *_SEEDED)),
+    ("finetune-tag", functools.partial(_cmd_finetune, kind="tag"),
+     "5-seed IOB tagging fine-tune",
+     (("--data", dict(help="tagged JSONL (tokens/tags)")), "--vocab", "--checkpoint",
+      "--task", "--model-name", *_SEEDED)),
+    ("forgetting", cmd_forgetting, "base vs adapted score deltas",
+     (("--base", dict(help="JSON file of task -> base score")),
+      ("--adapted", dict(help="JSON file of task -> adapted score")), *_CONFIGURED)),
+    # report reads no config value and always writes into run_dir; it keeps
+    # --config because demo 06 and the benchmark's cli_pipeline workload pass it
+    ("report", cmd_report, "merge run artifacts into one summary",
+     (("run_dir", dict(help="directory with result files")), "--config")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,83 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Desk-scale domain-adaptive pretraining pipeline.")
     parser.add_argument("--version", action="version", version=f"daptlab {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="command")
-
-    sub = commands.add_parser("corpus-build", help="filter/dedupe raw dumps into a corpus")
-    sub.add_argument("dumps", nargs="*", help="raw JSONL dump files")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_corpus_build)
-
-    sub = commands.add_parser("corpus-stats", help="per-source token statistics table")
-    sub.add_argument("--corpus", help="curated corpus JSONL")
-    sub.add_argument("--vocab", help="vocab file")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_corpus_stats)
-
-    sub = commands.add_parser("tokenizer-train", help="train a WordPiece vocab")
-    sub.add_argument("--corpus", help="curated corpus JSONL")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_tokenizer_train)
-
-    sub = commands.add_parser("pretrain", help="train a base model from scratch")
-    sub.add_argument("--corpus", help="curated corpus JSONL")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--name", default="base", help="checkpoint name (default base)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_pretrain)
-
-    sub = commands.add_parser("dapt", help="continue pretraining on a domain corpus")
-    sub.add_argument("--corpus", help="domain corpus JSONL")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--checkpoint", help="base checkpoint")
-    sub.add_argument("--name", default="dapt", help="checkpoint name (default dapt)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_dapt)
-
-    sub = commands.add_parser("eval-cluster", help="k-means silhouette over embeddings")
-    sub.add_argument("--corpus", help="evaluation corpus JSONL")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--checkpoint", help="model checkpoint")
-    sub.add_argument("--model-name", help="name in the report (default: checkpoint stem)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_eval_cluster)
-
-    sub = commands.add_parser("eval-similarity", help="zero-shot cloze word similarity")
-    sub.add_argument("--pairs", help="word pair JSONL")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--checkpoint", help="model checkpoint")
-    sub.add_argument("--model-name", help="name in the report (default: checkpoint stem)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_eval_similarity)
-
-    sub = commands.add_parser("finetune-classify", help="5-seed classification fine-tune")
-    sub.add_argument("--data", help="labeled JSONL (text/label)")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--checkpoint", help="model checkpoint")
-    sub.add_argument("--task", help="task name (default: data file stem)")
-    sub.add_argument("--model-name", help="name in the report (default: checkpoint stem)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_finetune_classify)
-
-    sub = commands.add_parser("finetune-tag", help="5-seed IOB tagging fine-tune")
-    sub.add_argument("--data", help="tagged JSONL (tokens/tags)")
-    sub.add_argument("--vocab", help="vocab file")
-    sub.add_argument("--checkpoint", help="model checkpoint")
-    sub.add_argument("--task", help="task name (default: data file stem)")
-    sub.add_argument("--model-name", help="name in the report (default: checkpoint stem)")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_finetune_tag)
-
-    sub = commands.add_parser("forgetting", help="base vs adapted score deltas")
-    sub.add_argument("--base", help="JSON file of task -> base score")
-    sub.add_argument("--adapted", help="JSON file of task -> adapted score")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_forgetting)
-
-    sub = commands.add_parser("report", help="merge run artifacts into one summary")
-    sub.add_argument("run_dir", help="directory with result files")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_report)
-
+    for name, func, help_text, flags in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for flag in flags:
+            flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            sub.add_argument(flag, **keywords)
+        # main hands args.set to load_config for every command, report included
+        sub.set_defaults(func=func, set=[])
     return parser
 
 

@@ -9,6 +9,7 @@ tensors mirror that rank.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,9 @@ ATTENTION_MASK_BIAS = -1e9
 
 _CKPT_MAGIC = b"DLABCKP1"
 _CKPT_VERSION = 1
+# The ModelConfig fields stored as uint32, in file order; dropout follows as float64.
+_CKPT_INTS = ("num_layers", "hidden", "num_heads", "ffn_dim", "vocab_size", "max_seq",
+              "type_vocab")
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,7 @@ def save_checkpoint(params: dict[str, Tensor], config: ModelConfig, path) -> Non
     buf = bytearray()
     buf += _CKPT_MAGIC
     buf += struct.pack("<I", _CKPT_VERSION)
-    buf += struct.pack("<7I", config.num_layers, config.hidden, config.num_heads,
-                       config.ffn_dim, config.vocab_size, config.max_seq,
-                       config.type_vocab)
+    buf += struct.pack(f"<{len(_CKPT_INTS)}I", *(getattr(config, f) for f in _CKPT_INTS))
     buf += struct.pack("<d", config.dropout)
     buf += struct.pack("<I", len(params))
     for name, tensor in params.items():
@@ -274,51 +276,36 @@ def save_checkpoint(params: dict[str, Tensor], config: ModelConfig, path) -> Non
     fileio.atomic_write_bytes(path, bytes(buf))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.data):
-            raise ValueError(f"truncated checkpoint {self.path}")
-        vals = struct.unpack_from(fmt, self.data, self.off)
-        self.off += size
-        return vals
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ValueError(f"truncated checkpoint {self.path}")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     """Read and validate a checkpoint; the MLM decoder stays tied on load."""
-    reader = _Reader(Path(path).read_bytes(), path)
-    if reader.take_bytes(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+    data, off = Path(path).read_bytes(), 0
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(data):
+            raise ValueError(f"truncated checkpoint {path}")
+        off += size
+        return struct.unpack_from(fmt, data, off - size)
+
+    if take(f"{len(_CKPT_MAGIC)}s")[0] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
-    (version,) = reader.take("<I")
+    (version,) = take("<I")
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    layers, hidden, heads, ffn, vocab, max_seq, type_vocab = reader.take("<7I")
-    (drop_rate,) = reader.take("<d")
-    config = ModelConfig(num_layers=layers, hidden=hidden, num_heads=heads,
-                         ffn_dim=ffn, vocab_size=vocab, max_seq=max_seq,
-                         type_vocab=type_vocab, dropout=drop_rate)
+    ints = take(f"<{len(_CKPT_INTS)}I")
+    (drop_rate,) = take("<d")
+    config = ModelConfig(**dict(zip(_CKPT_INTS, ints)), dropout=drop_rate)
     expected = param_shapes(config)
-    (n_tensors,) = reader.take("<I")
+    (n_tensors,) = take("<I")
     params: dict[str, Tensor] = {}
     for _ in range(n_tensors):
-        (name_len,) = reader.take("<I")
-        name = reader.take_bytes(name_len).decode("utf-8")
-        (rank,) = reader.take("<I")
+        (name_len,) = take("<I")
+        name = take(f"{name_len}s")[0].decode("utf-8")
+        (rank,) = take("<I")
         if rank > 8:
             raise ValueError(f"implausible rank {rank} for tensor {name!r}")
-        shape = tuple(reader.take(f"<{rank}I")) if rank else ()
+        shape = take(f"<{rank}I")
         if name not in expected:
             raise ValueError(f"unexpected tensor {name!r} in checkpoint")
         if name in params:
@@ -326,14 +313,12 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         if shape != expected[name]:
             raise ValueError(f"tensor {name!r} has shape {shape}, expected "
                              f"{expected[name]}")
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = reader.take_bytes(4 * count)
-        data = np.frombuffer(raw, dtype="<f4", count=count).reshape(shape).copy()
-        params[name] = Tensor(data)
+        (raw,) = take(f"{4 * math.prod(shape)}s")
+        params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
     missing = sorted(set(expected) - set(params))
     if missing:
         raise ValueError(f"checkpoint is missing tensors: {missing}")
-    if reader.off != len(reader.data):
+    if off != len(data):
         raise ValueError(f"trailing bytes in checkpoint {path}")
     # Restore canonical ordering so re-saving is byte-identical.
     return {name: params[name] for name in expected}, config

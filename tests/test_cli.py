@@ -220,6 +220,26 @@ class TestPipelineArtifacts:
         assert "total\t" in capsys.readouterr().out
 
 
+class TestReportGrid:
+    def test_missing_cell_tie_and_single_model(self, tmp_path):
+        (tmp_path / "cluster_a.tsv").write_text(
+            "model\tk\tsilhouette\na\t2\t0.100000\na\t3\t0.300000\na\t4\t0.200000\n")
+        (tmp_path / "cluster_b.tsv").write_text(
+            "model\tk\tsilhouette\nb\t2\t0.100000\nb\t4\t0.400000\n")
+        (tmp_path / "similarity_a.tsv").write_text("model\tf1\na\t0.500000\n")
+        run_ok(["report", str(tmp_path)])
+        assert (tmp_path / "report.txt").read_text() == (
+            "# clustering (silhouette)\n"
+            "k\ta\tb\n"
+            "2\t0.100000*\t0.100000*\n"  # a tie stars both cells
+            "3\t0.300000\t-\n"  # a missing cell reads '-'; a lone cell is not starred
+            "4\t0.200000\t0.400000*\n"
+            "\n"
+            "# word similarity (cloze)\n"
+            "metric\ta\n"
+            "f1\t0.500000\n")  # one model in the section: no star
+
+
 class TestErrorHandling:
     def test_no_command(self, capsys):
         assert cli.main([]) == 1
@@ -257,6 +277,32 @@ class TestErrorHandling:
     def test_bad_set_override(self, capsys, tmp_path):
         assert cli.main(["corpus-build", "--set", "oops", "--out", str(tmp_path)]) == 1
         assert "bad --set override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "out = somewhere\n",
+        "[paths]\nout = a\nout = b\n",
+        "[paths]\nout = a\n[paths]\nvocab = v\n",
+    ], ids=["no-section-header", "duplicate-option", "duplicate-section"])
+    def test_malformed_config_file(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        dump = tmp_path / "dump.jsonl"
+        write_jsonl(dump, [{"id": "n0", "source": "nvd", "text": "a b c"}])
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert cli.main(["corpus-build", str(dump), "--config", str(ini),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config file {ini}: ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [ini, dump]
+
+    def test_percent_in_config_value_is_literal(self, tmp_path):
+        dump = tmp_path / "dump.jsonl"
+        write_jsonl(dump, [{"id": "n0", "source": "nvd", "text": "a b c"}])
+        ini = tmp_path / "pct.ini"
+        ini.write_text(f"[paths]\nout = {tmp_path / '100%'}\n")
+        run_ok(["corpus-build", str(dump), "--config", str(ini)])
+        assert (tmp_path / "100%" / "corpus.jsonl").is_file()
 
     def test_bad_config_value(self, pipeline, capsys, tmp_path):
         _, run = pipeline
@@ -383,6 +429,88 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite loss" in err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("corpus-build", "--seed", "1"),
+        ("corpus-stats", "--seed", "1"),
+        ("tokenizer-train", "--seed", "1"),
+        ("forgetting", "--seed", "1"),
+        ("report", "--seed", "1"),
+        ("report", "--out", "elsewhere"),
+        ("report", "--set", "paths.out=elsewhere"),
+    ])
+    def test_flag_the_command_does_not_read(self, pipeline, capsys, tmp_path,
+                                            monkeypatch, command, flag, value):
+        root, run = pipeline
+        monkeypatch.chdir(tmp_path)
+        report_dir = tmp_path / "results"
+        report_dir.mkdir()
+        (report_dir / "cluster_a.tsv").write_text("model\tk\tsilhouette\na\t2\t0.1\n")
+        out = ["--out", str(tmp_path / "out")]
+        inputs = {
+            "corpus-build": [str(root / "dump.jsonl")] + out,
+            "corpus-stats": ["--corpus", str(run / "corpus.jsonl"),
+                             "--vocab", str(run / "vocab.txt")] + out,
+            "tokenizer-train": ["--corpus", str(run / "corpus.jsonl")] + out,
+            "forgetting": ["--base", str(root / "base_scores.json"),
+                           "--adapted", str(root / "adapted_scores.json")] + out,
+            "report": [str(report_dir)],
+        }
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command] + inputs[command] + [flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: daptlab ")
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestSeedFlag:
+    """--seed overrides the command's seed, over any INI value."""
+
+    def pretrain(self, run, out, *extra):
+        run_ok(["pretrain", "--corpus", str(run / "corpus.jsonl"),
+                "--vocab", str(run / "vocab.txt"), "--out", str(out)] + MODEL_SETS +
+               ["--set", "train.base.epochs=3", "--set", "train.base.batch_size=8",
+                "--set", "train.base.warmup_steps=2", *extra])
+        return (out / "base.ckpt").read_bytes()
+
+    def test_pretrain_flag_equals_ini_seed(self, pipeline, tmp_path):
+        _, run = pipeline
+        flag = self.pretrain(run, tmp_path / "flag", "--seed", "2")
+        assert flag == self.pretrain(run, tmp_path / "ini", "--set", "train.base.seed=2")
+        assert flag != (run / "base.ckpt").read_bytes()  # the fixture ran seed 0
+
+    def test_pretrain_flag_wins_over_ini(self, pipeline, tmp_path):
+        _, run = pipeline
+        both = self.pretrain(run, tmp_path / "both", "--set", "train.base.seed=5",
+                             "--seed", "2")
+        assert both == self.pretrain(run, tmp_path / "ini", "--set", "train.base.seed=2")
+
+    def test_eval_cluster(self, pipeline, tmp_path):
+        _, run = pipeline
+        tables = []
+        for name, extra in (("flag", ["--seed", "1"]), ("ini", ["--set", "eval.seed=1"])):
+            run_ok(["eval-cluster", "--corpus", str(run / "corpus.jsonl"),
+                    "--vocab", str(run / "vocab.txt"),
+                    "--checkpoint", str(run / "base.ckpt"), "--out", str(tmp_path / name),
+                    "--set", "eval.k_min=2", "--set", "eval.k_max=3", *extra])
+            tables.append((tmp_path / name / "cluster_base.tsv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_finetune_seeds_start_at_the_flag(self, pipeline, tmp_path):
+        root, run = pipeline
+        tables = []
+        for name, extra in (("flag", ["--seed", "3"]),
+                            ("ini", ["--set", "finetune.seeds=3 4 5 6 7"])):
+            run_ok(["finetune-classify", "--data", str(root / "classify.jsonl"),
+                    "--checkpoint", str(run / "base.ckpt"),
+                    "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path / name)] +
+                   FINETUNE_SETS + extra)
+            tables.append((tmp_path / name / "classify_classify_base.tsv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 # INI keys the CLI does not read; setting them must change no built config.

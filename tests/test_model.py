@@ -1,5 +1,9 @@
 """Encoder model: shapes, init statistics, masking invariance, checkpoints."""
 
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -477,6 +481,71 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(extra, config, path)
         with pytest.raises(ValueError, match="unexpected"):
+            load_checkpoint(path)
+
+    # Fault injection: each corrupt file gets its own message. The header is
+    # magic (8 bytes), version, seven uint32 config fields, float64 dropout and
+    # the tensor count (52 bytes); the first tensor record follows it.
+    HEADER = 52
+
+    def saved(self, tiny, tmp_path):
+        config, params = tiny
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, config, path)
+        return path.read_bytes()
+
+    def first_record(self, blob):
+        """(offset of its rank field, end offset, name) of the first tensor."""
+        (name_len,) = struct.unpack_from("<I", blob, self.HEADER)
+        rank_at = self.HEADER + 4 + name_len
+        (rank,) = struct.unpack_from("<I", blob, rank_at)
+        shape = struct.unpack_from(f"<{rank}I", blob, rank_at + 4)
+        end = rank_at + 4 + 4 * rank + 4 * math.prod(shape)
+        return rank_at, end, blob[self.HEADER + 4:rank_at].decode()
+
+    def load_bytes(self, tmp_path, blob):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+    def test_unsupported_version(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        blob = blob[:8] + struct.pack("<I", 2) + blob[12:]
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 2$"):
+            self.load_bytes(tmp_path, blob)
+
+    def test_implausible_rank(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        rank_at, _, name = self.first_record(blob)
+        blob = blob[:rank_at] + struct.pack("<I", 9) + blob[rank_at + 4:]
+        with pytest.raises(ValueError, match=f"^implausible rank 9 for tensor '{name}'$"):
+            self.load_bytes(tmp_path, blob)
+
+    def test_duplicate_tensor(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        _, end, name = self.first_record(blob)
+        (count,) = struct.unpack_from("<I", blob, self.HEADER - 4)
+        blob = (blob[:self.HEADER - 4] + struct.pack("<I", count + 1) +
+                blob[self.HEADER:end] + blob[self.HEADER:end] + blob[end:])
+        with pytest.raises(ValueError, match=f"^duplicate tensor '{name}' in checkpoint$"):
+            self.load_bytes(tmp_path, blob)
+
+    def test_shape_mismatch(self, tiny, tmp_path):
+        config, params = tiny
+        bad = dict(params)
+        bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size + 1, dtype=np.float32))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(bad, config, path)
+        message = (f"tensor 'mlm.bias' has shape ({config.vocab_size + 1},), "
+                   f"expected ({config.vocab_size},)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    def test_cut_inside_config_block(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)[:20]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^truncated checkpoint {re.escape(str(path))}$"):
             load_checkpoint(path)
 
     def test_float64_rejected_at_save(self, tiny, tmp_path):
