@@ -26,6 +26,8 @@ import numpy as np
 
 # Label value that cross_entropy_masked skips.
 IGNORE_INDEX = -100
+# Added to the variance inside layer_norm's square root.
+LAYER_NORM_EPS = 1e-12
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -270,8 +272,8 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
-               tape: Tape | None = None, *, residual: Tensor | None = None) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None, *,
+               residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     With ``residual``, normalizes ``a + residual`` (a post-LN residual
@@ -291,7 +293,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
     centered = x - mu
     var = _row_sum(centered * centered)
     var /= h
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if tape is not None:

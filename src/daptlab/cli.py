@@ -533,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             flag, keywords = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
             sub.add_argument(flag, **keywords)
-        # main hands args.set to load_config for every command, report included
-        sub.set_defaults(func=func, set=[])
+        # main hands args.set to load_config for every command, report included,
+        # and reports a flag the command does not take through its own parser
+        sub.set_defaults(func=func, set=[], parser=sub)
     return parser
 
 
@@ -544,7 +545,9 @@ def _single_line(text: str) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(unread)}")
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         print("error: a command is required", file=sys.stderr)

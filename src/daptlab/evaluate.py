@@ -15,11 +15,14 @@ import numpy as np
 from . import fileio
 from .autodiff import Tensor
 from .finetune import f1_binary
-from .model import ModelConfig, embed_document, forward, mlm_logits
-from .tokenizer import CLS, MASK, SEP, UNK, Encoding, Vocab, split_words, wordpiece
+from .model import ModelConfig, embed_document, forward, length_mask, mlm_logits, pad_rows
+from .tokenizer import Encoding, Vocab, count_pieces, encode, wordpiece
+
+# Lloyd iterations kmeans runs at most before it stops without converging.
+KMEANS_MAX_ITER = 300
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with distance-weighted (k-means++) seeding.
 
     Ties assign to the lowest-index centroid; an emptied cluster is reseeded
@@ -47,7 +50,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> tuple[np.ndarray, 
         d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         own = dists[np.arange(n), new_assign]
@@ -199,19 +202,16 @@ def load_pairs(path) -> list[SimilarityPair]:
 
 def render_cloze(word1: str, word2: str, vocab: Vocab, max_seq: int
                  ) -> tuple[Encoding, int]:
-    """Token sequence for "are {w1} and {w2} similar ? [MASK]" plus the slot index."""
-    pieces = [CLS]
-    spans = []
-    for word in split_words(f"are {word1} and {word2} similar ?"):
-        got = wordpiece(word, vocab) or [UNK]
-        spans.append((len(pieces), len(pieces) + len(got)))
-        pieces.extend(got)
-    mask_pos = len(pieces)
-    pieces += [MASK, SEP]
-    if len(pieces) > max_seq:
-        raise ValueError(f"template needs {len(pieces)} pieces but max_seq is {max_seq}")
-    ids = [vocab.id_of(p) for p in pieces]
-    return Encoding(ids=ids, pieces=pieces, word_spans=spans), mask_pos
+    """``encode`` of "are {w1} and {w2} similar ?" with [MASK] put before its
+    [SEP], plus the [MASK] index. Raises when the result exceeds max_seq."""
+    template = f"are {word1} and {word2} similar ?"
+    needed = count_pieces(template, vocab) + 3  # [CLS], [MASK] and [SEP]
+    if needed > max_seq:
+        raise ValueError(f"template needs {needed} pieces but max_seq is {max_seq}")
+    enc = encode(template, vocab, max_seq)
+    mask_pos = len(enc.ids) - 1
+    enc.ids.insert(mask_pos, vocab.mask_id)
+    return enc, mask_pos
 
 
 def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
@@ -223,9 +223,9 @@ def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
 
     def predict(word1: str, word2: str) -> tuple[float, float]:
         enc, mask_pos = render_cloze(word1, word2, vocab, config.max_seq)
-        hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+        hidden = forward(pad_rows([enc.ids], vocab.pad_id), length_mask([enc.ids]),
                          config, params)
-        logits = mlm_logits(Tensor(hidden[-1].data[[mask_pos]]), params).data[0]
+        logits = mlm_logits(Tensor(hidden[-1].data[0, [mask_pos]]), params).data[0]
         return float(logits[yes_id]), float(logits[no_id])
 
     return predict

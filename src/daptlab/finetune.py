@@ -373,12 +373,11 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
     return results
 
 
-def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None,
-                 train_mode=False):
-    """Head output on the [CLS] vector (pooled) or on every piece."""
+def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None):
+    """Head output on the [CLS] vector (pooled) or on every piece; dropout with an rng."""
     rows = [e.ids for e in encodings]
     hidden = forward(pad_rows(rows, vocab.pad_id), length_mask(rows), config, work,
-                     train_mode=train_mode, tape=tape, rng=rng)[-1]
+                     tape=tape, rng=rng)[-1]
     if pooled:
         hidden = select_position(hidden, 0, tape)
     return matmul(hidden, work["head.w"], tape, bias=work["head.b"])
@@ -409,7 +408,7 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
 
     def batch_loss(batch, work, tape, rng):
         logits = _head_logits([encodings[text] for text, _ in batch], vocab, config,
-                              work, pooled=True, tape=tape, rng=rng, train_mode=True)
+                              work, pooled=True, tape=tape, rng=rng)
         gold = np.array([label_ids[label] for _, label in batch])
         return cross_entropy_masked(logits, gold, tape)
 
@@ -461,7 +460,7 @@ def finetune_tag(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
 
     def batch_loss(rows, work, tape, rng):
         logits = _head_logits([enc for enc, _, _ in rows], vocab, config, work,
-                              pooled=False, tape=tape, rng=rng, train_mode=True)
+                              pooled=False, tape=tape, rng=rng)
         labels = pad_rows([lab for _, lab, _ in rows], IGNORE_INDEX)
         flat = reshape(logits, (labels.size, len(tags)), tape)
         return cross_entropy_masked(flat, labels.reshape(-1), tape)

@@ -3,8 +3,8 @@
 Learned absolute position embeddings, segment embeddings (always segment 0),
 erf GELU (``autodiff.erf``: within 5e-7 of the exact erf in float32), and an
 output projection that shares storage with the token embedding table.
-forward() accepts a single sequence [S] or a batch [B, S]; hidden-state
-tensors mirror that rank.
+forward() takes a padded [B, S] batch with its [B, S] attention mask and
+applies dropout exactly when it is given an rng.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def length_mask(rows) -> np.ndarray:
 
 def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> None:
     if ids.ndim != 2:
-        raise ValueError(f"ids must be [S] or [B, S], got shape {ids.shape}")
+        raise ValueError(f"ids must be [B, S], got shape {ids.shape}")
     if ids.shape[1] < 1 or ids.shape[1] > config.max_seq:
         raise ValueError(f"sequence length {ids.shape[1]} outside [1, {config.max_seq}]")
     if not np.issubdtype(ids.dtype, np.integer):
@@ -155,27 +155,20 @@ def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> Non
 
 
 def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
-            train_mode: bool = False, tape: Tape | None = None,
+            tape: Tape | None = None,
             rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Run the encoder; returns L+1 hidden states (embedding output first)."""
+    """Run the encoder on [B, S] ids; returns L+1 [B, S, H] hidden states
+    (embedding output first). Dropout draws from ``rng`` when one is given."""
     ids = np.asarray(ids)
     mask = np.asarray(attention_mask)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
-        mask = mask[None, :]
     _check_inputs(ids, mask, config)
-    if train_mode and config.dropout > 0.0 and rng is None:
-        raise ValueError("train_mode forward needs an rng for dropout")
     batch, seq = ids.shape
     h, heads = config.hidden, config.num_heads
     dh = h // heads
     dtype = params["emb.word"].data.dtype
 
     def drop(t: Tensor) -> Tensor:
-        if train_mode and config.dropout > 0.0:
-            return dropout(t, config.dropout, rng, tape)
-        return t
+        return t if rng is None else dropout(t, config.dropout, rng, tape)
 
     x = gather_rows(params["emb.word"], ids, tape)
     x = add(x, gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
@@ -210,9 +203,6 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         x = layer_norm(out, params[f"{p}.ffn.ln.gamma"], params[f"{p}.ffn.ln.beta"],
                        tape=tape, residual=x)
         hidden.append(x)
-
-    if single:
-        hidden = [reshape(t, t.data.shape[1:], tape) for t in hidden]
     return hidden
 
 
@@ -249,9 +239,9 @@ def embed_document(text: str, vocab: Vocab, config: ModelConfig,
     positions = [i for start, stop in enc.word_spans for i in range(start, stop)]
     if not positions:
         raise ValueError("cannot embed a text with no content pieces")
-    hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
-                     config, params)
-    stacked = np.concatenate([layer.data[positions] for layer in hidden[-4:]], axis=-1)
+    hidden = forward(pad_rows([enc.ids], vocab.pad_id), length_mask([enc.ids]), config,
+                     params)
+    stacked = np.concatenate([layer.data[0, positions] for layer in hidden[-4:]], axis=-1)
     return stacked.mean(axis=0).astype(np.float32)
 
 

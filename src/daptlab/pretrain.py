@@ -244,7 +244,7 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
                 break
         else:
             raise RuntimeError("could not draw a batch with any masked position")
-        hidden = forward(ids, mask, config, params, train_mode=True, tape=tape, rng=rng)
+        hidden = forward(ids, mask, config, params, tape=tape, rng=rng)
         logits, targets = _decode_labelled(hidden[-1], labels, config, params, tape)
         return cross_entropy_masked(logits, targets, tape)
 

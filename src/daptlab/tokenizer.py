@@ -69,16 +69,16 @@ class Vocab:
 
 @dataclass
 class Encoding:
-    """One encoded text: ids and pieces of equal length plus word piece spans.
+    """One encoded text: piece ids plus word piece spans.
 
     Encodings are unpadded, so every position is attended; ``model.pad_rows``
     pads a batch and ``model.length_mask`` gives its attention mask.
-    word_spans[i] is the half-open piece range of pre-tokenized word i; spans
-    partition the content pieces (everything except [CLS]/[SEP]).
+    word_spans[i] is the half-open id range of pre-tokenized word i; spans
+    partition the content pieces (everything except [CLS]/[SEP]). A piece is
+    ``vocab.pieces[id]``.
     """
 
     ids: list[int]
-    pieces: list[str]
     word_spans: list[tuple[int, int]]
 
 
@@ -127,6 +127,11 @@ def wordpiece(word: str, vocab: Vocab) -> list[str] | None:
     return pieces
 
 
+def _word_groups(text: str, vocab: Vocab) -> list[list[str]]:
+    """The pieces of each pre-tokenized word; [UNK] for a word WordPiece cannot spell."""
+    return [wordpiece(word, vocab) or [UNK] for word in split_words(text)]
+
+
 def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int) -> Encoding:
     if max_seq < 2:
         raise ValueError(f"max_seq must be >= 2, got {max_seq}")
@@ -142,14 +147,12 @@ def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int) -> Encod
         limit = max_seq - 1
         spans = [(s, min(e, limit)) for s, e in spans if s < limit]
 
-    ids = [vocab.id_of(p) for p in pieces]
-    return Encoding(ids=ids, pieces=pieces, word_spans=spans)
+    return Encoding(ids=[vocab.id_of(p) for p in pieces], word_spans=spans)
 
 
 def encode(text: str, vocab: Vocab, max_seq: int) -> Encoding:
     """[CLS] + pieces + [SEP], truncated from the tail with [SEP] preserved."""
-    groups = [wordpiece(word, vocab) or [UNK] for word in split_words(text)]
-    return _assemble(groups, vocab, max_seq)
+    return _assemble(_word_groups(text, vocab), vocab, max_seq)
 
 
 def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
@@ -158,22 +161,14 @@ def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
     Each input word may still normalize into several sub-words (punctuation
     splits); all resulting pieces stay inside that word's span.
     """
-    groups: list[list[str]] = []
-    for word in words:
-        pieces: list[str] = []
-        for sub in split_words(word):
-            pieces.extend(wordpiece(sub, vocab) or [UNK])
-        groups.append(pieces or [UNK])
+    groups = [[p for group in _word_groups(word, vocab) for p in group] or [UNK]
+              for word in words]
     return _assemble(groups, vocab, max_seq)
 
 
 def count_pieces(text: str, vocab: Vocab) -> int:
     """Non-special piece count of a text, with no length truncation."""
-    total = 0
-    for word in split_words(text):
-        got = wordpiece(word, vocab)
-        total += len(got) if got else 1
-    return total
+    return sum(map(len, _word_groups(text, vocab)))
 
 
 def _merge_symbol(left: str, right: str) -> str:

@@ -210,8 +210,8 @@ def test_criterion_7_cloze_protocol():
     vocab = Vocab(SPECIAL_TOKENS + ("are", "and", "similar", "?", "yes", "no",
                                     "virus", "malware"))
     enc, mask_pos = render_cloze("virus", "malware", vocab, max_seq=16)
-    template_ok = (enc.pieces == [CLS, "are", "virus", "and", "malware",
-                                  "similar", "?", MASK, SEP]
+    template_ok = ([vocab.pieces[i] for i in enc.ids] == [CLS, "are", "virus", "and",
+                                                         "malware", "similar", "?", MASK, SEP]
                    and mask_pos == 7)
 
     pairs = [SimilarityPair("virus", "malware", SIMILAR),

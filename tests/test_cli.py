@@ -270,6 +270,27 @@ class TestErrorHandling:
         assert cli.main(["corpus-build", "--out", str(tmp_path)]) == 1
         assert "no dump files given" in capsys.readouterr().err
 
+    def test_dump_at_the_malformed_limit_is_built(self, capsys, tmp_path):
+        # 1 malformed line in 10 is exactly the 10% a dump may carry
+        dump = tmp_path / "dump.jsonl"
+        write_jsonl(dump, [{"id": f"n{i}", "source": "nvd", "text": "a b"} for i in range(9)])
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        out = tmp_path / "out"
+        assert cli.main(["corpus-build", str(dump), "--out", str(out)]) == 0
+        assert "(0 dropped, 1 skipped lines)" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "drop_report.tsv"]
+
+    def test_dump_past_the_malformed_limit_is_corrupt(self, capsys, tmp_path):
+        dump = tmp_path / "dump.jsonl"
+        write_jsonl(dump, [{"id": f"n{i}", "source": "nvd", "text": "a b"} for i in range(8)])
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        out = tmp_path / "out"
+        assert cli.main(["corpus-build", str(dump), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: corrupt dump {dump}: 1/9 lines malformed\n"
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_missing_config_file(self, capsys, tmp_path):
         assert cli.main(["corpus-build", "--config", str(tmp_path / "no.ini")]) == 1
         assert "config file not found" in capsys.readouterr().err
@@ -462,7 +483,7 @@ class TestErrorHandling:
             cli.main([command] + inputs[command] + [flag, value])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: daptlab ")
+        assert err.startswith(f"usage: daptlab {command} ")
         assert f"error: unrecognized arguments: {flag} {value}" in err
         assert sorted(tmp_path.rglob("*")) == before
 

@@ -288,11 +288,11 @@ class TestRenderCloze:
     def test_template_pieces_and_slot(self, cloze_vocab):
         vocab = cloze_vocab
         enc, mask_pos = render_cloze("virus", "malware", vocab, max_seq=16)
-        assert enc.pieces == [CLS, "are", "virus", "and", "malware", "similar",
-                              "?", MASK, SEP]
+        pieces = [vocab.pieces[i] for i in enc.ids]
+        assert pieces == [CLS, "are", "virus", "and", "malware", "similar", "?", MASK, SEP]
         assert mask_pos == 7
-        assert enc.pieces[mask_pos] == MASK
-        assert enc.ids == [vocab.id_of(p) for p in enc.pieces]
+        assert pieces[mask_pos] == MASK
+        assert enc.ids == [vocab.id_of(p) for p in pieces]
         # spans cover the six template words, not [CLS]/[MASK]/[SEP]
         assert enc.word_spans == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
 
@@ -300,13 +300,13 @@ class TestRenderCloze:
         vocab = Vocab(SPECIAL_TOKENS + ("are", "and", "similar", "?",
                                         "vi", "##rus", "malware"))
         enc, mask_pos = render_cloze("virus", "malware", vocab, max_seq=16)
-        assert enc.pieces[2:4] == ["vi", "##rus"]
+        assert [vocab.pieces[i] for i in enc.ids[2:4]] == ["vi", "##rus"]
         assert enc.word_spans[1] == (2, 4)
-        assert mask_pos == len(enc.pieces) - 2
+        assert mask_pos == len(enc.ids) - 2
 
     def test_unknown_word_becomes_unk(self, cloze_vocab):
         enc, _ = render_cloze("zzzz", "malware", cloze_vocab, max_seq=16)
-        assert enc.pieces[2] == UNK
+        assert cloze_vocab.pieces[enc.ids[2]] == UNK
 
     def test_max_seq_too_small(self, cloze_vocab):
         with pytest.raises(ValueError, match="max_seq"):
@@ -361,9 +361,9 @@ class TestEvaluatePairs:
     def test_model_predictor_reads_the_mask_row_of_a_full_decode(self, cluster_setup):
         config, params, vocab = cluster_setup
         enc, mask_pos = render_cloze("alpha", "bravo", vocab, config.max_seq)
-        hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+        hidden = forward(np.array([enc.ids]), np.ones((1, len(enc.ids)), dtype=np.int64),
                          config, params)
-        full = mlm_logits(hidden[-1], params).data[mask_pos]
+        full = mlm_logits(hidden[-1], params).data[0, mask_pos]
         yes, no = model_cloze_predictor(config, params, vocab)("alpha", "bravo")
         assert yes == pytest.approx(float(full[vocab.id_of("yes")]), rel=1e-6)
         assert no == pytest.approx(float(full[vocab.id_of("no")]), rel=1e-6)

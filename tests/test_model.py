@@ -149,10 +149,10 @@ class TestInit:
 class TestForward:
     def test_single_sequence_shapes(self, tiny):
         config, params = tiny
-        ids = np.array([1, 5, 6, 2])
-        hidden = forward(ids, np.ones(4, dtype=int), config, params)
+        ids = np.array([[1, 5, 6, 2]])
+        hidden = forward(ids, np.ones((1, 4), dtype=int), config, params)
         assert len(hidden) == config.num_layers + 1
-        assert all(h.data.shape == (4, 8) for h in hidden)
+        assert all(h.data.shape == (1, 4, 8) for h in hidden)
 
     def test_batch_shapes(self, tiny):
         config, params = tiny
@@ -161,70 +161,77 @@ class TestForward:
         assert all(h.data.shape == (2, 3, 8) for h in hidden)
 
     def test_single_equals_batch_row(self, tiny):
+        # a one-row batch gives the same bits as that row of a two-row batch
         config, params = tiny
         rows = np.array([[1, 5, 6, 2], [1, 9, 4, 2]])
         batched = forward(rows, np.ones((2, 4), dtype=int), config, params)
         for b in range(2):
-            single = forward(rows[b], np.ones(4, dtype=int), config, params)
+            single = forward(rows[b:b + 1], np.ones((1, 4), dtype=int), config, params)
             for hs, hb in zip(single, batched):
-                assert np.array_equal(hs.data, hb.data[b])
+                assert np.array_equal(hs.data[0], hb.data[b])
 
     def test_padding_does_not_leak(self, tiny):
         # -1e9 key bias underflows to exact zero probability, so real
         # positions must be bit-identical with and without trailing padding
         config, params = tiny
-        short = forward(np.array([1, 5, 6, 2]), np.ones(4, dtype=int),
+        short = forward(np.array([[1, 5, 6, 2]]), np.ones((1, 4), dtype=int),
                         config, params)
-        padded = forward(np.array([1, 5, 6, 2, 0, 0]),
-                         np.array([1, 1, 1, 1, 0, 0]), config, params)
+        padded = forward(np.array([[1, 5, 6, 2, 0, 0]]),
+                         np.array([[1, 1, 1, 1, 0, 0]]), config, params)
         for hs, hp in zip(short, padded):
-            assert np.array_equal(hs.data, hp.data[:4])
+            assert np.array_equal(hs.data, hp.data[:, :4])
 
     def test_mask_changes_output(self, tiny):
         config, params = tiny
-        ids = np.array([1, 5, 6, 2])
-        full = forward(ids, np.ones(4, dtype=int), config, params)
-        part = forward(ids, np.array([1, 1, 0, 1]), config, params)
+        ids = np.array([[1, 5, 6, 2]])
+        full = forward(ids, np.ones((1, 4), dtype=int), config, params)
+        part = forward(ids, np.array([[1, 1, 0, 1]]), config, params)
         assert not np.allclose(full[-1].data, part[-1].data)
 
     def test_deterministic(self, tiny):
         config, params = tiny
-        ids = np.array([1, 5, 6, 2])
-        a = forward(ids, np.ones(4, dtype=int), config, params)
-        b = forward(ids, np.ones(4, dtype=int), config, params)
+        ids = np.array([[1, 5, 6, 2]])
+        a = forward(ids, np.ones((1, 4), dtype=int), config, params)
+        b = forward(ids, np.ones((1, 4), dtype=int), config, params)
         assert np.array_equal(a[-1].data, b[-1].data)
 
     def test_input_validation(self, tiny):
         config, params = tiny
-        ones = np.ones(4, dtype=int)
+        ones = np.ones((1, 4), dtype=int)
+        with pytest.raises(ValueError, match=re.escape("[B, S]")):
+            forward(np.array([1, 5, 6, 2]), np.ones(4, dtype=int), config, params)
         with pytest.raises(ValueError, match="out of range"):
-            forward(np.array([1, 99, 6, 2]), ones, config, params)
+            forward(np.array([[1, 99, 6, 2]]), ones, config, params)
         with pytest.raises(ValueError, match="mask shape"):
-            forward(np.array([1, 5, 6, 2]), np.ones(3, dtype=int), config, params)
+            forward(np.array([[1, 5, 6, 2]]), np.ones((1, 3), dtype=int), config, params)
         with pytest.raises(ValueError, match="0 or 1"):
-            forward(np.array([1, 5, 6, 2]), np.array([1, 2, 1, 1]), config, params)
+            forward(np.array([[1, 5, 6, 2]]), np.array([[1, 2, 1, 1]]), config, params)
         with pytest.raises(ValueError, match="at least one"):
-            forward(np.array([1, 5, 6, 2]), np.zeros(4, dtype=int), config, params)
+            forward(np.array([[1, 5, 6, 2]]), np.zeros((1, 4), dtype=int), config, params)
         with pytest.raises(ValueError, match="sequence length"):
-            forward(np.ones(9, dtype=int), np.ones(9, dtype=int), config, params)
+            forward(np.ones((1, 9), dtype=int), np.ones((1, 9), dtype=int), config, params)
         with pytest.raises(ValueError, match="integers"):
-            forward(np.array([1.0, 5.0]), np.ones(2, dtype=int), config, params)
+            forward(np.array([[1.0, 5.0]]), np.ones((1, 2), dtype=int), config, params)
 
-    def test_train_mode_requires_rng_when_dropping(self):
+    def test_dropout_runs_exactly_when_given_an_rng(self):
         config = tiny_config(dropout=0.5)
         params = init_params(config, 0)
-        ids, mask = np.array([1, 5, 2]), np.ones(3, dtype=int)
-        with pytest.raises(ValueError, match="rng"):
-            forward(ids, mask, config, params, train_mode=True)
-        out = forward(ids, mask, config, params, train_mode=True,
-                      rng=np.random.default_rng(0))
-        assert out[-1].data.shape == (3, 8)
+        ids, mask = np.array([[1, 5, 2], [1, 7, 2]]), np.ones((2, 3), dtype=int)
+        a = forward(ids, mask, config, params, rng=np.random.default_rng(4))
+        b = forward(ids, mask, config, params, rng=np.random.default_rng(4))
+        plain = forward(ids, mask, config, params)
+        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+        assert not np.array_equal(a[-1].data, plain[-1].data)
 
-    def test_train_mode_no_dropout_skips_rng(self, tiny):
+    def test_no_dropout_draws_nothing_from_rng(self, tiny):
+        # pretraining and fine-tuning pass their rng at any rate; at rate 0 the
+        # masking and batch-order draws that follow must see an untouched stream
         config, params = tiny
-        out = forward(np.array([1, 5, 2]), np.ones(3, dtype=int), config,
-                      params, train_mode=True)
+        rng = np.random.default_rng(9)
+        out = forward(np.array([[1, 5, 2]]), np.ones((1, 3), dtype=int), config,
+                      params, rng=rng)
         assert len(out) == config.num_layers + 1
+        assert rng.random() == np.random.default_rng(9).random()
 
 
     def test_segment_row_gets_every_position_gradient(self, tiny):
@@ -292,7 +299,7 @@ def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
 
 
 def fused_mlm_loss(ids, mask, labels, config, params, tape, rng):
-    hidden = forward(ids, mask, config, params, train_mode=True, tape=tape, rng=rng)[-1]
+    hidden = forward(ids, mask, config, params, tape=tape, rng=rng)[-1]
     rows, targets = labelled_rows(reshape(hidden, (ids.size, config.hidden), tape),
                                   labels, tape)
     return cross_entropy_masked(mlm_logits(rows, params, tape), targets, tape)
@@ -371,14 +378,14 @@ class TestMlmStep:
 class TestMlmLogits:
     def test_shapes(self, tiny):
         config, params = tiny
-        hidden = forward(np.array([1, 5, 6, 2]), np.ones(4, dtype=int),
+        hidden = forward(np.array([[1, 5, 6, 2]]), np.ones((1, 4), dtype=int),
                          config, params)
         logits = mlm_logits(hidden[-1], params)
-        assert logits.data.shape == (4, config.vocab_size)
+        assert logits.data.shape == (1, 4, config.vocab_size)
 
     def test_decoder_reads_live_embedding_table(self, tiny):
         config, params = tiny
-        hidden = forward(np.array([1, 5, 6, 2]), np.ones(4, dtype=int),
+        hidden = forward(np.array([[1, 5, 6, 2]]), np.ones((1, 4), dtype=int),
                          config, params)
         before = mlm_logits(hidden[-1], params).data.copy()
         params["emb.word"].data[3] += 0.5
@@ -386,9 +393,9 @@ class TestMlmLogits:
             after = mlm_logits(hidden[-1], params).data
         finally:
             params["emb.word"].data[3] -= 0.5
-        assert not np.allclose(before[:, 3], after[:, 3])
+        assert not np.allclose(before[..., 3], after[..., 3])
         other = [v for v in range(config.vocab_size) if v != 3]
-        assert np.allclose(before[:, other], after[:, other])
+        assert np.allclose(before[..., other], after[..., other])
 
 
 class TestEmbedDocument:
@@ -405,9 +412,9 @@ class TestEmbedDocument:
         vocab = letter_vocab()
         vec = embed_document("a", vocab, config, params)
         enc = encode("a", vocab, config.max_seq)
-        hidden = forward(np.asarray(enc.ids), np.ones(len(enc.ids), dtype=np.int64),
+        hidden = forward(np.array([enc.ids]), np.ones((1, len(enc.ids)), dtype=np.int64),
                          config, params)
-        manual = np.concatenate([h.data[1] for h in hidden[-4:]])
+        manual = np.concatenate([h.data[0, 1] for h in hidden[-4:]])
         assert np.allclose(vec, manual.astype(np.float32))
 
     def test_too_shallow_model(self):

@@ -105,16 +105,16 @@ class TestWordpiece:
 class TestEncode:
     def test_affable_example(self, affable_vocab):
         enc = encode("unaffable", affable_vocab, max_seq=16)
-        assert enc.pieces == [CLS, "un", "##aff", "##able", SEP]
+        assert [affable_vocab.pieces[i] for i in enc.ids] == [CLS, "un", "##aff", "##able", SEP]
 
     def test_empty_text(self, affable_vocab):
         enc = encode("", affable_vocab, max_seq=16)
-        assert enc.pieces == [CLS, SEP]
+        assert [affable_vocab.pieces[i] for i in enc.ids] == [CLS, SEP]
         assert enc.word_spans == []
 
     def test_unknown_word_becomes_single_unk(self, affable_vocab):
         enc = encode("zzz", affable_vocab, max_seq=16)
-        assert enc.pieces == [CLS, UNK, SEP]
+        assert [affable_vocab.pieces[i] for i in enc.ids] == [CLS, UNK, SEP]
 
     def test_lowercase_idempotent(self, affable_vocab):
         a = encode("UnAffAble!", affable_vocab, max_seq=16)
@@ -124,13 +124,14 @@ class TestEncode:
     def test_truncation_keeps_sep(self, affable_vocab):
         enc = encode("unaffable unaffable unaffable", affable_vocab, max_seq=6)
         assert len(enc.ids) == 6
-        assert enc.pieces[0] == CLS
-        assert enc.pieces[-1] == SEP
+        assert affable_vocab.pieces[enc.ids[0]] == CLS
+        assert affable_vocab.pieces[enc.ids[-1]] == SEP
 
     def test_spans_partition_content(self, affable_vocab):
         enc = encode("able ! unaffable", affable_vocab, max_seq=16)
         covered = [i for start, end in enc.word_spans for i in range(start, end)]
-        content = [i for i, p in enumerate(enc.pieces) if p not in (CLS, SEP, PAD)]
+        pieces = [affable_vocab.pieces[i] for i in enc.ids]
+        content = [i for i, p in enumerate(pieces) if p not in (CLS, SEP, PAD)]
         assert covered == content
 
     def test_truncated_span_dropped_or_clipped(self, affable_vocab):
@@ -150,7 +151,7 @@ class TestEncodeWords:
         enc = encode_words(["able", "unaffable", "!"], affable_vocab, max_seq=16)
         assert len(enc.word_spans) == 3
         start, end = enc.word_spans[1]
-        assert enc.pieces[start:end] == ["un", "##aff", "##able"]
+        assert [affable_vocab.pieces[i] for i in enc.ids[start:end]] == ["un", "##aff", "##able"]
 
     def test_word_with_inner_punctuation_stays_one_span(self, affable_vocab):
         # punctuation may split the word internally, but alignment holds:
@@ -158,13 +159,14 @@ class TestEncodeWords:
         enc = encode_words(["un!able"], affable_vocab, max_seq=16)
         assert len(enc.word_spans) == 1
         start, end = enc.word_spans[0]
-        content = [p for p in enc.pieces if p not in (CLS, SEP, PAD)]
-        assert list(enc.pieces[start:end]) == content
+        pieces = [affable_vocab.pieces[i] for i in enc.ids]
+        content = [p for p in pieces if p not in (CLS, SEP, PAD)]
+        assert pieces[start:end] == content
         assert "".join(content) == "un!able"
 
     def test_empty_word_becomes_unk(self, affable_vocab):
         enc = encode_words([" "], affable_vocab, max_seq=16)
-        assert enc.pieces == [CLS, UNK, SEP]
+        assert [affable_vocab.pieces[i] for i in enc.ids] == [CLS, UNK, SEP]
 
 
 class TestCountPieces:
@@ -220,7 +222,7 @@ class TestTrainVocab:
         assert "q" not in vocab.pieces
         assert wordpiece("q", vocab) is None
         enc = encode("q", vocab, max_seq=8)
-        assert enc.pieces[1] == UNK
+        assert vocab.pieces[enc.ids[1]] == UNK
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,8 +231,9 @@ def test_encode_properties(text):
     vocab = train_vocab(["the quick brown fox 99 !"], target_size=60, min_frequency=1)
     enc = encode(text, vocab, max_seq=32)
     assert len(enc.ids) <= 32
-    assert enc.pieces[0] == CLS and enc.pieces[-1] == SEP
-    assert all(p in vocab.index for p in enc.pieces)
+    pieces = [vocab.pieces[i] for i in enc.ids]
+    assert pieces[0] == CLS and pieces[-1] == SEP
+    assert all(p in vocab.index for p in pieces)
     assert enc.ids == encode(text.upper(), vocab, max_seq=32).ids
 
 
