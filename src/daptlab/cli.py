@@ -88,10 +88,9 @@ def cfg_path(cp, key: str, flag_value, what: str):
 
 
 def out_dir_of(args, cp) -> Path:
-    out = args.out if args.out is not None else cfg_get(cp, "paths", "out", "runs")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first artifact written there creates it
+    (``fileio.atomic_write_bytes``), so a stage that fails first leaves none."""
+    return Path(args.out if args.out is not None else cfg_get(cp, "paths", "out", "runs"))
 
 
 # The INI keys each config dataclass reads from its own section. Every one

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
-from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const,
-                              backward, cross_entropy_masked, dropout, erf,
-                              gather_rows, gelu, layer_norm, matmul, mul,
-                              reshape, scale, select_position, softmax,
-                              transpose, tsum, zero_grads)
-from daptlab.model import ATTENTION_MASK_BIAS
+from daptlab.autodiff import (_GELU_BLOCK, IGNORE_INDEX, Tape, Tensor, add,
+                              add_const, backward, cross_entropy_masked,
+                              dropout, erf, gather_rows, gelu, layer_norm,
+                              matmul, mul, reshape, scale, select_position,
+                              softmax, transpose, tsum, zero_grads)
+from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, forward, init_params,
+                           mlm_logits)
 
 
 def t64(shape, seed):
@@ -69,6 +70,15 @@ class TestErf:
         got = erf(self.GRID)
         assert got.dtype == np.float64
         assert np.abs(got - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_value_is_its_own(self, dtype):
+        # a value's bits do not depend on its neighbours, alone or in its range
+        x = np.array([0.1, 0.3, 1.0, 2.5, 5.0, -0.2, -3.0, -7.0], dtype=dtype)
+        whole = erf(x)
+        for i in range(x.size):
+            assert np.array_equal(erf(x[i:i + 1]), whole[i:i + 1])
+        assert np.array_equal(erf(x[:2]), whole[:2])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_limits_and_nan(self, dtype):
@@ -386,6 +396,19 @@ class TestFusedEpilogues:
             matmul(t64((3, 4), 0), t64((4, 5), 1), bias=t64((1, 5), 2))
 
 
+def assert_grads_owned(tensors):
+    """Every ``.grad`` is a writable array of its tensor's shape and dtype, and
+    no two tensors' gradients share memory (gradients are adopted, not copied)."""
+    held = [t for t in tensors if t.grad is not None]
+    assert held
+    for t in held:
+        assert isinstance(t.grad, np.ndarray) and t.grad.flags.writeable
+        assert t.grad.shape == t.shape and t.grad.dtype == t.dtype
+    for i, t in enumerate(held):
+        for other in held[i + 1:]:
+            assert not np.shares_memory(t.grad, other.grad)
+
+
 class TestAdjointRelease:
     """Each op frees its output's adjoint once its backward has run."""
 
@@ -440,6 +463,99 @@ class TestAdjointRelease:
         backward(tape, tsum(mul(layer_norm(add(x, x, tape), gamma, beta, tape=tape),
                                 weights, tape), tape))
         assert np.array_equal(fused, x0.grad)
+
+    # Gradients are adopted, not copied: each leaf's .grad is a buffer of its
+    # own, however its adjoint arrived.
+
+    def owned_after_backward(self, build, leaves):
+        tape = Tape()
+        backward(tape, build(tape))
+        assert_grads_owned(leaves)
+
+    def test_owned_add_of_itself(self):
+        x = t32((3, 4), 0)
+        self.owned_after_backward(lambda tape: tsum(add(x, x, tape), tape), [x])
+
+    def test_owned_add_of_equal_shapes(self):
+        x, y = t32((3, 4), 0), t32((3, 4), 1)
+        self.owned_after_backward(lambda tape: tsum(add(x, y, tape), tape), [x, y])
+
+    def test_owned_layer_norm_residual(self):
+        a, r, gamma, beta = t32((3, 6), 0), t32((3, 6), 1), t32((6,), 2), t32((6,), 3)
+        weights = t32((3, 6), 4)
+        self.owned_after_backward(
+            lambda tape: tsum(mul(layer_norm(a, gamma, beta, tape=tape, residual=r),
+                                  weights, tape), tape),
+            [a, r, gamma, beta, weights])
+
+    def test_owned_tsum(self):
+        x = t32((2, 5), 0)
+        self.owned_after_backward(lambda tape: tsum(x, tape), [x])
+
+    def test_owned_transpose_into_matmul(self):
+        # the tied decoder: the table's gradient is a transposed view, then
+        # the embedding lookup adds into it
+        table, h = t32((7, 4), 0), t32((3, 4), 1)
+
+        def build(tape):
+            rows = gather_rows(table, np.array([0, 2, 2, 5]), tape)
+            logits = matmul(h, transpose(table, (1, 0), tape), tape)
+            return add(tsum(rows, tape), tsum(logits, tape), tape)
+
+        self.owned_after_backward(build, [table, h])
+
+    def test_owned_mlm_step_at_cli_geometry(self):
+        # configs/desk.ini's model, with dropout on so its closures run too
+        batch, seq, hidden, heads, ffn = GEOMETRIES["cli"]
+        config = ModelConfig(num_layers=4, hidden=hidden, num_heads=heads, ffn_dim=ffn,
+                             vocab_size=450, max_seq=32)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, config.vocab_size, size=(batch, seq))
+        mask = (np.arange(seq) < rng.integers(4, seq + 1, size=batch)[:, None]).astype(np.int64)
+        labels = np.where(rng.random((batch, seq)) < 0.15, ids, IGNORE_INDEX).reshape(-1)
+        labels[0] = ids[0, 0]
+
+        def build(tape):
+            hidden = forward(ids, mask, config, params, tape=tape, rng=rng)
+            logits = mlm_logits(hidden[-1], params, tape)
+            flat = reshape(logits, (ids.size, config.vocab_size), tape)
+            return cross_entropy_masked(flat, labels, tape)
+
+        self.owned_after_backward(build, list(params.values()))
+
+
+def gelu_unblocked(x, g):
+    """GELU's forward and input gradient by the plain whole-array formula."""
+    cdf = erf(x / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+    pdf = np.exp(-0.5 * x * x) / x.dtype.type(math.sqrt(2.0 * math.pi))
+    return x * cdf, g * (cdf + x * pdf)
+
+
+class TestGeluBlocks:
+    """gelu runs in flat blocks of _GELU_BLOCK elements, with the bits of the
+    unblocked formula at every block edge."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, _GELU_BLOCK - 1, _GELU_BLOCK, _GELU_BLOCK + 1,
+                                      2 * _GELU_BLOCK + 3])
+    def test_bits_match_the_unblocked_formula(self, size, dtype):
+        rng = np.random.default_rng(size)
+        # spread over erf's clamp and float64's three ranges
+        x = (rng.standard_normal(size) * 3.0).astype(dtype)
+        g = rng.standard_normal(size).astype(dtype)
+        want_out, want_grad = gelu_unblocked(x, g)
+
+        plain = gelu(Tensor(x))
+        a, weights = Tensor(x.copy()), Tensor(g)
+        tape = Tape()
+        taped = gelu(a, tape)
+        backward(tape, tsum(mul(taped, weights, tape), tape))
+        for got, want in [(plain.data, want_out), (taped.data, want_out),
+                          (a.grad, want_grad)]:
+            assert got.dtype == dtype and np.array_equal(got, want)
 
 
 class TestPlumbing:

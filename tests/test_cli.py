@@ -289,7 +289,14 @@ class TestErrorHandling:
         out = tmp_path / "out"
         assert cli.main(["corpus-build", str(dump), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: corrupt dump {dump}: 1/9 lines malformed\n"
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not out.exists()
+
+    def test_pretrain_without_its_vocab_leaves_no_out_dir(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--corpus", str(tmp_path / "corpus.jsonl"),
+                         "--vocab", str(tmp_path / "vocab.txt"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: vocab file not found")
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         assert cli.main(["corpus-build", "--config", str(tmp_path / "no.ini")]) == 1
@@ -362,7 +369,7 @@ class TestErrorHandling:
                         FINETUNE_SETS) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: record 4 needs tokens and tags")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_forgetting_bad_json(self, pipeline, capsys, tmp_path):
         root, _ = pipeline
