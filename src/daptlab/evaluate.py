@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .autodiff import Tensor
 from .finetune import f1_binary
 from .model import ModelConfig, embed_document, forward, length_mask, mlm_logits, pad_rows
 from .tokenizer import Encoding, Vocab, count_pieces, encode, wordpiece
@@ -224,8 +223,8 @@ def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
     def predict(word1: str, word2: str) -> tuple[float, float]:
         enc, mask_pos = render_cloze(word1, word2, vocab, config.max_seq)
         hidden = forward(pad_rows([enc.ids], vocab.pad_id), length_mask([enc.ids]),
-                         config, params)
-        logits = mlm_logits(Tensor(hidden[-1].data[0, [mask_pos]]), params).data[0]
+                         config, params, rows=[mask_pos])
+        logits = mlm_logits(hidden[-1], params).data[0]
         return float(logits[yes_id]), float(logits[no_id])
 
     return predict

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, add, dropout, gather_rows, gelu,
-                       layer_norm, matmul, reshape, softmax, transpose)
+from .autodiff import (Tape, Tensor, add, dropout, gather_rows, gelu, layer_norm, matmul,
+                       reshape, softmax, transpose)
 from .autodiff import add_const, scale  # noqa: F401  (the benchmark's tracer rebinds them here)
 from .tokenizer import Vocab, encode
 
@@ -155,14 +155,20 @@ def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> Non
 
 
 def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
-            tape: Tape | None = None,
-            rng: np.random.Generator | None = None) -> list[Tensor]:
+            tape: Tape | None = None, rng: np.random.Generator | None = None,
+            rows=None) -> list[Tensor]:
     """Run the encoder on [B, S] ids; returns L+1 [B, S, H] hidden states
-    (embedding output first). Dropout draws from ``rng`` when one is given."""
+    (embedding output first). Dropout draws from ``rng`` when one is given.
+    With ``rows`` (1-D integer indices into the B*S flat positions) the last layer
+    runs all it does after attention on those rows only, and returns them as [n, H]."""
     ids = np.asarray(ids)
     mask = np.asarray(attention_mask)
     _check_inputs(ids, mask, config)
     batch, seq = ids.shape
+    rows = None if rows is None else np.asarray(rows)
+    if rows is not None and (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+                             or rows.size and not 0 <= rows.min() <= rows.max() < ids.size):
+        raise ValueError(f"rows must be 1-D integer indices below {ids.size}, got {rows!r}")
     h, heads = config.hidden, config.num_heads
     dh = h // heads
     dtype = params["emb.word"].data.dtype
@@ -193,7 +199,11 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         probs = drop(softmax(matmul(qh, kt, tape), -1, tape,
                              scale=1.0 / np.sqrt(dh), bias=key_bias))
         ctx = transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape)
-        ctx = reshape(ctx, (batch, seq, h), tape)
+        if rows is not None and i == config.num_layers - 1:
+            ctx = gather_rows(reshape(ctx, (batch * seq, h), tape), rows, tape)
+            x = gather_rows(reshape(x, (batch * seq, h), tape), rows, tape)
+        else:
+            ctx = reshape(ctx, (batch, seq, h), tape)
         attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))
         x = layer_norm(attn, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"],
                        tape=tape, residual=x)
@@ -214,15 +224,6 @@ def mlm_logits(last_hidden: Tensor, params: dict[str, Tensor],
     t = layer_norm(t, params["mlm.ln.gamma"], params["mlm.ln.beta"], tape=tape)
     decoder = transpose(params["emb.word"], (1, 0), tape)
     return matmul(t, decoder, tape, bias=params["mlm.bias"])
-
-
-def labelled_rows(flat_hidden: Tensor, labels: np.ndarray,
-                  tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
-    """The rows of [N, H] hidden states whose label is not IGNORE_INDEX, and
-    those labels: all the MLM head has to decode."""
-    labels = labels.reshape(-1)
-    keep = np.flatnonzero(labels != IGNORE_INDEX)
-    return gather_rows(flat_hidden, keep, tape), labels[keep]
 
 
 def embed_document(text: str, vocab: Vocab, config: ModelConfig,

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward,
-                       cross_entropy_masked, reshape, zero_grads)
-from .model import (ModelConfig, forward, labelled_rows, length_mask, mlm_logits,
-                    pad_rows)
+from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
+                       reshape, zero_grads)  # noqa: F401  (the tracer rebinds reshape here)
+from .model import ModelConfig, forward, length_mask, mlm_logits, pad_rows
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .tokenizer import Encoding, Vocab, count_pieces, encode
 
@@ -165,13 +164,13 @@ def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab
             pad_rows([lab for _, lab in masked], IGNORE_INDEX))
 
 
-def _decode_labelled(hidden: Tensor, labels: np.ndarray, config: ModelConfig,
-                     params: dict[str, Tensor], tape: Tape | None = None
+def _decode_labelled(ids, mask, labels: np.ndarray, config: ModelConfig,
+                     params: dict[str, Tensor], tape: Tape | None = None, rng=None
                      ) -> tuple[Tensor, np.ndarray]:
     """MLM logits [n, V] of the n labelled positions only, and their labels."""
-    flat = reshape(hidden, (labels.size, config.hidden), tape)
-    rows, targets = labelled_rows(flat, labels, tape)
-    return mlm_logits(rows, params, tape), targets
+    keep = np.flatnonzero(labels != IGNORE_INDEX)
+    hidden = forward(ids, mask, config, params, tape=tape, rng=rng, rows=keep)
+    return mlm_logits(hidden[-1], params, tape), labels.reshape(-1)[keep]
 
 
 def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generator,
@@ -244,8 +243,7 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
                 break
         else:
             raise RuntimeError("could not draw a batch with any masked position")
-        hidden = forward(ids, mask, config, params, tape=tape, rng=rng)
-        logits, targets = _decode_labelled(hidden[-1], labels, config, params, tape)
+        logits, targets = _decode_labelled(ids, mask, labels, config, params, tape, rng)
         return cross_entropy_masked(logits, targets, tape)
 
     return fit(params, len(encodings), train_config, rng,
@@ -266,8 +264,7 @@ def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
         ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size],
                                           candidates[lo:lo + batch_size], vocab, policy, rng)
         if (labels != IGNORE_INDEX).any():
-            hidden = forward(ids, mask, config, params)
-            yield _decode_labelled(hidden[-1], labels, config, params)
+            yield _decode_labelled(ids, mask, labels, config, params)
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,

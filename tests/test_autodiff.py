@@ -524,6 +524,35 @@ class TestAdjointRelease:
 
         self.owned_after_backward(build, list(params.values()))
 
+    def test_pruned_mlm_step_frees_intermediates_and_owns_grads(self, monkeypatch):
+        # the step train() takes: the last layer past attention on labelled rows
+        batch, seq, hidden, heads, ffn = GEOMETRIES["cli"]
+        config = ModelConfig(num_layers=4, hidden=hidden, num_heads=heads, ffn_dim=ffn,
+                             vocab_size=450, max_seq=32)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, config.vocab_size, size=(batch, seq))
+        mask = (np.arange(seq) < rng.integers(4, seq + 1, size=batch)[:, None]).astype(np.int64)
+        keep = np.flatnonzero((rng.random((batch, seq)) < 0.15) & (mask == 1))
+        created = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, data):
+            real_init(self, data)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        tape = Tape()
+        last = forward(ids, mask, config, params, tape=tape, rng=rng, rows=keep)[-1]
+        loss = cross_entropy_masked(mlm_logits(last, params, tape), ids.reshape(-1)[keep],
+                                    tape)
+        backward(tape, loss)
+        monkeypatch.undo()
+        assert last.shape == (keep.size, hidden)
+        assert len(created) == len(tape)
+        assert all(t.grad is None for t in created)
+        assert_grads_owned(list(params.values()))
+
 
 def gelu_unblocked(x, g):
     """GELU's forward and input gradient by the plain whole-array formula."""

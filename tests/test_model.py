@@ -11,10 +11,11 @@ from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, backwa
                               cross_entropy_masked, dropout, gather_rows, gelu, layer_norm,
                               matmul, mul, reshape, scale, softmax, transpose, tsum)
 from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, embed_document, forward,
-                           init_params,
-                           labelled_rows, length_mask, load_checkpoint, mlm_logits,
+                           init_params, length_mask, load_checkpoint, mlm_logits,
                            pad_rows, param_shapes, save_checkpoint, truncated_normal)
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
+
+from helpers import grad_check
 
 
 def tiny_config(**overrides):
@@ -97,21 +98,95 @@ class TestPadRows:
         assert mask.tolist() == [[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1] * 5]
 
 
-class TestLabelledRows:
-    def test_gathers_labelled_rows_in_order(self):
-        flat = Tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
-        labels = np.array([[IGNORE_INDEX, 4, IGNORE_INDEX], [0, IGNORE_INDEX, 9]])
-        rows, targets = labelled_rows(flat, labels)
-        assert rows.data.tolist() == [[2, 3], [6, 7], [10, 11]]
-        assert targets.tolist() == [4, 0, 9]
+def rows_batch(config, seed, dtype=np.float32):
+    """Padded ids and mask, parameters in ``dtype`` with nonzero biases and
+    layer-norm shifts, and labels on about a third of the real positions."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array([config.max_seq, 3, config.max_seq - 2, 5])
+    mask = (np.arange(config.max_seq) < lengths[:, None]).astype(np.int64)
+    ids = np.where(mask == 1, rng.integers(5, config.vocab_size, mask.shape), 0)
+    labels = np.where((mask == 1) & (rng.random(mask.shape) < 0.3), ids, IGNORE_INDEX)
+    params = {name: Tensor((t.data + rng.normal(0.0, 0.02, t.shape)).astype(dtype))
+              for name, t in init_params(config, seed).items()}
+    return ids, mask, labels, params
 
-    def test_gradient_lands_on_labelled_rows_only(self):
-        flat = Tensor(np.ones((4, 3), dtype=np.float32))
+
+class TestForwardRows:
+    """forward(rows=): the last layer's post-attention block on flat rows only."""
+
+    def test_gathers_rows_in_order(self, tiny):
+        config, params = tiny
+        ids, mask = np.array([[1, 5, 6, 2], [1, 7, 2, 0]]), np.array([[1] * 4, [1, 1, 1, 0]])
+        full = forward(ids, mask, config, params)
+        keep = np.array([6, 1, 3])
+        pruned = forward(ids, mask, config, params, rows=keep)
+        assert len(pruned) == config.num_layers + 1
+        for got, want in zip(pruned[:-1], full[:-1]):
+            assert np.array_equal(got.data, want.data)
+        assert pruned[-1].shape == (3, config.hidden)
+        flat = full[-1].data.reshape(-1, config.hidden)
+        np.testing.assert_allclose(pruned[-1].data, flat[keep], rtol=1e-6, atol=1e-7)
+
+    def test_gradients_match_gathering_after_the_full_forward(self):
+        config = tiny_config()
+        ids, mask, labels, params = rows_batch(config, 0, np.float64)
+        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        weights = Tensor(np.random.default_rng(1).standard_normal((keep.size, config.hidden)))
         tape = Tape()
-        rows, _ = labelled_rows(flat, np.array([IGNORE_INDEX, 2, IGNORE_INDEX, 1]), tape)
-        weights = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        last = forward(ids, mask, config, params, tape=tape)[-1]
+        rows = gather_rows(reshape(last, (ids.size, config.hidden), tape), keep, tape)
         backward(tape, tsum(mul(rows, weights, tape), tape))
-        assert flat.grad.tolist() == [[0, 0, 0], [0, 1, 2], [0, 0, 0], [3, 4, 5]]
+        want = {name: t.grad for name, t in params.items()}
+        for t in params.values():
+            t.zero_grad()
+        tape = Tape()
+        last = forward(ids, mask, config, params, tape=tape, rows=keep)[-1]
+        backward(tape, tsum(mul(last, weights, tape), tape))
+        for name, t in params.items():
+            if name.startswith("mlm."):  # the head is not in this loss
+                assert t.grad is None and want[name] is None
+            else:
+                np.testing.assert_allclose(t.grad, want[name], rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 1e-14),
+                                                   (np.float32, 1e-6, 1e-7)],
+                             ids=["float64", "float32"])
+    def test_last_hidden_equals_full_forward_rows(self, dtype, rtol, atol):
+        config = tiny_config(hidden=32, num_heads=4, ffn_dim=128, vocab_size=40,
+                             max_seq=12)
+        ids, mask, labels, params = rows_batch(config, 2, dtype)
+        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        full = forward(ids, mask, config, params)[-1].data.reshape(-1, config.hidden)
+        pruned = forward(ids, mask, config, params, rows=keep)[-1].data
+        assert pruned.dtype == dtype and pruned.shape == (keep.size, config.hidden)
+        np.testing.assert_allclose(pruned, full[keep], rtol=rtol, atol=atol)
+
+    def test_pruned_mlm_loss_gradients_match_finite_differences(self):
+        # criterion 1's check and tolerance, through the loss train() takes
+        config = tiny_config()
+        ids, mask, labels, params = rows_batch(config, 3, np.float64)
+        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        assert keep.size >= 4
+
+        def loss(tape):
+            last = forward(ids, mask, config, params, tape=tape, rows=keep)[-1]
+            return cross_entropy_masked(mlm_logits(last, params, tape),
+                                        labels.reshape(-1)[keep], tape)
+
+        assert grad_check(list(params.values()), loss, tol=1e-3) < 1e-3
+
+    @pytest.mark.parametrize("rows, match", [
+        (np.array([[0, 1]]), "1-D"),
+        (np.array([0.0, 1.0]), "integer"),
+        (np.array([0, 8]), "below 8"),
+        (np.array([-1, 2]), "below 8"),
+    ], ids=["2-d", "float", "past-end", "negative"])
+    def test_bad_rows_rejected(self, tiny, rows, match):
+        config, params = tiny
+        ids = np.array([[1, 5, 6, 2], [1, 7, 2, 0]])
+        with pytest.raises(ValueError, match=match):
+            forward(ids, np.ones_like(ids), config, params, rows=rows)
 
 
 class TestInit:
@@ -262,6 +337,7 @@ def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
     batch, seq = ids.shape
     h, heads = config.hidden, config.num_heads
     dh = h // heads
+    keep = np.flatnonzero(labels != IGNORE_INDEX)
 
     def drop(t):
         return dropout(t, config.dropout, rng, tape)
@@ -287,22 +363,26 @@ def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
         scores = add_const(scale(scores, 1.0 / np.sqrt(dh), tape), mask_bias, tape)
         probs = drop(softmax(scores, -1, tape))
         ctx = transpose(matmul(probs, split_heads(v, (0, 2, 1, 3)), tape), (0, 2, 1, 3), tape)
-        attn = drop(linear(reshape(ctx, (batch, seq, h), tape), p + "attn.wo", p + "attn.bo"))
+        if i == config.num_layers - 1:  # the rest of the last layer on labelled rows
+            ctx = gather_rows(reshape(ctx, (batch * seq, h), tape), keep, tape)
+            x = gather_rows(reshape(x, (batch * seq, h), tape), keep, tape)
+        else:
+            ctx = reshape(ctx, (batch, seq, h), tape)
+        attn = drop(linear(ctx, p + "attn.wo", p + "attn.bo"))
         x = norm(add(x, attn, tape), p + "attn.ln")
         inner = gelu(linear(x, p + "ffn.w1", p + "ffn.b1"), tape)
         x = norm(add(x, drop(linear(inner, p + "ffn.w2", p + "ffn.b2")), tape), p + "ffn.ln")
-    rows, targets = labelled_rows(reshape(x, (batch * seq, h), tape), labels, tape)
-    t = norm(gelu(linear(rows, "mlm.dense.w", "mlm.dense.b"), tape), "mlm.ln")
+    t = norm(gelu(linear(x, "mlm.dense.w", "mlm.dense.b"), tape), "mlm.ln")
     decoder = transpose(params["emb.word"], (1, 0), tape)
     logits = add(matmul(t, decoder, tape), params["mlm.bias"], tape)
-    return cross_entropy_masked(logits, targets, tape)
+    return cross_entropy_masked(logits, labels.reshape(-1)[keep], tape)
 
 
 def fused_mlm_loss(ids, mask, labels, config, params, tape, rng):
-    hidden = forward(ids, mask, config, params, tape=tape, rng=rng)[-1]
-    rows, targets = labelled_rows(reshape(hidden, (ids.size, config.hidden), tape),
-                                  labels, tape)
-    return cross_entropy_masked(mlm_logits(rows, params, tape), targets, tape)
+    keep = np.flatnonzero(labels != IGNORE_INDEX)
+    last = forward(ids, mask, config, params, tape=tape, rng=rng, rows=keep)[-1]
+    return cross_entropy_masked(mlm_logits(last, params, tape), labels.reshape(-1)[keep],
+                                tape)
 
 
 class TestMlmStep:
@@ -366,10 +446,10 @@ class TestMlmStep:
         encoder = {name: Tensor(t.data.copy()) for name, t in params.items()}
         decoder = dict(encoder, **{"emb.word": Tensor(params["emb.word"].data.copy())})
         tape = Tape()
-        hidden = forward(ids, mask, config, encoder, tape=tape)[-1]
-        rows, targets = labelled_rows(reshape(hidden, (ids.size, config.hidden), tape),
-                                      labels, tape)
-        backward(tape, cross_entropy_masked(mlm_logits(rows, decoder, tape), targets, tape))
+        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        last = forward(ids, mask, config, encoder, tape=tape, rows=keep)[-1]
+        backward(tape, cross_entropy_masked(mlm_logits(last, decoder, tape),
+                                            labels.reshape(-1)[keep], tape))
         gathered, decoded = encoder["emb.word"].grad, decoder["emb.word"].grad
         assert np.abs(gathered).max() > 0 and np.abs(decoded).max() > 0
         np.testing.assert_allclose(tied, gathered + decoded, rtol=1e-12, atol=1e-15)

@@ -296,6 +296,19 @@ class TestTrain:
         assert runs[0][0] == runs[1][0]
         assert all(np.array_equal(runs[0][1][k], runs[1][1][k]) for k in runs[0][1])
 
+    def test_dropout_runs_repeat_to_the_byte(self, vocab):
+        # the last layer draws dropout only for the labelled rows it keeps
+        texts = patterned_corpus(12, sentence_len=6)
+        tc = TrainConfig(peak_lr=1e-3, epochs=2, batch_size=4, warmup_steps=1, seed=3)
+        runs = []
+        for _ in range(2):
+            config = ModelConfig(num_layers=2, hidden=8, num_heads=2, ffn_dim=16,
+                                 vocab_size=len(vocab), max_seq=16, dropout=0.1)
+            params = init_params(config, 0)
+            log = train(config, params, texts, vocab, tc)
+            runs.append((log.render(), b"".join(params[k].data.tobytes() for k in params)))
+        assert runs[0] == runs[1]
+
     def test_seed_changes_trajectory(self, vocab):
         texts = patterned_corpus(8, sentence_len=6)
         losses = []
