@@ -235,6 +235,11 @@ def gather_rows(table: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Ten
         def bwd(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
+                if ids.ndim == 1 and bool(np.all(ids[1:] > ids[:-1])):
+                    # unique ids: plain assignment; + 0.0 turns -0.0 into +0.0
+                    # as the 0.0 + g of add.at does
+                    table.grad[ids] = g + 0.0
+                    return
             np.add.at(table.grad, ids, g)
         _record(tape, out, bwd)
     return out

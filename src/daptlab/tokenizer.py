@@ -7,6 +7,7 @@ inside words). Word-internal continuation pieces carry the usual "##" prefix.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,17 +172,14 @@ def count_pieces(text: str, vocab: Vocab) -> int:
     return sum(map(len, _word_groups(text, vocab)))
 
 
-def _merge_symbol(left: str, right: str) -> str:
-    return left + (right[2:] if right.startswith("##") else right)
-
-
 def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
     """Train a WordPiece vocab by frequency-driven within-word pair merging.
 
     Characters below min_frequency are left out (words containing them encode
     to [UNK]); merges stop when no adjacent pair reaches min_frequency or the
     target size is hit. Deterministic: ties break on the lexicographically
-    smallest pair.
+    smallest pair. The pair counts are taken once and then updated on each
+    merge, only in the words that hold the merged pair.
     """
     if target_size < 1:
         raise ValueError(f"target_size must be >= 1, got {target_size}")
@@ -210,7 +208,6 @@ def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
         raise ValueError(f"target_size {target_size} must exceed specials + alphabet ({floor})")
 
     pieces = list(SPECIAL_TOKENS) + alphabet
-    known = set(pieces)
 
     # Symbol sequences for mergeable words; rare-char words fall back to [UNK] later.
     seqs: list[tuple[list[str], int]] = []
@@ -218,25 +215,58 @@ def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
         if all(c in kept_chars for c in word):
             seqs.append(([word[0]] + ["##" + c for c in word[1:]], freq))
 
+    # pair_freq holds every pair with a positive count, holders[pair] the words
+    # (indices into seqs) that contain it. The heap may keep stale (-freq, pair)
+    # entries; one whose freq is no longer the pair's count is dropped when it
+    # surfaces, so the first fresh top is the pair min((-freq, pair)) picks.
+    pair_freq: Counter = Counter()
+    holders: dict[tuple[str, str], set[int]] = {}
+    for w, (symbols, freq) in enumerate(seqs):
+        for pair in zip(symbols, symbols[1:]):
+            pair_freq[pair] += freq
+            holders.setdefault(pair, set()).add(w)
+    heap = [(-freq, pair) for pair, freq in pair_freq.items()]
+    heapq.heapify(heap)
+
     while len(pieces) < target_size:
-        pair_freq = Counter()
-        for symbols, freq in seqs:
-            for i in range(len(symbols) - 1):
-                pair_freq[(symbols[i], symbols[i + 1])] += freq
-        if not pair_freq:
+        while heap and pair_freq.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_pair, best_freq = min(pair_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+        best_freq, best_pair = -heap[0][0], heap[0][1]
         if best_freq < min_frequency:
             break
-        merged = _merge_symbol(*best_pair)
-        for symbols, _ in seqs:
+        # A right-hand symbol never starts a word, so it always carries "##".
+        # The piece is new: until a span of characters merges with a neighbour,
+        # it is segmented as it would be alone, so every adjacent occurrence of
+        # a pair merges on the same step and no later pair spells it again.
+        merged = best_pair[0] + best_pair[1][2:]
+        delta = Counter()
+        for w in list(holders[best_pair]):
+            symbols, freq = seqs[w]
+            old = list(zip(symbols, symbols[1:]))
             i = 0
             while i < len(symbols) - 1:
                 if (symbols[i], symbols[i + 1]) == best_pair:
                     symbols[i:i + 2] = [merged]
                 else:
                     i += 1
-        if merged not in known:
-            pieces.append(merged)
-            known.add(merged)
+            new = list(zip(symbols, symbols[1:]))
+            for pair in old:
+                delta[pair] -= freq
+            for pair in new:
+                delta[pair] += freq
+                holders.setdefault(pair, set()).add(w)
+            for pair in set(old).difference(new):
+                holders[pair].discard(w)
+        for pair, change in delta.items():
+            if change:
+                freq = pair_freq[pair] + change
+                if freq:
+                    pair_freq[pair] = freq
+                    heapq.heappush(heap, (-freq, pair))
+                else:
+                    del pair_freq[pair]
+                    del holders[pair]
+        pieces.append(merged)
     return Vocab(pieces)

@@ -211,6 +211,24 @@ class TestGradients:
 
         grad_check([a], run)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ids", [[0, 2, 3, 5], [5, 0, 3], [1], []],
+                             ids=["increasing", "unsorted", "one", "empty"])
+    def test_gather_rows_unique_ids_bits(self, dtype, ids):
+        """Unique-id backward (assignment) has the bits of zeros + np.add.at."""
+        ids = np.array(ids, dtype=np.int64)
+        table = Tensor(np.ones((6, 3), dtype=dtype))
+        adjoint = np.random.default_rng(4).standard_normal((len(ids), 3)).astype(dtype)
+        adjoint.flat[::3] = -0.0
+        adjoint.flat[1::5] = np.nan
+        tape = Tape()
+        out = gather_rows(table, ids, tape)
+        backward(tape, tsum(mul(out, Tensor(adjoint), tape), tape))
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, adjoint)
+        assert table.grad.dtype == dtype
+        assert table.grad.tobytes() == expected.tobytes()
+
     def test_gather_rows_accumulates_repeats(self):
         table = t64((5, 3), 0)
         ids = np.array([[0, 2, 2], [4, 0, 0]])

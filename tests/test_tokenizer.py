@@ -1,16 +1,56 @@
 """WordPiece vocab, encoding, and the trainer."""
 
 import string
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from daptlab.tokenizer import (CLS, MAX_WORD_CHARS, MASK, PAD, SEP,
                                SPECIAL_TOKENS, UNK, Vocab, count_pieces,
                                encode, encode_words, split_words,
                                train_vocab, wordpiece)
+
+
+def recount_oracle(texts, target_size, min_frequency):
+    """The trainer that recounts every pair on every merge.
+
+    Returns its pieces and the rule that stopped it: "target", "min_frequency"
+    or "no pair". target_size 0 gives the specials and the alphabet.
+    """
+    word_freq = Counter(word for text in texts for word in split_words(text))
+    char_freq = Counter()
+    for word, freq in word_freq.items():
+        for ch in word:
+            char_freq[ch] += freq
+    kept = {ch for ch, freq in char_freq.items() if freq >= min_frequency}
+    pieces = (list(SPECIAL_TOKENS) + sorted({w[0] for w in word_freq} & kept)
+              + sorted({"##" + ch for w in word_freq for ch in w[1:] if ch in kept}))
+    seqs = [([w[0]] + ["##" + ch for ch in w[1:]], freq)
+            for w, freq in sorted(word_freq.items()) if set(w) <= kept]
+    while len(pieces) < target_size:
+        pair_freq = Counter()
+        for symbols, freq in seqs:
+            for pair in zip(symbols, symbols[1:]):
+                pair_freq[pair] += freq
+        if not pair_freq:
+            return pieces, "no pair"
+        best, freq = min(pair_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+        if freq < min_frequency:
+            return pieces, "min_frequency"
+        merged = best[0] + best[1][2:]
+        for symbols, _ in seqs:
+            i = 0
+            while i < len(symbols) - 1:
+                if (symbols[i], symbols[i + 1]) == best:
+                    symbols[i:i + 2] = [merged]
+                else:
+                    i += 1
+        if merged not in pieces:
+            pieces.append(merged)
+    return pieces, "target"
 
 
 def make_vocab(extra):
@@ -217,6 +257,30 @@ class TestTrainVocab:
         b = train_vocab(texts, target_size=30)
         assert a.pieces == b.pieces
 
+    def test_tie_breaks_on_smallest_pair(self):
+        # ("a", "##b") and ("b", "##a") both occur once; the smaller pair wins
+        # whatever the document order
+        for texts in (["ba ab"], ["ab ba"]):
+            vocab = train_vocab(texts, target_size=10, min_frequency=1)
+            assert vocab.pieces[-1] == "ab"
+            assert vocab.pieces == tuple(recount_oracle(texts, 10, 1)[0])
+
+    def test_overlapping_pairs_merge_left_to_right(self):
+        texts = ["aaaa aaa aa a abab ababab"]
+        vocab = train_vocab(texts, target_size=40, min_frequency=1)
+        assert vocab.pieces == tuple(recount_oracle(texts, 40, 1)[0])
+        assert wordpiece("aaa", vocab) == ["aaa"]
+
+    @pytest.mark.parametrize("texts,target,min_frequency,stop", [
+        (["abc abd abe"] * 3, 12, 2, "target"),
+        (["abc abc ab ba"], 40, 2, "min_frequency"),
+        (["ab ab cd"], 40, 1, "no pair"),
+    ])
+    def test_stops_where_the_recount_stops(self, texts, target, min_frequency, stop):
+        pieces, reason = recount_oracle(texts, target, min_frequency)
+        assert reason == stop
+        assert train_vocab(texts, target, min_frequency).pieces == tuple(pieces)
+
     def test_rare_chars_fall_to_unk(self):
         vocab = train_vocab(["aaa aaa q"], target_size=12, min_frequency=2)
         assert "q" not in vocab.pieces
@@ -247,3 +311,23 @@ def test_wordpiece_reconstructs_word(word):
         assert rebuilt == word
         assert not pieces[0].startswith("##")
         assert all(p.startswith("##") for p in pieces[1:])
+
+
+@st.composite
+def small_corpora(draw):
+    """2-4 letter corpora, so that pairs overlap and tie, with a min_frequency."""
+    letters = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    word = st.text(alphabet=letters, min_size=1, max_size=8)
+    texts = draw(st.lists(st.lists(word, min_size=1, max_size=8).map(" ".join),
+                          min_size=1, max_size=4))
+    return texts, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_corpora(), st.integers(1, 40))
+def test_train_vocab_equals_recount(corpus, extra):
+    texts, min_frequency = corpus
+    target = len(recount_oracle(texts, 0, min_frequency)[0]) + extra
+    pieces, stop = recount_oracle(texts, target, min_frequency)
+    event(f"stopped on {stop}")
+    assert train_vocab(texts, target, min_frequency).pieces == tuple(pieces)

@@ -10,7 +10,8 @@ Unpacks the base revision, and the change revision or else the working tree
 directory. For every seed it then runs ``perfbench/run.py --seconds 20
 --trace 0`` on the two trees in turn, ``--pairs`` times: odd pairs run the
 base first, even pairs the change first. Each run's last stdout line (the
-result) and its ``machine`` line are read back.
+result) and its ``machine`` line are read back, and a progress line after
+each pair gives both sides' value of every end-to-end metric.
 
 Writes ``BENCH_<label>.json`` at the root of the checkout, again after every
 pair: the machine record (from the first run's ``machine`` line, less its
@@ -144,9 +145,10 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 record["seeds"][str(seed)]["summary"] = summary(pairs, metrics)
                 target.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-                cpu = {side: pair[side]["metrics"].get("norm_cpu_s") for side in order}
-                print(f"seed {seed} pair {i}/{args.pairs}: norm_cpu_s base {cpu['base']:.4g}, "
-                      f"change {cpu['change']:.4g}", flush=True)
+                shown = "; ".join(f"{name} base {pair['base']['metrics'][name]:.4g}, "
+                                  f"change {pair['change']['metrics'][name]:.4g}"
+                                  for name in metrics)
+                print(f"seed {seed} pair {i}/{args.pairs}: {shown}", flush=True)
     print(f"wrote {target}")
     return 1 if failed else 0
 
