@@ -40,15 +40,13 @@ print(f"pretrained a {config.num_layers}-layer backbone on "
 
 clf_data = LabeledTextDataset.from_records(clf_records, seed=0)
 clf_report = finetune_classify(config, params, vocab, clf_data, SEEDS,
-                               FinetuneConfig(lr=1e-3, epochs=14, batch_size=8,
-                                              max_seq=32),
+                               FinetuneConfig(lr=1e-3, epochs=14, batch_size=8),
                                task="relevance", model_name="backbone")
 print(clf_report.render())
 
 tag_data = TaggedTokenDataset.from_records(tag_records, seed=0)
 tag_report = finetune_tag(config, params, vocab, tag_data, SEEDS,
-                          FinetuneConfig(lr=1e-3, epochs=6, batch_size=8,
-                                         max_seq=32),
+                          FinetuneConfig(lr=1e-3, epochs=6, batch_size=8),
                           task="entities", model_name="backbone")
 print(tag_report.render())
 

@@ -337,7 +337,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
 
 # float32: x P(x^2) / Q(x^2) with x clamped to [-4, 4], beyond which erf is
 # +-1 in single precision; the rational form XLA and Eigen use for float32
-# erf. Coefficients highest power first, evaluated by Horner's rule.
+# erf. Coefficients highest power first, as ``_horner`` takes them.
 _ERF32_P = tuple(np.float32(c) for c in (
     -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
@@ -346,84 +346,52 @@ _ERF32_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
 
-# float64: W. J. Cody's rational Chebyshev approximations (Math. Comp. 23:631,
-# 1969; the coefficients of his CALERF). Rows are numerator and denominator,
-# lowest power first.
-_ERF64_SMALL = np.array([  # erf(x) = x R(x^2) for |x| <= 0.46875
-    [3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
-     3.16112374387056560e00, 1.85777706184603153e-1],
-    [2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
-     2.36012909523441209e01, 1.0]])
-_ERF64_MID = np.array([  # erfc(y) = exp(-y^2) R(y) for 0.46875 < y <= 4
-    [1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
-     8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
-     8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8],
-    [1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
-     3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
-     1.17693950891312499e02, 1.57449261107098347e01, 1.0]])
-_ERF64_LARGE = np.array([  # erfc(y) = exp(-y^2) / y (1/sqrt(pi) + z R(z)), z = y^-2, y > 4
-    [-6.58749161529837803e-4, -1.60837851487422766e-2, -1.25781726111229246e-1,
-     -3.60344899949804439e-1, -3.05326634961232344e-1, -1.63153871373020978e-2],
-    [2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
-     1.87295284992346725e00, 2.56852019228982242e00, 1.0]])
+# float64: erf(x) = x P(x^2) / Q(x^2) for |x| <= 0.46875, by W. J. Cody's
+# rational Chebyshev approximation (Math. Comp. 23:631, 1969; the small-range
+# coefficients of his CALERF), highest power first. Wider values go to libm.
+_ERF64_P = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+            3.77485237685302021e02, 3.20937758913846947e03)
+_ERF64_Q = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+            1.28261652607737228e03, 2.84423683343917062e03)
 _ERF64_SMALL_MAX = 0.46875
+
+
+def _horner(t: np.ndarray, coeffs) -> np.ndarray:
+    """coeffs[0] t^n + ... + coeffs[n] by Horner's rule, into a new array."""
+    out = t * coeffs[0]
+    for c in coeffs[1:-1]:
+        out += c
+        out *= t
+    out += coeffs[-1]
+    return out
 
 
 def _erf32(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, -4.0, 4.0)
     x2 = x * x
-    p = x2 * _ERF32_P[0]
-    for c in _ERF32_P[1:-1]:
-        p += c
-        p *= x2
-    p += _ERF32_P[-1]
+    p = _horner(x2, _ERF32_P)
     p *= x
-    q = x2 * _ERF32_Q[0]
-    for c in _ERF32_Q[1:-1]:
-        q += c
-        q *= x2
-    q += _ERF32_Q[-1]
-    p /= q
+    p /= _horner(x2, _ERF32_Q)
     return p
 
 
-def _rational(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """num(t) / den(t) for the coefficient rows of ``coeffs``, as one product
-    with the powers of t (every coefficient used here is of one sign, so the
-    power sums do not cancel).
-
-    A lone value is padded to two columns: numpy hands a one-column product
-    to BLAS's matrix-vector routine, which rounds differently, and each value
-    must not depend on how many others share the call.
-    """
-    n = t.size
-    powers = np.ones((coeffs.shape[1], max(n, 2)))
-    powers[1, :n] = t.reshape(-1)
-    for k in range(2, len(powers)):
-        np.multiply(powers[k - 1], powers[1], out=powers[k])
-    num, den = coeffs @ powers
-    num /= den
-    return num[:n].reshape(t.shape)
+def _erf64_small(x: np.ndarray) -> np.ndarray:
+    x2 = x * x
+    out = _horner(x2, _ERF64_P)
+    out /= _horner(x2, _ERF64_Q)
+    out *= x
+    return out
 
 
 def _erf64(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    if x2.max(initial=0.0) <= _ERF64_SMALL_MAX ** 2:  # the common case, one range
-        out = _rational(x2, _ERF64_SMALL)
-        out *= x
-        return out
     y = np.abs(x)
-    out = np.empty_like(x)
+    if y.max(initial=0.0) <= _ERF64_SMALL_MAX:  # the common case, no libm call
+        return _erf64_small(x)
     small = y <= _ERF64_SMALL_MAX
-    out[small] = x[small] * _rational(x2[small], _ERF64_SMALL)
-    mid = ~small & (y <= 4.0)
-    out[mid] = 1.0 - np.exp(-x2[mid]) * _rational(y[mid], _ERF64_MID)
-    large = ~(small | mid)  # NaN lands here and stays NaN
-    z = 1.0 / x2[large]
-    out[large] = 1.0 - (np.exp(-x2[large]) / y[large]
-                        * (1.0 / math.sqrt(math.pi) + z * _rational(z, _ERF64_LARGE)))
-    rest = ~small
-    out[rest] = np.copysign(out[rest], x[rest])
+    wide = ~small  # NaN too
+    out = np.empty_like(x)
+    out[small] = _erf64_small(x[small])
+    out[wide] = np.fromiter(map(math.erf, x[wide].tolist()), np.float64)
     return out
 
 
@@ -432,7 +400,8 @@ def erf(x) -> np.ndarray:
 
     float32 input gives float32 within 5e-7 of math.erf (at most 4 ulp for
     |x| < 1), exactly odd and exactly +-1 for |x| >= 4. Any other input is
-    computed in float64, within 1e-13 of math.erf.
+    computed in float64: by Cody's rational form for |x| <= 0.46875, within
+    1e-13 of math.erf, and by math.erf (libm) itself beyond.
     """
     x = np.asarray(x)
     if x.dtype == np.float32:

@@ -93,8 +93,8 @@ def out_dir_of(args, cp) -> Path:
     return Path(args.out if args.out is not None else cfg_get(cp, "paths", "out", "runs"))
 
 
-# The INI keys each config dataclass reads from its own section. Every one
-# of them takes max_seq from [model] max_seq.
+# The INI keys each config dataclass reads from its own section. One with a
+# max_seq field takes it from [model] max_seq.
 _MODEL_KEYS = ("num_layers", "hidden", "num_heads", "ffn_dim", "dropout")
 _TRAIN_KEYS = ("peak_lr", "epochs", "batch_size", "weight_decay", "warmup_steps", "seed")
 _FINETUNE_KEYS = ("lr", "epochs", "batch_size", "weight_decay")
@@ -102,11 +102,13 @@ _FINETUNE_KEYS = ("lr", "epochs", "batch_size", "weight_decay")
 
 def _from_ini(cp, section: str, keys, base, **given):
     """A copy of the config dataclass ``base`` with each of ``keys`` read from
-    ``[section]``, max_seq from ``[model]``, and the ``given`` values set as
-    they are. A key left out keeps ``base``'s value; a value read is cast to
-    its field's annotated type."""
+    ``[section]``, a max_seq field from ``[model]``, and the ``given`` values
+    set as they are. A key left out keeps ``base``'s value; a value read is
+    cast to its field's annotated type."""
     hints = typing.get_type_hints(type(base))
-    sections = dict.fromkeys(keys, section) | {"max_seq": "model"}
+    sections = dict.fromkeys(keys, section)
+    if "max_seq" in hints:
+        sections["max_seq"] = "model"
     read = {name: cfg_get(cp, where, name, getattr(base, name), hints[name])
             for name, where in sections.items() if name not in given}
     return dataclasses.replace(base, **read, **given)

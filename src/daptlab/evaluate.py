@@ -77,8 +77,8 @@ def silhouette(points, assignments) -> float:
     labels = np.asarray(assignments)
     if pts.ndim != 2 or labels.shape != (pts.shape[0],):
         raise ValueError(f"points {pts.shape} and assignments {labels.shape} misaligned")
-    uniq = np.unique(labels)
-    if uniq.size < 2:
+    _, cluster, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     # difference-based distances, not the gram-matrix expansion: the latter
     # cancels catastrophically for near-coincident points
@@ -89,16 +89,20 @@ def silhouette(points, assignments) -> float:
         block = pts[start:start + chunk]
         dists[start:start + chunk] = np.sqrt(
             ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    scores = np.empty(pts.shape[0], dtype=np.float64)
-    for i in range(pts.shape[0]):
-        mine = labels == labels[i]
-        if mine.sum() == 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i, mine].sum() / (mine.sum() - 1)
-        b = min(dists[i, labels == other].mean() for other in uniq if other != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    # each point's distance sums per cluster, through a one-hot product
+    rows = np.arange(n)
+    onehot = np.zeros((n, sizes.size), dtype=np.float64)
+    onehot[rows, cluster] = 1.0
+    sums = dists @ onehot
+    own = sizes[cluster]
+    a = sums[rows, cluster] / np.maximum(own - 1, 1)
+    means = sums / sizes
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # a singleton's point, and a point with a = b = 0, score 0
+    scores = np.zeros(n, dtype=np.float64)
+    np.divide(b - a, denom, out=scores, where=(own > 1) & (denom > 0.0))
     return float(scores.mean())
 
 

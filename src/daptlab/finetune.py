@@ -33,12 +33,11 @@ class FinetuneConfig:
     epochs: int = 4
     batch_size: int = 16
     weight_decay: float = 0.01
-    max_seq: int = 128
 
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name in ("epochs", "batch_size", "max_seq"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.weight_decay < 0.0:
@@ -217,20 +216,20 @@ def iob_spans(tags, repair: bool = False) -> set[tuple[int, int, str]]:
     return spans
 
 
-def _as_sequences(pred, gold):
-    if len(pred) != len(gold):
-        raise ValueError(f"prediction count {len(pred)} != gold count {len(gold)}")
-    if pred and isinstance(pred[0], str):
-        pred, gold = [pred], [gold]
-    for i, (p, g) in enumerate(zip(pred, gold)):
+def _check_aligned(pred_seqs, gold_seqs) -> None:
+    if len(pred_seqs) != len(gold_seqs):
+        raise ValueError(f"prediction count {len(pred_seqs)} != gold count {len(gold_seqs)}")
+    for i, (p, g) in enumerate(zip(pred_seqs, gold_seqs)):
+        if isinstance(p, str) or isinstance(g, str):
+            raise ValueError(f"item {i} is a string; expected lists of tag sequences")
         if len(p) != len(g):
             raise ValueError(f"item {i}: prediction length {len(p)} != gold {len(g)}")
-    return pred, gold
 
 
-def span_f1(pred_tags, gold_tags) -> float:
-    """Exact-match micro F1 over spans; predictions are IOB-repaired, gold is strict."""
-    pred_seqs, gold_seqs = _as_sequences(pred_tags, gold_tags)
+def span_f1(pred_seqs, gold_seqs) -> float:
+    """Exact-match micro F1 over the spans of lists of tag sequences;
+    predictions are IOB-repaired, gold is strict."""
+    _check_aligned(pred_seqs, gold_seqs)
     tp = fp = fn = 0
     for pred, gold in zip(pred_seqs, gold_seqs):
         p_spans = iob_spans(pred, repair=True)
@@ -241,9 +240,10 @@ def span_f1(pred_tags, gold_tags) -> float:
     return _f1(tp, fp, fn)
 
 
-def token_f1(pred_tags, gold_tags) -> float:
-    """Micro F1 over word tokens, counting non-O tags only."""
-    pred_seqs, gold_seqs = _as_sequences(pred_tags, gold_tags)
+def token_f1(pred_seqs, gold_seqs) -> float:
+    """Micro F1 over the word tokens of lists of tag sequences, counting
+    non-O tags only."""
+    _check_aligned(pred_seqs, gold_seqs)
     tp = fp = fn = 0
     for pred, gold in zip(pred_seqs, gold_seqs):
         for p, g in zip(pred, gold):
@@ -402,8 +402,7 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
     _warn_if_degenerate([label for _, label in dataset.train], "train")
     labels = dataset.labels
     label_ids = {label: i for i, label in enumerate(labels)}
-    max_seq = min(ft.max_seq, config.max_seq)
-    encodings = {text: encode(text, vocab, max_seq)
+    encodings = {text: encode(text, vocab, config.max_seq)
                  for text, _ in dataset.train + dataset.dev + dataset.test}
 
     def batch_loss(batch, work, tape, rng):
@@ -453,9 +452,9 @@ def finetune_tag(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
     seeds = _check_protocol(seeds, dataset)
     tags = dataset.tags
     tag_ids = {tag: i for i, tag in enumerate(tags)}
-    max_seq = min(ft.max_seq, config.max_seq)
-    train_rows = _encode_tagged(dataset.train, vocab, max_seq, tag_ids)
-    dev, test = ((_encode_tagged(split, vocab, max_seq, tag_ids), [gold for _, gold in split])
+    train_rows = _encode_tagged(dataset.train, vocab, config.max_seq, tag_ids)
+    dev, test = ((_encode_tagged(split, vocab, config.max_seq, tag_ids),
+                  [gold for _, gold in split])
                  for split in (dataset.dev, dataset.test))
 
     def batch_loss(rows, work, tape, rng):

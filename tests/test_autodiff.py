@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
-from daptlab.autodiff import (_GELU_BLOCK, IGNORE_INDEX, Tape, Tensor, add,
-                              add_const, backward, cross_entropy_masked,
-                              dropout, erf, gather_rows, gelu, layer_norm,
-                              matmul, mul, reshape, scale, select_position,
-                              softmax, transpose, tsum, zero_grads)
+from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, IGNORE_INDEX, Tape,
+                              Tensor, add, add_const, backward,
+                              cross_entropy_masked, dropout, erf, gather_rows,
+                              gelu, layer_norm, matmul, mul, reshape, scale,
+                              select_position, softmax, transpose, tsum,
+                              zero_grads)
 from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, forward, init_params,
                            mlm_logits)
 
@@ -86,10 +87,60 @@ class TestErf:
         assert np.array_equal(got[:3], [1.0, -1.0, 1.0])
         assert np.isnan(got[3]) and got[4] == 0.0
 
+    def test_huge_float64_does_not_overflow(self):
+        # only Cody's small range is squared
+        with np.errstate(all="raise"):
+            got = erf(np.array([1e200, -1e300, 0.1]))
+        assert np.array_equal(got[:2], [1.0, -1.0])
+
     def test_shapes_kept(self):
         assert erf(np.zeros((2, 0, 3))).shape == (2, 0, 3)
         assert erf(np.array(0.5)).shape == ()
         assert math.isclose(float(erf(np.array(0.5))), math.erf(0.5), abs_tol=1e-15)
+
+
+def inline_horner_erf32(x):
+    """float32 erf with its two Horner loops written out: the bit reference
+    that erf and gelu must keep."""
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = x2 * _ERF32_P[0]
+    for c in _ERF32_P[1:-1]:
+        p += c
+        p *= x2
+    p += _ERF32_P[-1]
+    p *= x
+    q = x2 * _ERF32_Q[0]
+    for c in _ERF32_Q[1:-1]:
+        q += c
+        q *= x2
+    q += _ERF32_Q[-1]
+    p /= q
+    return p
+
+
+class TestErf32Bits:
+    """float32 erf, and gelu's value and slope built on it, have the bits of
+    the written-out Horner loops."""
+
+    def test_erf_grid(self):
+        x = TestErf.GRID.astype(np.float32)
+        want = inline_horner_erf32(x)
+        assert np.array_equal(erf(x).view(np.int32), want.view(np.int32))
+
+    @pytest.mark.parametrize("scale", [0.03, 0.3, 1.0, 3.0, 10.0])
+    def test_desk_shaped_erf_and_gelu(self, scale):
+        rng = np.random.default_rng(int(scale * 100))
+        x = (rng.standard_normal((64, 18, 256)) * scale).astype(np.float32)
+        assert np.array_equal(erf(x).view(np.int32), inline_horner_erf32(x).view(np.int32))
+        ones = np.ones_like(x)
+        want_out, want_slope = gelu_unblocked(x, ones, erf_fn=inline_horner_erf32)
+        a = Tensor(x.copy())
+        tape = Tape()
+        out = gelu(a, tape)
+        backward(tape, tsum(mul(out, Tensor(ones), tape), tape))
+        assert np.array_equal(out.data.view(np.int32), want_out.view(np.int32))
+        assert np.array_equal(a.grad.view(np.int32), want_slope.view(np.int32))
 
 
 class TestForwardValues:
@@ -572,9 +623,9 @@ class TestAdjointRelease:
         assert_grads_owned(list(params.values()))
 
 
-def gelu_unblocked(x, g):
+def gelu_unblocked(x, g, erf_fn=erf):
     """GELU's forward and input gradient by the plain whole-array formula."""
-    cdf = erf(x / math.sqrt(2.0))
+    cdf = erf_fn(x / math.sqrt(2.0))
     cdf += 1.0
     cdf *= 0.5
     pdf = np.exp(-0.5 * x * x) / x.dtype.type(math.sqrt(2.0 * math.pi))
@@ -590,7 +641,7 @@ class TestGeluBlocks:
                                       2 * _GELU_BLOCK + 3])
     def test_bits_match_the_unblocked_formula(self, size, dtype):
         rng = np.random.default_rng(size)
-        # spread over erf's clamp and float64's three ranges
+        # spread over erf's clamp and float64's Cody and libm ranges
         x = (rng.standard_normal(size) * 3.0).astype(dtype)
         g = rng.standard_normal(size).astype(dtype)
         want_out, want_grad = gelu_unblocked(x, g)

@@ -15,7 +15,7 @@ from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
 from daptlab.model import ModelConfig, init_params
 from daptlab.pretrain import TrainingDiverged
 from daptlab.synth import classification_records, tagging_records
-from daptlab.tokenizer import train_vocab
+from daptlab.tokenizer import encode_words, train_vocab
 from helpers import (oracle_binary_f1, oracle_span_f1, oracle_spans,
                      random_iob_case)
 
@@ -100,12 +100,12 @@ class TestSpanF1:
     def test_hand_computed(self):
         gold = ["B-X", "I-X", "O", "B-Y"]
         pred = ["B-X", "I-X", "O", "O"]  # tp=1 fp=0 fn=1
-        assert span_f1(pred, gold) == pytest.approx(2 / 3)
+        assert span_f1([pred], [gold]) == pytest.approx(2 / 3)
 
     def test_partial_span_does_not_count(self):
         gold = ["B-X", "I-X", "I-X"]
         pred = ["B-X", "I-X", "O"]  # boundary wrong: tp=0 fp=1 fn=1
-        assert span_f1(pred, gold) == 0.0
+        assert span_f1([pred], [gold]) == 0.0
 
     def test_batch_of_sequences(self):
         gold = [["B-X"], ["O", "B-Y"]]
@@ -115,6 +115,12 @@ class TestSpanF1:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             span_f1([["B-X", "O"]], [["B-X"]])
+
+    @pytest.mark.parametrize("metric", [span_f1, token_f1])
+    def test_single_sequence_rejected(self, metric):
+        # a bare sequence would otherwise be read as strings of characters
+        with pytest.raises(ValueError, match="lists of tag sequences"):
+            metric(["B-X", "O"], ["B-Y", "O"])
 
     def test_matches_span_set_oracle(self):
         rng = np.random.default_rng(2)
@@ -130,10 +136,10 @@ class TestTokenF1:
     def test_hand_computed(self):
         gold = ["B-X", "I-X", "O", "B-Y"]
         pred = ["B-X", "O", "O", "B-Y"]  # tp=2 fp=0 fn=1
-        assert token_f1(pred, gold) == pytest.approx(0.8)
+        assert token_f1([pred], [gold]) == pytest.approx(0.8)
 
     def test_o_agreement_not_rewarded(self):
-        assert token_f1(["O", "O"], ["O", "O"]) == 0.0
+        assert token_f1([["O", "O"]], [["O", "O"]]) == 0.0
 
 
 class TestAggregate:
@@ -394,10 +400,13 @@ class TestFinetuneTag:
     def test_predictions_cover_every_word(self, tag_setup):
         # truncated words fall back to O, keeping pred/gold aligned, so
         # span_f1 never raises on a length mismatch
-        config, params, vocab, data = tag_setup
-        ft = FinetuneConfig(lr=1e-3, epochs=1, batch_size=16, max_seq=8)
-        rep = finetune_tag(config, params, vocab, data, seeds=(0, 1, 2, 3, 4),
-                           ft_config=ft)
+        config, _, vocab, data = tag_setup
+        config = dataclasses.replace(config, max_seq=8)
+        assert any(len(encode_words(tokens, vocab, 64).ids) > config.max_seq
+                   for tokens, _ in data.test)
+        ft = FinetuneConfig(lr=1e-3, epochs=1, batch_size=16)
+        rep = finetune_tag(config, init_params(config, 0), vocab, data,
+                           seeds=(0, 1, 2, 3, 4), ft_config=ft)
         assert len(rep.values) == 5
 
 
