@@ -13,8 +13,12 @@ array its consumer's closure hands over as its ``.grad``, without a copy
 (``_accumulate``): every closure hands over an array nothing else holds, and
 the three that would hand one array to two tensors copy it themselves (``add``
 of two full-shape operands, ``layer_norm``'s ``residual`` and ``tsum``'s
-broadcast). Forward values are float32 by default, but float64 arrays are
-kept as-is so the same graph can be re-run at higher precision by oracles.
+broadcast). A tensor that already holds a ``.grad`` has the array added into
+it in place. During ``pretrain.fit`` every parameter holds one, a view into
+the flat training state (``optim.AdamState``), so parameters accumulate there
+and adoption applies to intermediates. Forward values are float32 by default,
+but float64 arrays are kept as-is so the same graph can be re-run at higher
+precision by oracles.
 
 Non-finite values are treated as an error state. NaN/Inf propagates to the
 loss, so enforcement lives at the loss/optimizer boundary (see pretrain and
@@ -88,7 +92,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     no other tensor or closure holds: the invariant is that no array is the
     ``.grad`` of two tensors and every ``.grad`` is writable, so later
     accumulations and in-place backward steps may write into it. Only a
-    numpy scalar (from a full reduction) or another dtype is converted.
+    numpy scalar (from a full reduction) or another dtype is converted. A
+    held ``.grad``, such as a parameter's view into the training state's
+    gradient buffer, is added into and never replaced.
     """
     if t.grad is None:
         if not isinstance(g, np.ndarray) or g.dtype != t.data.dtype:
@@ -235,12 +241,10 @@ def gather_rows(table: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Ten
         def bwd(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-                if ids.ndim == 1 and bool(np.all(ids[1:] > ids[:-1])):
-                    # unique ids: plain assignment; + 0.0 turns -0.0 into +0.0
-                    # as the 0.0 + g of add.at does
-                    table.grad[ids] = g + 0.0
-                    return
-            np.add.at(table.grad, ids, g)
+            if ids.ndim == 1 and bool(np.all(ids[1:] > ids[:-1])):
+                table.grad[ids] += g  # unique ids: the sums add.at would make
+            else:
+                np.add.at(table.grad, ids, g)
         _record(tape, out, bwd)
     return out
 
@@ -527,9 +531,3 @@ def backward(tape: Tape, loss: Tensor) -> None:
     loss.grad = np.ones((), dtype=loss.data.dtype)
     for fn in reversed(tape._ops):
         fn()
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    """Clear the gradient of every tensor in a parameter dict."""
-    for t in params.values():
-        t.zero_grad()

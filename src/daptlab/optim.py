@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,86 +21,66 @@ class NonFiniteGradient(ValueError):
 
 
 class AdamState:
-    """First/second moment estimates plus a shared step count.
+    """The flat training state: parameters, gradients, moments and a step count.
 
-    The moments of all parameters live in one flat buffer each (``m_flat``,
-    ``v_flat``), laid out in the order of the params dict given to
-    ``for_params``; ``m[name]`` and ``v[name]`` are reshaped views into them.
+    ``AdamState(params)`` copies every parameter, in the params dict's order,
+    into one flat ``params`` buffer and gives it a slot in one zeroed
+    ``grads`` buffer; each ``p.data`` and ``p.grad`` is rebound to a reshaped
+    view of its slot. Backward then accumulates straight into ``grads``, and
+    ``adam_step`` updates ``params``, ``m`` and ``v`` in place. Tensor ``k``
+    (``names[k]``) owns ``[bounds[k], bounds[k + 1])`` of each buffer.
+    Rebinding a ``p.data`` detaches it from the state, so it is valid only
+    once training is over: after ``pretrain.fit`` returns, as the five-seed
+    protocol's dev-best restore does.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype):
-        self.t = 0
-        self.slices: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-        offset = 0
-        for name, shape in shapes.items():
-            size = math.prod(shape)
-            self.slices[name] = (offset, offset + size, tuple(shape))
-            offset += size
-        self.m_flat = np.zeros(offset, dtype=dtype)
-        self.v_flat = np.zeros(offset, dtype=dtype)
-        self.m = self._views(self.m_flat)
-        self.v = self._views(self.v_flat)
-        # scratch for adam_step: gathered gradients, parameters, temporaries
-        self._g_flat = np.empty(offset, dtype=dtype)
-        self._p_flat = np.empty(offset, dtype=dtype)
-        self._tmp = np.empty(offset, dtype=dtype)
-        self._p_views = list(self._views(self._p_flat).values())
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[lo:hi].reshape(shape)
-                for name, (lo, hi, shape) in self.slices.items()}
-
-    @classmethod
-    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
+    def __init__(self, params: dict[str, Tensor]):
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ValueError("Adam needs parameters of one dtype, got "
                              + ", ".join(sorted(d.name for d in dtypes)))
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        return cls({name: p.data.shape for name, p in params.items()}, dtype)
+        self.t = 0
+        self.names = list(params)
+        self.bounds = list(accumulate((p.data.size for p in params.values()), initial=0))
+        size = self.bounds[-1]
+        self.params = np.empty(size, dtype=dtype)
+        self.grads = np.zeros(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        self._tmp = np.empty(size, dtype=dtype)  # scratch for adam_step
+        for p, lo, hi in zip(params.values(), self.bounds, self.bounds[1:]):
+            view = self.params[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            p.grad = self.grads[lo:hi].reshape(view.shape)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
-              state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
-    """One bias-corrected Adam update, in place.
+def adam_step(state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
+    """One bias-corrected Adam update of ``state.params``, in place.
 
     Weight decay is decoupled: param -= lr * wd * param before the moment
     update. A NaN/Inf gradient rejects the whole step (poisoned state) before
-    any parameter or moment is touched. A missing/None gradient counts as zero.
-    All parameters are updated in one pass over flat copies of the parameters
-    and gradients; the results are written back into each ``p.data`` in place.
+    any parameter or moment is touched. A parameter no op reached has a zero
+    gradient, so it only decays. The gradients are zeroed after the update,
+    ready for the next backward.
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     if weight_decay < 0.0:
         raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-    if params.keys() != state.slices.keys():
-        raise ValueError("params do not match the parameters AdamState was built for")
-    tensors = [params[name] for name in state.slices]
-    dtype = state.m_flat.dtype
-    gathered = []
-    for name, p in zip(state.slices, tensors):
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros(p.data.shape, dtype=dtype)
-        elif g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{p.data.shape} for {name!r}")
-        gathered.append(g)
-    g = np.concatenate(gathered, axis=None, out=state._g_flat)
+    g, flat, m, v, tmp = state.grads, state.params, state.m, state.v, state._tmp
     if not np.isfinite(g).all():
-        for name, part in zip(state.slices, gathered):
-            if not np.isfinite(part).all():
+        for name, lo, hi in zip(state.names, state.bounds, state.bounds[1:]):
+            if not np.isfinite(g[lo:hi]).all():
                 raise NonFiniteGradient(name)
-    flat = np.concatenate([p.data for p in tensors], axis=None, out=state._p_flat)
 
     # The textbook formulas, evaluated in the same order with in-place
-    # operations on the scratch buffers, so the result is bit for bit the
+    # operations on the flat buffers, so the result is bit for bit the
     # per-tensor update.
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    m, v, tmp = state.m_flat, state.v_flat, state._tmp
     if weight_decay:
         np.multiply(flat, lr * weight_decay, out=tmp)
         flat -= tmp                              # p -= lr * wd * p
@@ -118,8 +98,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray | None],
     mhat *= lr
     mhat /= vhat
     flat -= mhat                                 # p -= lr mhat / (sqrt(vhat) + eps)
-    for p, updated in zip(tensors, state._p_views):
-        np.copyto(p.data, updated)
+    g.fill(0.0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
-                       reshape, zero_grads)  # noqa: F401  (the tracer rebinds reshape here)
+                       reshape)  # noqa: F401  (the tracer rebinds reshape here)
 from .model import ModelConfig, forward, length_mask, mlm_logits, pad_rows
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .tokenizer import Encoding, Vocab, count_pieces, encode
@@ -183,8 +183,14 @@ def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generat
     backward and an Adam step at ``lr_at(step)``. ``end_epoch()`` runs after
     each epoch. A non-finite loss or gradient raises TrainingDiverged before
     the update is applied, so ``params`` hold the last good step.
+
+    Each ``p.data`` and ``p.grad`` is rebound to a view into one flat
+    AdamState, so backward accumulates into its gradient buffer and no grads
+    dict is built. While ``fit`` runs nothing may rebind a ``p.data``;
+    after it returns a caller may, as the five-seed protocol's dev-best
+    restore does.
     """
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     log = LossLog()
     step = 0
     for _ in range(regimen.epochs):
@@ -198,13 +204,11 @@ def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generat
                 raise TrainingDiverged(step, f"non-finite loss {value}", log)
             log.entries.append((step, value))
             backward(tape, loss)
-            grads = {name: t.grad for name, t in params.items()}
             try:
-                adam_step(params, grads, state, lr_at(step), regimen.weight_decay)
+                adam_step(state, lr_at(step), regimen.weight_decay)
             except NonFiniteGradient as exc:
                 raise TrainingDiverged(step, f"non-finite gradient for {exc.name!r}",
                                        log) from exc
-            zero_grads(params)
         log.epoch_ends.append(step)
         if end_epoch is not None:
             end_epoch()

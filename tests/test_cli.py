@@ -7,9 +7,10 @@ model, then individual tests inspect artifacts, exit codes, and determinism.
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from daptlab import cli
+from daptlab import cli, pretrain
 from daptlab.finetune import FinetuneConfig
 from daptlab.model import ModelConfig
 from daptlab.pretrain import TrainConfig
@@ -446,6 +447,30 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert not (tmp_path / "base.ckpt").exists()
+
+    def test_nan_gradient_exits_two_and_writes_nothing(self, pipeline, capsys, tmp_path,
+                                                       monkeypatch):
+        # a NaN in one gradient behind a finite loss: the optimizer names it
+        _, run = pipeline
+        states, real_state, real_backward = [], pretrain.AdamState, pretrain.backward
+
+        def recording_state(params):
+            states.append(real_state(params))
+            return states[-1]
+
+        def poisoned_backward(tape, loss):
+            real_backward(tape, loss)
+            state = states[-1]
+            state.grads[state.bounds[state.names.index("emb.word")]] = np.nan
+
+        monkeypatch.setattr(pretrain, "AdamState", recording_state)
+        monkeypatch.setattr(pretrain, "backward", poisoned_backward)
+        assert cli.main(["pretrain", "--corpus", str(run / "corpus.jsonl"),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
+                        MODEL_SETS + ["--set", "train.base.warmup_steps=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite gradient for 'emb.word'" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finetune_divergence_exits_two(self, pipeline, capsys, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from daptlab.autodiff import Tensor
+from daptlab.autodiff import Tape, Tensor, backward, matmul, tsum
 from daptlab.optim import (AdamState, LrSchedule, NonFiniteGradient, adam_step,
                            lr_at_step)
 
@@ -33,9 +33,7 @@ def per_tensor_adam(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         if wd:
             p -= lr * wd * p
         m[name] *= b1
@@ -47,12 +45,26 @@ def per_tensor_adam(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
         p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def set_grads(params, grads):
+    """Write gradients into the parameters' slots of the state's buffer, as
+    backward accumulates into them."""
+    for name, g in grads.items():
+        params[name].grad[...] = g
+
+
+def slot(state, flat, name):
+    """The part of one of the state's flat buffers that tensor ``name`` owns."""
+    k = state.names.index(name)
+    return flat[state.bounds[k]:state.bounds[k + 1]]
+
+
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
         # bias correction makes |update| ~= lr regardless of gradient scale
         p = {"w": Tensor(np.zeros(3, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        adam_step(p, {"w": np.array([1e3, 1e-3, -5.0])}, state, lr=0.01)
+        state = AdamState(p)
+        set_grads(p, {"w": [1e3, 1e-3, -5.0]})
+        adam_step(state, lr=0.01)
         np.testing.assert_allclose(p["w"].data, [-0.01, -0.01, 0.01], rtol=1e-4)
 
     def test_matches_reference_over_many_steps(self):
@@ -60,9 +72,10 @@ class TestAdam:
         w0 = rng.standard_normal(7)
         grads = [rng.standard_normal(7) for _ in range(25)]
         p = {"w": Tensor(w0.copy())}
-        state = AdamState.for_params(p)
+        state = AdamState(p)
         for g in grads:
-            adam_step(p, {"w": g}, state, lr=0.02, weight_decay=0.04)
+            set_grads(p, {"w": g})
+            adam_step(state, lr=0.02, weight_decay=0.04)
         np.testing.assert_allclose(p["w"].data,
                                    reference_adam(w0, grads, 0.02, 0.04),
                                    rtol=1e-10)
@@ -71,30 +84,34 @@ class TestAdam:
     def test_weight_decay_is_decoupled(self):
         # zero gradient: decay still shrinks the weight, moments stay zero
         p = {"w": Tensor(np.full(2, 10.0, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        adam_step(p, {"w": np.zeros(2)}, state, lr=0.1, weight_decay=0.5)
+        state = AdamState(p)
+        adam_step(state, lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(p["w"].data, 10.0 * (1 - 0.1 * 0.5))
-        np.testing.assert_allclose(state.m["w"], 0.0)
+        np.testing.assert_allclose(state.m, 0.0)
 
-    def test_none_gradient_means_zero(self):
-        p = {"w": Tensor(np.ones(2, dtype=np.float64)),
-             "frozen": Tensor(np.ones(2, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        adam_step(p, {"w": np.ones(2)}, state, lr=0.1)
-        np.testing.assert_allclose(p["frozen"].data, 1.0)
-        assert p["w"].data[0] < 1.0
+    def test_parameter_no_op_reaches_only_decays(self):
+        p = {"w": Tensor(np.ones((3, 2), dtype=np.float64)),
+             "unused": Tensor(np.full(2, 4.0, dtype=np.float64))}
+        state = AdamState(p)
+        tape = Tape()
+        backward(tape, tsum(matmul(Tensor(np.ones((1, 3))), p["w"], tape), tape))
+        assert np.array_equal(p["unused"].grad, np.zeros(2))
+        adam_step(state, lr=0.1, weight_decay=0.5)
+        assert np.array_equal(p["unused"].data, np.full(2, 4.0 - 0.1 * 0.5 * 4.0))
+        assert np.array_equal(slot(state, state.m, "unused"), np.zeros(2))
+        assert (p["w"].data < 1.0 - 0.1 * 0.5).all()
 
     def test_nan_gradient_rejects_whole_step(self):
         p = {"a": Tensor(np.ones(2, dtype=np.float64)),
              "b": Tensor(np.ones(2, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        grads = {"a": np.ones(2), "b": np.array([1.0, np.nan])}
+        state = AdamState(p)
+        set_grads(p, {"a": np.ones(2), "b": [1.0, np.nan]})
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(p, grads, state, lr=0.1, weight_decay=0.1)
+            adam_step(state, lr=0.1, weight_decay=0.1)
         # nothing mutated: params, moments, and the step counter
         np.testing.assert_allclose(p["a"].data, 1.0)
         np.testing.assert_allclose(p["b"].data, 1.0)
-        np.testing.assert_allclose(state.m["a"], 0.0)
+        np.testing.assert_allclose(state.m, 0.0)
         assert state.t == 0
 
     def test_flat_step_bit_identical_to_per_tensor(self):
@@ -106,80 +123,83 @@ class TestAdam:
         ref = {n: t.data.copy() for n, t in params.items()}
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         for t in range(1, 51):
             grads = {n: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3))
                      .astype(np.float32) for n, s in shapes.items()}
-            grads["frozen"] = None
-            adam_step(params, grads, state, lr=3e-3, weight_decay=0.01)
+            grads["frozen"] = np.zeros(shapes["frozen"], dtype=np.float32)
+            set_grads(params, {n: g for n, g in grads.items() if n != "frozen"})
+            adam_step(state, lr=3e-3, weight_decay=0.01)
             per_tensor_adam(ref, grads, m, v, t, lr=3e-3, wd=0.01)
+            assert not state.grads.any()  # zeroed for the next backward
         assert state.t == 50
         for n in shapes:
             assert params[n].data.dtype == np.float32
             assert np.array_equal(params[n].data, ref[n]), n
-            assert np.array_equal(state.m[n], m[n]), n
-            assert np.array_equal(state.v[n], v[n]), n
+            assert np.array_equal(slot(state, state.m, n), m[n].reshape(-1)), n
+            assert np.array_equal(slot(state, state.v, n), v[n].reshape(-1)), n
 
     def test_nan_in_last_tensor_names_it_and_mutates_nothing(self):
         rng = np.random.default_rng(2)
         params = {n: Tensor(rng.standard_normal(s).astype(np.float32))
                   for n, s in (("a", (3, 2)), ("b", (4,)), ("last", (2, 2)))}
-        state = AdamState.for_params(params)
-        grads = {n: np.ones(t.shape, dtype=np.float32) for n, t in params.items()}
-        adam_step(params, grads, state, lr=0.1, weight_decay=0.1)
+        state = AdamState(params)
+        ones = {n: np.ones(t.shape, dtype=np.float32) for n, t in params.items()}
+        set_grads(params, ones)
+        adam_step(state, lr=0.1, weight_decay=0.1)
         before = {n: t.data.copy() for n, t in params.items()}
-        m, v = state.m_flat.copy(), state.v_flat.copy()
-        grads["last"] = grads["last"].copy()
-        grads["last"][1, 1] = np.nan
+        m, v = state.m.copy(), state.v.copy()
+        set_grads(params, ones)
+        params["last"].grad[1, 1] = np.nan
         with pytest.raises(NonFiniteGradient) as exc:
-            adam_step(params, grads, state, lr=0.1, weight_decay=0.1)
+            adam_step(state, lr=0.1, weight_decay=0.1)
         assert exc.value.name == "last"
         for n, t in params.items():
             assert np.array_equal(t.data, before[n])
-        assert np.array_equal(state.m_flat, m) and np.array_equal(state.v_flat, v)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         assert state.t == 1
 
-    def test_moment_views_share_the_flat_buffers(self):
-        p = {"a": Tensor(np.ones((2, 3), dtype=np.float32)),
-             "b": Tensor(np.ones(4, dtype=np.float32))}
-        state = AdamState.for_params(p)
-        adam_step(p, {"a": np.ones((2, 3), dtype=np.float32), "b": None}, state, lr=0.1)
-        assert state.m["a"].shape == (2, 3) and state.v["b"].shape == (4,)
-        np.testing.assert_allclose(state.m["a"], 0.1)
-        np.testing.assert_allclose(state.m_flat, [0.1] * 6 + [0.0] * 4, rtol=1e-6)
+    def test_views_share_the_flat_buffers_in_order(self):
+        p = {"a": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)),
+             "s": Tensor(np.float32(7.0)),
+             "b": Tensor(np.full(4, 9.0, dtype=np.float32))}
+        p["a"].grad = np.ones((2, 3), dtype=np.float32)  # dropped: grads start at zero
+        state = AdamState(p)
+        assert state.names == ["a", "s", "b"] and state.bounds == [0, 6, 7, 11]
+        assert np.array_equal(state.params, [0, 1, 2, 3, 4, 5, 7, 9, 9, 9, 9])
+        assert not state.grads.any()
+        for name, t in p.items():
+            assert t.data.shape == t.grad.shape
+            assert t.data.base is state.params and t.grad.base is state.grads
+        p["s"].grad[...] = 1.0
+        p["b"].grad[3] = 2.0
+        assert np.array_equal(state.grads, [0] * 6 + [1, 0, 0, 0, 2])
+        adam_step(state, lr=0.1)
+        np.testing.assert_allclose(state.m, [0] * 6 + [0.1, 0, 0, 0, 0.2], rtol=1e-6)
+        assert p["s"].data == state.params[6] and p["s"].data < 7.0
 
     def test_mixed_dtypes_rejected(self):
         p = {"a": Tensor(np.ones(2, dtype=np.float32)),
              "b": Tensor(np.ones(2, dtype=np.float64))}
         with pytest.raises(ValueError, match="one dtype"):
-            AdamState.for_params(p)
-
-    def test_params_must_match_state(self):
-        p = {"a": Tensor(np.ones(2, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        p["b"] = Tensor(np.ones(2, dtype=np.float64))
-        with pytest.raises(ValueError, match="AdamState was built for"):
-            adam_step(p, {}, state, lr=0.1)
+            AdamState(p)
 
     def test_inf_gradient_rejected(self):
         p = {"a": Tensor(np.ones(1, dtype=np.float64))}
-        state = AdamState.for_params(p)
+        state = AdamState(p)
+        set_grads(p, {"a": [np.inf]})
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(p, {"a": np.array([np.inf])}, state, lr=0.1)
-
-    def test_shape_mismatch_rejected(self):
-        p = {"a": Tensor(np.ones(2, dtype=np.float64))}
-        state = AdamState.for_params(p)
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(p, {"a": np.ones(3)}, state, lr=0.1)
+            adam_step(state, lr=0.1)
 
     def test_negative_hyperparameters_rejected(self):
         p = {"a": Tensor(np.ones(1, dtype=np.float64))}
-        state = AdamState.for_params(p)
+        state = AdamState(p)
+        set_grads(p, {"a": np.ones(1)})
         with pytest.raises(ValueError):
-            adam_step(p, {"a": np.ones(1)}, state, lr=-0.1)
+            adam_step(state, lr=-0.1)
         with pytest.raises(ValueError):
-            adam_step(p, {"a": np.ones(1)}, state, lr=0.1, weight_decay=-1.0)
+            adam_step(state, lr=0.1, weight_decay=-1.0)
+        assert state.t == 0
 
 
 class TestSchedule:

@@ -7,7 +7,7 @@ import pytest
 
 from daptlab import pretrain
 from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
-                              reshape, zero_grads)
+                              reshape)
 from daptlab.model import ModelConfig, forward, init_params, mlm_logits
 from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
                               TrainingDiverged, apply_masking,
@@ -363,6 +363,25 @@ class TestTrain:
         assert [step for step, _ in err.loss_log.entries] == [1]
         assert all(np.array_equal(before[name], params[name].data) for name in params)
 
+    def test_parameters_train_as_views_into_one_state(self, vocab):
+        # fit rebinds every parameter and its gradient to views into one flat
+        # buffer each, in dict order
+        config, params = tiny_setup(vocab)
+        shapes = {name: t.data.shape for name, t in params.items()}
+        train(config, params, patterned_corpus(8, sentence_len=6), vocab,
+              TrainConfig(peak_lr=1e-3, epochs=1, batch_size=4, warmup_steps=1))
+        first = next(iter(params.values()))
+        for slot in ("data", "grad"):
+            flat = getattr(first, slot).base
+            start = flat.__array_interface__["data"][0]
+            offset = 0
+            for name, t in params.items():
+                view = getattr(t, slot)
+                assert view.base is flat and view.shape == shapes[name], (slot, name)
+                assert view.__array_interface__["data"][0] == start + offset * flat.itemsize
+                offset += view.size
+            assert offset == flat.size
+
     def test_loss_log_render(self):
         from daptlab.pretrain import LossLog
         log = LossLog(entries=[(1, 3.5), (2, 3.25)], epoch_ends=[2])
@@ -390,8 +409,9 @@ class TestLabelledRowsOnly:
             batches.append(real_batch_arrays(*args))
             return batches[-1]
 
-        def recording_adam_step(params_, grads, *args):  # parameters stay put
-            step_grads.append({name: g.copy() for name, g in grads.items()})
+        def recording_adam_step(state, *args):  # parameters stay put
+            step_grads.append({name: t.grad.copy() for name, t in params.items()})
+            state.grads.fill(0.0)
 
         monkeypatch.setattr(pretrain, "_batch_arrays", recording_batch_arrays)
         monkeypatch.setattr(pretrain, "adam_step", recording_adam_step)
@@ -406,7 +426,7 @@ class TestLabelledRowsOnly:
             for name, t in params.items():
                 np.testing.assert_allclose(grads[name], t.grad, rtol=1e-5, atol=1e-12,
                                            err_msg=name)
-            zero_grads(params)
+                t.zero_grad()
 
     def test_train_decodes_one_row_per_labelled_position(self, vocab, monkeypatch):
         config, params = tiny_setup(vocab)
