@@ -16,9 +16,19 @@ of two full-shape operands, ``layer_norm``'s ``residual`` and ``tsum``'s
 broadcast). A tensor that already holds a ``.grad`` has the array added into
 it in place. During ``pretrain.fit`` every parameter holds one, a view into
 the flat training state (``optim.AdamState``), so parameters accumulate there
-and adoption applies to intermediates. Forward values are float32 by default,
-but float64 arrays are kept as-is so the same graph can be re-run at higher
-precision by oracles.
+and adoption applies to intermediates. A closure owns the adjoint it is
+handed, so ``gelu``, ``dropout``, ``softmax`` and ``layer_norm`` form their
+input's gradient in it. Forward values are float32 by default, but float64
+arrays are kept as-is so the same graph can be re-run at higher precision by
+oracles.
+
+The arrays a taped op returns or keeps for its backward come from
+``tape.empty``. ``pretrain.fit`` builds each step's tape as ``Tape(tape)``,
+so during ``fit`` they are the previous step's buffers, filled again: they
+stay valid only until the next step's ``Tape(tape)`` is built, and no caller
+keeps one past its step. A training step thus hands no activation storage
+back to the allocator, which would trim the heap and fault it back in on the
+next step. Untaped calls allocate fresh arrays.
 
 Non-finite values are treated as an error state. NaN/Inf propagates to the
 loss, so enforcement lives at the loss/optimizer boundary (see pretrain and
@@ -73,16 +83,48 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive operations, replayed in reverse by backward()."""
+    """Ordered record of primitive operations, replayed in reverse by backward().
 
-    def __init__(self):
+    ``Tape(spare)`` takes over the buffers ``spare`` handed out through
+    ``empty`` and hands them out again, overwriting whatever ``spare``'s ops
+    returned or kept: build it only once nothing will read those again.
+    """
+
+    def __init__(self, spare: "Tape | None" = None):
         self._ops: list[Callable[[], None]] = []
+        self._buffers: list[np.ndarray] = []
+        self._spare: list[np.ndarray | None] = []
+        if spare is not None:
+            self._spare, spare._buffers = spare._buffers, []
 
     def record(self, backward_fn: Callable[[], None]) -> None:
         self._ops.append(backward_fn)
 
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array of ``shape`` and ``dtype``.
+
+        Request i is a view of the spare's buffer i when that buffer has
+        ``dtype`` and room enough; otherwise that buffer is dropped first and
+        a fresh one allocated, so no buffer is held twice or fills two slots.
+        """
+        i, n = len(self._buffers), math.prod(shape)
+        buf = None
+        if i < len(self._spare):
+            buf, self._spare[i] = self._spare[i], None
+            if buf.dtype != dtype or buf.size < n:
+                buf = None
+        if buf is None:
+            buf = np.empty(n, dtype)
+        self._buffers.append(buf)
+        return buf[:n].reshape(shape)
+
     def __len__(self) -> int:
         return len(self._ops)
+
+
+def _empty(tape: Tape | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Room for an op's output or kept value: from ``tape`` when there is one."""
+    return np.empty(shape, dtype) if tape is None else tape.empty(shape, dtype)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -131,7 +173,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise a + b with numpy broadcasting."""
-    out = Tensor(a.data + b.data)
+    out = Tensor(np.add(a.data, b.data, out=_empty(
+        tape, np.broadcast_shapes(a.data.shape, b.data.shape),
+        np.result_type(a.data, b.data))))
     if tape is not None:
         def bwd(g):
             ga = _unbroadcast(g, a.data.shape)
@@ -191,7 +235,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
     if bias is not None and (b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]):
         raise ValueError(f"matmul bias needs a 2-D weight and shape ({b.shape[-1]},), "
                          f"got {b.shape} and {bias.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(np.matmul(a.data, b.data, out=_empty(
+        tape, a.data.shape[:-1] + b.data.shape[-1:], np.result_type(a.data, b.data))))
     if bias is not None:
         out.data += bias.data
     if tape is not None:
@@ -211,7 +256,10 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
 
 
 def transpose(a: Tensor, axes: tuple[int, ...], tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.transpose(a.data, axes))
+    moved = np.transpose(a.data, axes)
+    buf = _empty(tape, moved.shape, moved.dtype)
+    np.copyto(buf, moved)
+    out = Tensor(buf)
     if tape is not None:
         inverse = tuple(np.argsort(axes))
         def bwd(g):
@@ -236,7 +284,9 @@ def gather_rows(table: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Ten
         raise ValueError("gather_rows ids must be integers")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError(f"gather_rows id out of range for table of {table.data.shape[0]} rows")
-    out = Tensor(table.data[ids])
+    # ids are in range: "clip" spares the copy "raise" makes of an out= buffer
+    out = Tensor(np.take(table.data, ids, axis=0, mode="clip", out=_empty(
+        tape, ids.shape + table.data.shape[1:], table.data.dtype)))
     if tape is not None:
         def bwd(g):
             if table.grad is None:
@@ -273,22 +323,26 @@ def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None, *,
     """
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
+    # Every step runs in p's own buffer: the same ufuncs on the same values,
+    # so the bits of the step-by-step formula, with no array-sized temporary.
     x = a.data
+    p = _empty(tape, x.shape, x.dtype if bias is None else np.result_type(x, bias))
     if scale is not None:
-        x = x * x.dtype.type(scale)
+        x = np.multiply(x, x.dtype.type(scale), out=p)
     if bias is not None:
-        x = x + bias
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+        x = np.add(x, bias, out=p)
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
     out = Tensor(p)
     if tape is not None:
-        def bwd(g):
+        def bwd(g):  # p * (g - inner) [* scale], formed in g
             inner = (g * p).sum(axis=axis, keepdims=True)
-            ga = p * (g - inner)
+            g -= inner
+            g *= p
             if scale is not None:
-                ga *= a.data.dtype.type(scale)
-            _accumulate(a, ga)
+                g *= a.data.dtype.type(scale)
+            _accumulate(a, g)
         _record(tape, out, bwd)
     return out
 
@@ -304,31 +358,49 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
     With ``residual``, normalizes ``a + residual`` (a post-LN residual
     connection) and gives both the same input gradient.
     """
-    x = a.data if residual is None else a.data + residual.data
-    h = x.shape[-1]
+    shape = a.data.shape if residual is None else np.broadcast_shapes(a.data.shape,
+                                                                     residual.data.shape)
+    h = shape[-1]
     if h == 0:
         raise ValueError("layer_norm over a zero-length axis")
     if gamma.data.shape != (h,) or beta.data.shape != (h,):
         raise ValueError(f"layer_norm scale/shift must have shape ({h},), "
                          f"got {gamma.shape} and {beta.shape}")
+    # The sum, the centred values and their squares are formed in the buffers
+    # of xhat and of the output: the same ufuncs on the same values, so the
+    # bits of the step-by-step formula, with no array-sized temporary.
+    dtype = a.data.dtype if residual is None else np.result_type(a.data, residual.data)
+    xhat = _empty(tape, shape, dtype)
+    y = _empty(tape, shape, np.result_type(xhat, gamma.data, beta.data))
+    x = a.data if residual is None else np.add(a.data, residual.data, out=xhat)
     # Means as a sum over the axis divided by h: the same values as ndarray.mean
     # without its per-call Python overhead.
     mu = _row_sum(x)
     mu /= h
-    centered = x - mu
-    var = _row_sum(centered * centered)
+    np.subtract(x, mu, out=xhat)
+    var = _row_sum(np.multiply(xhat, xhat, out=y if y.dtype == dtype else None))
     var /= h
-    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
-    xhat = centered * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    inv = 1.0 / np.sqrt(var + dtype.type(LAYER_NORM_EPS))
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
     if tape is not None:
         def bwd(g):
+            # inv * (gx - rowsum(gx) / h - xhat * (rowsum(gx * xhat) / h)) with
+            # gx = g * gamma, formed in g and one scratch array
             lead = tuple(range(g.ndim - 1))
-            _accumulate(gamma, (g * xhat).sum(axis=lead))
+            scratch = np.multiply(g, xhat)
+            _accumulate(gamma, scratch.sum(axis=lead))
             _accumulate(beta, g.sum(axis=lead))
-            gx = g * gamma.data
-            term = gx - _row_sum(gx) / h - xhat * (_row_sum(gx * xhat) / h)
-            gin = inv * term
+            g *= gamma.data
+            mean_gx = _row_sum(g) / h
+            mean_gx_xhat = _row_sum(np.multiply(g, xhat, out=scratch)) / h
+            np.multiply(xhat, mean_gx_xhat, out=scratch)
+            g -= mean_gx
+            g -= scratch
+            g *= inv
+            gin = g
             _accumulate(a, gin)
             if residual is not None:
                 _accumulate(residual, gin.copy() if a.grad is gin else gin)
@@ -429,8 +501,8 @@ def gelu(a: Tensor, tape: Tape | None = None) -> Tensor:
     closure keeps; every value has the bits of the unblocked formula.
     """
     x = a.data.reshape(-1)
-    y = np.empty_like(a.data)
-    slope = None if tape is None else np.empty_like(a.data)
+    y = _empty(tape, a.data.shape, a.data.dtype)
+    slope = None if tape is None else tape.empty(a.data.shape, a.data.dtype)
     for lo in range(0, x.size, _GELU_BLOCK):
         hi = lo + _GELU_BLOCK
         xb = x[lo:hi]
@@ -461,12 +533,14 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator,
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
-    factor = keep / a.data.dtype.type(1.0 - p)
-    out = Tensor(a.data * factor)
+    shape, dtype = a.data.shape, a.data.dtype
+    keep = (rng.random(shape) >= p).astype(dtype)
+    factor = np.divide(keep, dtype.type(1.0 - p), out=_empty(tape, shape, dtype))
+    out = Tensor(np.multiply(a.data, factor, out=_empty(tape, shape, dtype)))
     if tape is not None:
         def bwd(g):
-            _accumulate(a, g * factor)
+            g *= factor
+            _accumulate(a, g)
         _record(tape, out, bwd)
     return out
 
@@ -501,16 +575,17 @@ def cross_entropy_masked(logits: Tensor, labels: np.ndarray,
     if picked.min() < 0 or picked.max() >= logits.data.shape[1]:
         raise ValueError("cross_entropy_masked: label out of range")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
+    x = logits.data
+    logp = np.subtract(x, x.max(axis=1, keepdims=True), out=_empty(tape, x.shape, x.dtype))
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))  # shifted minus its lse
     n = valid.size
     loss = -logp[valid, picked].sum() / logits.data.dtype.type(n)
     out = Tensor(np.asarray(loss, dtype=logits.data.dtype))
     if tape is not None:
         def bwd(g):
-            gl = np.zeros_like(logits.data)
-            gl[valid] = np.exp(logp[valid]) * (g / n)
+            gl = np.exp(logp)  # p on every row, then 0 on the ignored ones
+            gl *= g / n
+            gl[labels == IGNORE_INDEX] = 0.0
             gl[valid, picked] -= g / logits.data.dtype.type(n)
             _accumulate(logits, gl)
         _record(tape, out, bwd)

@@ -189,15 +189,21 @@ def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generat
     dict is built. While ``fit`` runs nothing may rebind a ``p.data``;
     after it returns a caller may, as the five-seed protocol's dev-best
     restore does.
+
+    Each step's tape is ``Tape(tape)``: the last step's closures go, and its
+    buffers serve again, so the arrays a taped op returns or keeps during
+    ``fit`` are the previous step's buffers. They are valid until the next
+    step's tape is built; ``batch_loss`` must keep none past its step.
     """
     state = AdamState(params)
     log = LossLog()
     step = 0
+    tape = None
     for _ in range(regimen.epochs):
         order = rng.permutation(n_items)
         for lo in range(0, n_items, regimen.batch_size):
             step += 1
-            tape = Tape()
+            tape = Tape(tape)
             loss = batch_loss(order[lo:lo + regimen.batch_size], tape)
             value = float(loss.data)
             if not math.isfinite(value):

@@ -1,6 +1,7 @@
 """Taped reverse-mode ops against hand values and finite differences."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -670,6 +671,240 @@ class TestGeluBlocks:
         for got, want in [(plain.data, want_out), (taped.data, want_out),
                           (a.grad, want_grad)]:
             assert got.dtype == dtype and np.array_equal(got, want)
+
+
+class TestTapeBuffers:
+    """Tape(spare) hands request i a view of the spare's buffer i when that
+    has the dtype and room enough, and a fresh array otherwise."""
+
+    def test_equal_or_smaller_request_gets_the_spare_buffer(self):
+        spare = Tape()
+        a = spare.empty((4, 5), np.float32)
+        b = spare.empty((6,), np.float64)
+        tape = Tape(spare)
+        x = tape.empty((4, 5), np.float32)
+        y = tape.empty((2, 2), np.float64)
+        assert x.shape == (4, 5) and x.dtype == np.float32 and x.flags.c_contiguous
+        assert y.shape == (2, 2) and y.dtype == np.float64 and y.flags.c_contiguous
+        assert x.ctypes.data == a.ctypes.data and y.ctypes.data == b.ctypes.data
+
+    def test_larger_or_other_dtype_request_is_fresh(self):
+        spare = Tape()
+        a = spare.empty((4,), np.float32)
+        b = spare.empty((4,), np.float32)
+        tape = Tape(spare)
+        got = [tape.empty((5,), np.float32), tape.empty((4,), np.float64),
+               tape.empty((1,), np.float32)]  # the spare has no third buffer
+        assert not any(np.shares_memory(x, old) for x in got for old in (a, b))
+
+    def test_no_buffer_fills_two_slots(self):
+        spare = Tape()
+        for n in (8, 3, 8):
+            spare.empty((n,), np.float32)
+        tape = Tape(spare)
+        got = [tape.empty(shape, np.float32) for shape in ((2, 4), (3,), (9,), (1,), (4,))]
+        # the spare's buffers went to the first tape that took it over
+        got += [Tape(spare).empty((3,), np.float32)]
+        for i, x in enumerate(got):
+            assert not any(np.shares_memory(x, y) for y in got[i + 1:])
+
+    def test_outgrown_spare_is_dropped_before_its_replacement(self, monkeypatch):
+        spare = Tape()
+        outgrown = weakref.ref(spare.empty((8,), np.float32).base)
+        tape = Tape(spare)
+        del spare
+        alive = []
+        real_empty = np.empty
+
+        def watching_empty(*args, **kwargs):
+            alive.append(outgrown() is not None)
+            return real_empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", watching_empty)
+        tape.empty((16,), np.float32)
+        monkeypatch.undo()
+        assert alive == [False]
+
+
+def reuse_cases():
+    """Each op that draws from its tape, as build(tape) on float32 leaves of a
+    leading extent n: name -> (seed, n) -> (leaves, build)."""
+
+    def gen(seed, *shape):
+        return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+    seq, h = 5, 6
+
+    def matmul_bias(seed, n):
+        x, w, b = gen(seed, n, seq, h), gen(seed + 1, h, 7), gen(seed + 2, 7)
+        return [x, w, b], lambda tape: matmul(x, w, tape, bias=b)
+
+    def matmul_batched(seed, n):
+        q, k = gen(seed, n, 2, seq, 3), gen(seed + 1, n, 2, 3, seq)
+        return [q, k], lambda tape: matmul(q, k, tape)
+
+    def add_segment_row(seed, n):
+        x, row = gen(seed, n, seq, h), gen(seed + 1, 1, h)
+        return [x, row], lambda tape: add(x, row, tape)
+
+    def transpose_heads(seed, n):
+        x = gen(seed, n, seq, 2, 3)
+        return [x], lambda tape: transpose(x, (0, 2, 1, 3), tape)
+
+    def gather_rows_2d(seed, n):
+        table = gen(seed, 11, h)
+        ids = np.random.default_rng(seed + 1).integers(0, 11, size=(n, seq))
+        return [table], lambda tape: gather_rows(table, ids, tape)
+
+    def softmax_masked(seed, n):
+        scores = gen(seed, n, 2, seq, seq)
+        bias = key_bias(np.arange(n) % seq + 1, seq, np.float32)
+        return [scores], lambda tape: softmax(scores, -1, tape, scale=0.4, bias=bias)
+
+    def layer_norm_residual(seed, n):
+        a, r, gamma, beta = gen(seed, n, seq, h), gen(seed + 1, n, seq, h), \
+            gen(seed + 2, h), gen(seed + 3, h)
+        return [a, r, gamma, beta], lambda tape: layer_norm(a, gamma, beta, tape=tape,
+                                                            residual=r)
+
+    def gelu_ffn(seed, n):
+        x = gen(seed, n, seq, 4 * h)
+        return [x], lambda tape: gelu(x, tape)
+
+    def dropout_fixed(seed, n):
+        x = gen(seed, n, seq, h)
+        return [x], lambda tape: dropout(x, 0.3, np.random.default_rng(seed), tape)
+
+    def cross_entropy(seed, n):
+        logits = gen(seed, n * seq, 9)
+        labels = np.random.default_rng(seed + 1).integers(0, 9, size=n * seq)
+        labels[::3] = IGNORE_INDEX
+        return [logits], lambda tape: cross_entropy_masked(logits, labels, tape)
+
+    return {fn.__name__: fn for fn in (
+        matmul_bias, matmul_batched, add_segment_row, transpose_heads, gather_rows_2d,
+        softmax_masked, layer_norm_residual, gelu_ffn, dropout_fixed, cross_entropy)}
+
+
+REUSE_CASES = reuse_cases()
+
+
+def step_bits(leaves, build, tape):
+    """Output and leaf gradients of one step on ``tape``: the output itself
+    when it is a scalar loss, else sum(out * fixed weights)."""
+    for t in leaves:
+        t.zero_grad()
+    out = build(tape)
+    loss = out
+    if out.shape != ():
+        weights = np.random.default_rng(99).standard_normal(out.shape)
+        loss = tsum(mul(out, Tensor(weights.astype(np.float32)), tape), tape)
+    backward(tape, loss)
+    return out.data.copy(), [t.grad.copy() for t in leaves]
+
+
+class TestTapeReuseBits:
+    """An op on reused buffers, filled with another step's values, gives the
+    bits of the same op untaped and on a fresh tape."""
+
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_reused_buffers_keep_every_bit(self, case):
+        spare = Tape()  # a larger step with other values leaves its buffers
+        step_bits(*REUSE_CASES[case](1, 4), spare)
+        taken = list(spare._buffers)
+        assert taken
+        leaves, build = REUSE_CASES[case](0, 3)
+        untaped = build(None).data.copy()
+        want_out, want_grads = step_bits(leaves, build, Tape())
+        tape = Tape(spare)
+        got_out, got_grads = step_bits(leaves, build, tape)
+        assert any(buf is old for buf in tape._buffers for old in taken)
+        assert np.array_equal(want_out, untaped)
+        assert got_out.dtype == untaped.dtype and np.array_equal(got_out, untaped)
+        for got, want in zip(got_grads, want_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def plain_softmax(x, g, scale, bias):
+    """softmax(x * scale + bias) and its input gradient, one new array a step."""
+    z = x * x.dtype.type(scale) + bias
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    ga = p * (g - (g * p).sum(axis=-1, keepdims=True))
+    ga *= x.dtype.type(scale)
+    return p, ga
+
+
+def plain_layer_norm(x, gamma, beta, g):
+    """layer_norm(x) and its x, gamma and beta gradients, one new array a step."""
+    h = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= h
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= h
+    inv = 1.0 / np.sqrt(var + x.dtype.type(1e-12))
+    xhat = centered * inv
+    lead = tuple(range(x.ndim - 1))
+    gx = g * gamma
+    term = (gx - np.add.reduce(gx, axis=-1, keepdims=True) / h
+            - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / h))
+    return xhat * gamma + beta, inv * term, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def plain_cross_entropy(logits, labels):
+    """Masked mean cross-entropy and its logits gradient, zeros first."""
+    valid = np.nonzero(labels != IGNORE_INDEX)[0]
+    picked, n = labels[valid], valid.size
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -logp[valid, picked].sum() / logits.dtype.type(n)
+    g = np.ones((), dtype=logits.dtype)
+    gl = np.zeros_like(logits)
+    gl[valid] = np.exp(logp[valid]) * (g / n)
+    gl[valid, picked] -= g / logits.dtype.type(n)
+    return loss, gl
+
+
+class TestInPlaceBackwardBits:
+    """softmax, layer_norm and cross_entropy_masked form their results in
+    their own or their adjoint's buffers: the bits of the plain formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax(self, dtype):
+        batch, seq, h, heads, _ = GEOMETRIES["cli"]
+        scores = Tensor(t64((batch, heads, seq, seq), 0).data.astype(dtype))
+        mask_bias = key_bias(np.arange(batch) % seq + 1, seq, dtype)
+        g = t64(scores.shape, 1).data.astype(dtype)
+        tape = Tape()
+        out = softmax(scores, -1, tape, scale=0.35, bias=mask_bias)
+        backward(tape, tsum(mul(out, Tensor(g), tape), tape))
+        want_p, want_grad = plain_softmax(scores.data, g, 0.35, mask_bias)
+        assert np.array_equal(out.data, want_p) and np.array_equal(scores.grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, dtype):
+        x, gamma, beta, g = (Tensor(t64(shape, seed).data.astype(dtype)) for seed, shape
+                             in enumerate([(8, 18, 32), (32,), (32,), (8, 18, 32)]))
+        tape = Tape()
+        out = layer_norm(x, gamma, beta, tape=tape)
+        backward(tape, tsum(mul(out, g, tape), tape))
+        want = plain_layer_norm(x.data, gamma.data, beta.data, g.data)
+        for got, expect in zip((out.data, x.grad, gamma.grad, beta.grad), want):
+            assert got.dtype == dtype and np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_with_ignored_rows(self, dtype):
+        logits = Tensor(t64((40, 23), 0).data.astype(dtype))
+        labels = np.random.default_rng(1).integers(0, 23, size=40)
+        labels[::4] = IGNORE_INDEX
+        tape = Tape()
+        loss = cross_entropy_masked(logits, labels, tape)
+        backward(tape, loss)
+        want_loss, want_grad = plain_cross_entropy(logits.data, labels)
+        assert loss.data == want_loss and np.array_equal(logits.grad, want_grad)
+        assert not logits.grad[::4].any()
 
 
 class TestPlumbing:

@@ -448,10 +448,9 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert not (tmp_path / "base.ckpt").exists()
 
-    def test_nan_gradient_exits_two_and_writes_nothing(self, pipeline, capsys, tmp_path,
-                                                       monkeypatch):
-        # a NaN in one gradient behind a finite loss: the optimizer names it
-        _, run = pipeline
+    @staticmethod
+    def poison_word_gradient(monkeypatch):
+        """Set NaN in emb.word's gradient after every backward of pretrain.fit."""
         states, real_state, real_backward = [], pretrain.AdamState, pretrain.backward
 
         def recording_state(params):
@@ -465,12 +464,40 @@ class TestErrorHandling:
 
         monkeypatch.setattr(pretrain, "AdamState", recording_state)
         monkeypatch.setattr(pretrain, "backward", poisoned_backward)
-        assert cli.main(["pretrain", "--corpus", str(run / "corpus.jsonl"),
-                         "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
-                        MODEL_SETS + ["--set", "train.base.warmup_steps=2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite gradient for 'emb.word'" in err
-        assert list(tmp_path.iterdir()) == []
+
+    def assert_names_word_gradient_and_writes_nothing(self, argv, capsys, out):
+        assert cli.main(argv) == 2
+        *notes, error = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("note:") for line in notes)  # dapt's guard note
+        assert error.startswith("error:") and "non-finite gradient for 'emb.word'" in error
+        assert list(out.iterdir()) == []
+
+    def test_nan_gradient_exits_two_and_writes_nothing(self, pipeline, capsys, tmp_path,
+                                                       monkeypatch):
+        # a NaN in one gradient behind a finite loss: the optimizer names it
+        _, run = pipeline
+        self.poison_word_gradient(monkeypatch)
+        self.assert_names_word_gradient_and_writes_nothing(
+            ["pretrain", "--corpus", str(run / "corpus.jsonl"),
+             "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
+            MODEL_SETS + ["--set", "train.base.warmup_steps=2"], capsys, tmp_path)
+
+    @pytest.mark.parametrize("command", ["dapt", "finetune-classify"])
+    def test_nan_gradient_in_later_stages_exits_two(self, pipeline, capsys, tmp_path,
+                                                    monkeypatch, command):
+        # the same fault in the continued pretraining and in a fine-tune seed
+        root, run = pipeline
+        shared = ["--checkpoint", str(run / "base.ckpt"), "--vocab", str(run / "vocab.txt"),
+                  "--out", str(tmp_path)]
+        argv = {
+            "dapt": ["dapt", "--corpus", str(root / "domain.jsonl")] + shared + MODEL_SETS +
+                    ["--set", "train.dapt.epochs=1", "--set", "train.dapt.batch_size=8",
+                     "--set", "train.dapt.warmup_steps=1"],
+            "finetune-classify": ["finetune-classify", "--data", str(root / "classify.jsonl")] +
+                                 shared + FINETUNE_SETS,
+        }[command]
+        self.poison_word_gradient(monkeypatch)
+        self.assert_names_word_gradient_and_writes_nothing(argv, capsys, tmp_path)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finetune_divergence_exits_two(self, pipeline, capsys, tmp_path):

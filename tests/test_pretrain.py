@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from daptlab import pretrain
+from daptlab import finetune, pretrain
 from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
                               reshape)
 from daptlab.model import ModelConfig, forward, init_params, mlm_logits
@@ -14,8 +14,9 @@ from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
                               corpus_token_count, dapt, encode_corpus,
                               maskable_positions, masked_token_accuracy, perplexity,
                               train)
-from daptlab.synth import PATTERN_WORDS, patterned_corpus
-from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
+from daptlab.finetune import FinetuneConfig, LabeledTextDataset, finetune_classify
+from daptlab.synth import PATTERN_WORDS, classification_records, patterned_corpus
+from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode, train_vocab
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +387,94 @@ class TestTrain:
         from daptlab.pretrain import LossLog
         log = LossLog(entries=[(1, 3.5), (2, 3.25)], epoch_ends=[2])
         assert log.render() == "step\tloss\n1\t3.500000\n2\t3.250000\n"
+
+
+def params_bytes(params):
+    return b"".join(params[name].data.tobytes() for name in params)
+
+
+class TestTapeReuse:
+    """fit builds each step's tape from the last one, so the steps reuse their
+    buffers; every parameter and loss keeps its bytes against fresh tapes."""
+
+    def runs(self, monkeypatch, run):
+        """run() with fit's tapes reusing buffers, then with fresh tapes; also
+        every buffer the reusing tapes handed out, in order of request."""
+        handed = []
+
+        class RecordingTape(Tape):
+            def empty(self, shape, dtype):
+                view = super().empty(shape, dtype)
+                handed.append(view.base)
+                return view
+
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "Tape", RecordingTape)
+            reused = run()
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "Tape", lambda spare=None: Tape())
+            fresh = run()
+        return reused, fresh, handed
+
+    def test_mlm_steps_match_fresh_tapes_to_the_byte(self, vocab, monkeypatch):
+        # sentences of 3 to 11 words, so batches pad to different lengths and
+        # slots outgrow their buffers or take views of larger ones
+        texts = [" ".join(PATTERN_WORDS[(i + j) % len(PATTERN_WORDS)]
+                          for j in range(3 + (5 * i) % 9)) for i in range(30)]
+        config = ModelConfig(num_layers=2, hidden=8, num_heads=2, ffn_dim=16,
+                             vocab_size=len(vocab), max_seq=16, dropout=0.1)
+        tc = TrainConfig(peak_lr=1e-3, epochs=2, batch_size=7, warmup_steps=1, seed=4)
+        widths = []
+        real_forward = pretrain.forward
+
+        def recording_forward(ids, *args, **kwargs):
+            widths.append(ids.shape[1])
+            return real_forward(ids, *args, **kwargs)
+
+        monkeypatch.setattr(pretrain, "forward", recording_forward)
+
+        def run():
+            params = init_params(config, 0)
+            log = train(config, params, texts, vocab, tc)
+            return log.entries, log.epoch_ends, params_bytes(params)
+
+        reused, fresh, handed = self.runs(monkeypatch, run)
+        assert reused == fresh
+        steps = len(reused[0])
+        assert steps == 10 and len(set(widths)) > 2
+        per_step = len(handed) // steps
+        distinct = len({id(buf) for buf in handed})
+        # reused across steps, and some slots outgrew their first buffer
+        assert per_step < distinct < len(handed)
+
+    def test_finetune_seeds_match_fresh_tapes_to_the_byte(self, monkeypatch):
+        records = classification_records(40, seed=5)
+        vocab = train_vocab([r["text"] for r in records], target_size=200,
+                            min_frequency=1)
+        config = ModelConfig(num_layers=1, hidden=16, num_heads=2, ffn_dim=32,
+                             vocab_size=len(vocab), max_seq=32, dropout=0.1)
+        base = init_params(config, 0)
+        data = LabeledTextDataset.from_records(records, seed=1, positive_label="relevant")
+        fits = []
+        real_fit = finetune.fit
+
+        def recording_fit(params, *args, **kwargs):
+            log = real_fit(params, *args, **kwargs)
+            fits.append((log.entries, params_bytes(params)))
+            return log
+
+        monkeypatch.setattr(finetune, "fit", recording_fit)
+
+        def run():
+            fits.clear()
+            report = finetune_classify(config, base, vocab, data, seeds=(0, 1, 2, 3, 4),
+                                       ft_config=FinetuneConfig(lr=2e-3, epochs=2,
+                                                                batch_size=8))
+            return report, list(fits)
+
+        reused, fresh, handed = self.runs(monkeypatch, run)
+        assert len(reused[1]) == 5 and reused == fresh
+        assert len({id(buf) for buf in handed}) < len(handed)
 
 
 def full_decode_loss(config, params, ids, mask, labels, tape=None):

@@ -1,13 +1,14 @@
-"""CPU time and minor page faults of an in-process benchmark workload.
+"""CPU time, system time and minor page faults of an in-process workload.
 
 Usage, from the root of a checkout:
 
     python3 tools/inproc.py pretrain_b64 --seed 3 [--reps 3]
 
 Runs the workload's set-up from perfbench/workloads.py and one warm-up
-repetition, then prints one JSON line per repetition: its CPU seconds, its
-minor page faults (the ``ru_minflt`` delta), its output fingerprint and its
-operation count. A last line gives the process's peak RSS (``ru_maxrss``) in
+repetition, then prints one JSON line per repetition: its CPU seconds, the
+system-time share of them (``sys_s``, the ``ru_stime`` delta, where page-fault
+and heap-trim cost lands), its minor page faults (the ``ru_minflt`` delta), its
+output fingerprint and its operation count. A last line gives the process's peak RSS (``ru_maxrss``) in
 MB. The workloads are pretrain_b64 and eval_probes; cli_pipeline runs its
 stages in child processes and is not covered. Standard library only; numpy
 comes in with the workload.
@@ -48,11 +49,13 @@ def main(argv=None) -> int:
         state = setup(args.seed, work)
         workloads.attempt(rep, state, work)  # warm-up, not reported
         for i in range(args.reps):
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            before = resource.getrusage(resource.RUSAGE_SELF)
             result = workloads.attempt(rep, state, work)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            after = resource.getrusage(resource.RUSAGE_SELF)
             failed = failed or bool(result.problems)
-            print(json.dumps({"rep": i, "cpu_s": round(result.cpu_s, 4), "minflt": faults,
+            print(json.dumps({"rep": i, "cpu_s": round(result.cpu_s, 4),
+                              "sys_s": round(after.ru_stime - before.ru_stime, 4),
+                              "minflt": after.ru_minflt - before.ru_minflt,
                               "fingerprint": result.fingerprint, "ops": result.ops,
                               "step_gaps": len(result.op_ms),
                               "problems": result.problems}), flush=True)
