@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import (IGNORE_INDEX, Tensor, cross_entropy_masked, matmul, reshape,
                        select_position)
 from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
-from .optim import LrSchedule, lr_at_step
+from .optim import AdamState, LrSchedule
 from .pretrain import TrainingDiverged, fit
 # the benchmark's tracer rebinds these here; the fine-tunes train through fit
 from .autodiff import Tape, add, backward  # noqa: F401
@@ -323,13 +323,6 @@ def _check_protocol(seeds, dataset):
     return seeds
 
 
-def _lr_at(total_steps: int, lr: float):
-    if total_steps < 2:
-        return lambda step: lr
-    schedule = LrSchedule(lr, max(1, min(total_steps // 10, total_steps - 1)), total_steps)
-    return lambda step: lr_at_step(schedule, step)
-
-
 def _warn_if_degenerate(labels, what):
     if len(set(labels)) < 2:
         warnings.warn(f"{what} labels are all {labels[0]!r}; the head cannot learn "
@@ -339,36 +332,40 @@ def _warn_if_degenerate(labels, what):
 def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, test):
     """The five-seed protocol shared by both tasks; returns score(test) per seed.
 
-    Per seed: a fresh linear head of n_out outputs on a copy of ``params``,
-    ``pretrain.fit`` over ft.epochs of ``batch_loss(batch, work, tape, rng)``,
-    and the weights of the epoch whose first ``score(dev, work)`` entry (an F1)
-    is best. The seed's rng draws the head, then one permutation per epoch,
-    then dropout inside ``batch_loss``. Divergence is re-raised as "seed N: ...".
+    Per seed: a fresh linear head of n_out outputs beside ``params``, all
+    copied into one ``AdamState``; ``pretrain.fit`` over ft.epochs of
+    ``batch_loss(batch, work, tape, rng)``; and the weights of the epoch whose
+    first ``score(dev, work)`` entry (an F1) is best, kept as a copy of the
+    state's parameters and restored into them. The seed's rng draws the head,
+    then one permutation per epoch, then dropout inside ``batch_loss``.
+    Divergence is re-raised as "seed N: ...".
     """
-    lr_at = _lr_at(ft.epochs * math.ceil(len(train) / ft.batch_size), ft.lr)
+    total = ft.epochs * math.ceil(len(train) / ft.batch_size)
+    # warmup over a tenth of the steps; a one-step run's step 1 is ft.lr
+    schedule = LrSchedule(ft.lr, max(1, min(total // 10, total - 1)), max(total, 2))
     results = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        work = {name: t.copy() for name, t in params.items()}
+        work = {name: Tensor(t.data) for name, t in params.items()}
         work["head.w"] = Tensor(truncated_normal(rng, (config.hidden, n_out), 0.02))
         work["head.b"] = Tensor(np.zeros(n_out, dtype=np.float32))
+        state = AdamState(work)
         best_f1, best = -1.0, None
 
         def keep_if_best():
             nonlocal best_f1, best
             dev_f1 = score(dev, work)[0]
             if dev_f1 > best_f1:
-                best_f1, best = dev_f1, {name: t.data.copy() for name, t in work.items()}
+                best_f1, best = dev_f1, state.params.copy()
 
         try:
-            fit(work, len(train), ft, rng, lr_at,
+            fit(state, len(train), ft, rng, schedule,
                 lambda picked, tape: batch_loss([train[i] for i in picked], work, tape, rng),
                 keep_if_best)
         except TrainingDiverged as exc:
             raise TrainingDiverged(exc.step, f"seed {seed}: {exc.reason}",
                                    exc.loss_log) from exc
-        for name, t in work.items():
-            t.data = best[name]
+        state.params[...] = best
         results.append(score(test, work))
     return results
 

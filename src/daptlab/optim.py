@@ -29,9 +29,6 @@ class AdamState:
     view of its slot. Backward then accumulates straight into ``grads``, and
     ``adam_step`` updates ``params``, ``m`` and ``v`` in place. Tensor ``k``
     (``names[k]``) owns ``[bounds[k], bounds[k + 1])`` of each buffer.
-    Rebinding a ``p.data`` detaches it from the state, so it is valid only
-    once training is over: after ``pretrain.fit`` returns, as the five-seed
-    protocol's dev-best restore does.
     """
 
     def __init__(self, params: dict[str, Tensor]):

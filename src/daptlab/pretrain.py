@@ -173,29 +173,25 @@ def _decode_labelled(ids, mask, labels: np.ndarray, config: ModelConfig,
     return mlm_logits(hidden[-1], params, tape), labels.reshape(-1)[keep]
 
 
-def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generator,
-        lr_at, batch_loss, end_epoch=None) -> LossLog:
-    """The one training loop: Adam on ``params`` in place; returns the loss log.
+def fit(state: AdamState, n_items: int, regimen, rng: np.random.Generator,
+        schedule: LrSchedule, batch_loss, end_epoch=None) -> LossLog:
+    """The one training loop: Adam on ``state`` in place; returns the loss log.
 
+    ``state`` is the caller's ``AdamState`` over the parameters that
+    ``batch_loss`` reads, so backward accumulates into its gradient buffer.
     ``regimen`` (a TrainConfig or FinetuneConfig) gives epochs, batch_size and
     weight_decay. Each epoch draws one ``rng.permutation(n_items)``; each batch
-    of indices gets a fresh training tape, ``batch_loss(indices, tape)``, its
-    backward and an Adam step at ``lr_at(step)``. ``end_epoch()`` runs after
-    each epoch. A non-finite loss or gradient raises TrainingDiverged before
-    the update is applied, so ``params`` hold the last good step.
-
-    Each ``p.data`` and ``p.grad`` is rebound to a view into one flat
-    AdamState, so backward accumulates into its gradient buffer and no grads
-    dict is built. While ``fit`` runs nothing may rebind a ``p.data``;
-    after it returns a caller may, as the five-seed protocol's dev-best
-    restore does.
+    of indices gets a training tape, ``batch_loss(indices, tape)``, its
+    backward and an Adam step at ``lr_at_step(schedule, step)``.
+    ``end_epoch()`` runs after each epoch. A non-finite loss or gradient
+    raises TrainingDiverged before the update is applied, so ``state.params``
+    holds the last good step.
 
     Each step's tape is ``Tape(tape)``: the last step's closures go, and its
     buffers serve again, so the arrays a taped op returns or keeps during
     ``fit`` are the previous step's buffers. They are valid until the next
     step's tape is built; ``batch_loss`` must keep none past its step.
     """
-    state = AdamState(params)
     log = LossLog()
     step = 0
     tape = None
@@ -211,7 +207,7 @@ def fit(params: dict[str, Tensor], n_items: int, regimen, rng: np.random.Generat
             log.entries.append((step, value))
             backward(tape, loss)
             try:
-                adam_step(state, lr_at(step), regimen.weight_decay)
+                adam_step(state, lr_at_step(schedule, step), regimen.weight_decay)
             except NonFiniteGradient as exc:
                 raise TrainingDiverged(step, f"non-finite gradient for {exc.name!r}",
                                        log) from exc
@@ -256,8 +252,7 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
         logits, targets = _decode_labelled(ids, mask, labels, config, params, tape, rng)
         return cross_entropy_masked(logits, targets, tape)
 
-    return fit(params, len(encodings), train_config, rng,
-               lambda step: lr_at_step(schedule, step), batch_loss)
+    return fit(AdamState(params), len(encodings), train_config, rng, schedule, batch_loss)
 
 
 def _masked_eval(config, params, texts, vocab, seed, batch_size, what):

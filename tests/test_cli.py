@@ -450,20 +450,15 @@ class TestErrorHandling:
 
     @staticmethod
     def poison_word_gradient(monkeypatch):
-        """Set NaN in emb.word's gradient after every backward of pretrain.fit."""
-        states, real_state, real_backward = [], pretrain.AdamState, pretrain.backward
+        """Set NaN in emb.word's gradient before every Adam step of pretrain.fit,
+        that is after its backward and before the update."""
+        real_step = pretrain.adam_step
 
-        def recording_state(params):
-            states.append(real_state(params))
-            return states[-1]
-
-        def poisoned_backward(tape, loss):
-            real_backward(tape, loss)
-            state = states[-1]
+        def poisoned_step(state, *args):
             state.grads[state.bounds[state.names.index("emb.word")]] = np.nan
+            real_step(state, *args)
 
-        monkeypatch.setattr(pretrain, "AdamState", recording_state)
-        monkeypatch.setattr(pretrain, "backward", poisoned_backward)
+        monkeypatch.setattr(pretrain, "adam_step", poisoned_step)
 
     def assert_names_word_gradient_and_writes_nothing(self, argv, capsys, out):
         assert cli.main(argv) == 2
@@ -482,10 +477,10 @@ class TestErrorHandling:
              "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
             MODEL_SETS + ["--set", "train.base.warmup_steps=2"], capsys, tmp_path)
 
-    @pytest.mark.parametrize("command", ["dapt", "finetune-classify"])
+    @pytest.mark.parametrize("command", ["dapt", "finetune-classify", "finetune-tag"])
     def test_nan_gradient_in_later_stages_exits_two(self, pipeline, capsys, tmp_path,
                                                     monkeypatch, command):
-        # the same fault in the continued pretraining and in a fine-tune seed
+        # the same fault in the continued pretraining and in a seed of each fine-tune
         root, run = pipeline
         shared = ["--checkpoint", str(run / "base.ckpt"), "--vocab", str(run / "vocab.txt"),
                   "--out", str(tmp_path)]
@@ -495,6 +490,8 @@ class TestErrorHandling:
                      "--set", "train.dapt.warmup_steps=1"],
             "finetune-classify": ["finetune-classify", "--data", str(root / "classify.jsonl")] +
                                  shared + FINETUNE_SETS,
+            "finetune-tag": ["finetune-tag", "--data", str(root / "tagged.jsonl")] +
+                            shared + FINETUNE_SETS,
         }[command]
         self.poison_word_gradient(monkeypatch)
         self.assert_names_word_gradient_and_writes_nothing(argv, capsys, tmp_path)

@@ -13,6 +13,7 @@ from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               f1_binary, finetune_classify, finetune_tag,
                               format_mean_std, iob_spans, span_f1, token_f1)
 from daptlab.model import ModelConfig, init_params
+from daptlab.optim import LrSchedule, lr_at_step
 from daptlab.pretrain import TrainingDiverged
 from daptlab.synth import classification_records, tagging_records
 from daptlab.tokenizer import encode_words, train_vocab
@@ -450,32 +451,67 @@ class TestSeedProtocol:
             [0, 4, 6], [1]],
     }
 
+    CONFIG = ModelConfig(num_layers=1, hidden=4, num_heads=2, ffn_dim=8, vocab_size=16,
+                         max_seq=8)
+
+    @classmethod
+    def head_loss(cls, batch, work, tape, rng):
+        # stands in for the encoder: consumes the rng as dropout would
+        x = Tensor(rng.standard_normal((len(batch), cls.CONFIG.hidden), dtype=np.float32))
+        logits = matmul(x, work["head.w"], tape, bias=work["head.b"])
+        return cross_entropy_masked(logits, np.array(batch) % 2, tape)
+
     def test_batches_and_dev_best_weights_pinned(self):
-        config = ModelConfig(num_layers=1, hidden=4, num_heads=2, ffn_dim=8,
-                             vocab_size=16, max_seq=8)
         params = {"w": Tensor(np.ones(3, dtype=np.float32))}
         ft = FinetuneConfig(lr=1e-2, epochs=3, batch_size=3)
-        batches, weights, dev_f1 = [], [], []
+        batches, weights, buffers, dev_f1 = [], [], [], []
 
         def batch_loss(batch, work, tape, rng):
             batches.append([int(i) for i in batch])
-            # stands in for the encoder: consumes the rng as dropout would
-            x = Tensor(rng.standard_normal((len(batch), config.hidden), dtype=np.float32))
-            logits = matmul(x, work["head.w"], tape, bias=work["head.b"])
-            return cross_entropy_masked(logits, np.array(batch) % 2, tape)
+            return self.head_loss(batch, work, tape, rng)
 
         def score(items, work):
             weights.append({k: t.data.copy() for k, t in work.items()})
+            buffers.append(work["head.w"].data.base)
             return (dev_f1.pop(0) if items == "dev" else 0.0,)
 
         for seed, want in self.BATCHES.items():
             batches.clear()
             weights.clear()
+            buffers.clear()
             dev_f1[:] = [0.2, 0.9, 0.5]
-            finetune._run_seeds(config, params, [seed], ft, 2, list(range(7)),
+            finetune._run_seeds(self.CONFIG, params, [seed], ft, 2, list(range(7)),
                                 batch_loss, score, "dev", "test")
             assert batches == want
             assert len(weights) == 4 and dev_f1 == []
             epoch2, epoch3, tested = weights[1], weights[2], weights[3]
             assert all(np.array_equal(tested[k], epoch2[k]) for k in epoch2)
             assert not np.array_equal(epoch3["head.w"], epoch2["head.w"])
+            # the dev-best weights are written back into the training state's
+            # buffer, which the test split then reads
+            dev_buffers, tested_buffer = buffers[:3], buffers[3]
+            assert tested_buffer is not None
+            assert all(buf is tested_buffer for buf in dev_buffers)
+
+    def test_learning_rates_pinned(self, monkeypatch):
+        # warmup over a tenth of the steps, then linear decay; the one step of
+        # a one-step run takes the configured rate exactly
+        params = {"w": Tensor(np.ones(3, dtype=np.float32))}
+        lrs, real_step = [], pretrain.adam_step
+
+        def recording_step(state, lr, *args):
+            lrs.append(lr)
+            real_step(state, lr, *args)
+
+        def run_lrs(ft, n_train):
+            lrs.clear()
+            finetune._run_seeds(self.CONFIG, params, [0], ft, 2, list(range(n_train)),
+                                self.head_loss, lambda items, work: (0.5,), "dev", "test")
+            return list(lrs)
+
+        monkeypatch.setattr(pretrain, "adam_step", recording_step)
+        one_step = FinetuneConfig(lr=1e-2, epochs=1, batch_size=3)
+        assert run_lrs(one_step, 3) == [one_step.lr]
+        ten_steps = FinetuneConfig(lr=1e-2, epochs=2, batch_size=2)
+        schedule = LrSchedule(ten_steps.lr, 1, 10)
+        assert run_lrs(ten_steps, 10) == [lr_at_step(schedule, k) for k in range(1, 11)]

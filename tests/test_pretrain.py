@@ -458,9 +458,9 @@ class TestTapeReuse:
         fits = []
         real_fit = finetune.fit
 
-        def recording_fit(params, *args, **kwargs):
-            log = real_fit(params, *args, **kwargs)
-            fits.append((log.entries, params_bytes(params)))
+        def recording_fit(state, *args, **kwargs):
+            log = real_fit(state, *args, **kwargs)
+            fits.append((log.entries, state.params.tobytes()))
             return log
 
         monkeypatch.setattr(finetune, "fit", recording_fit)
