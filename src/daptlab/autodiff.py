@@ -72,9 +72,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 

@@ -14,10 +14,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600; give what open() would
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:  # owns the fd from here, closing it on any error
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            # mkstemp made it 0600; give what open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

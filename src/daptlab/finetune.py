@@ -1,7 +1,9 @@
 """Task heads on the encoder, the 5-seed protocol, and F1 metrics.
 
-Classification puts a linear head on the [CLS] vector; tagging puts a shared
-linear head on every piece and labels each word through its first piece.
+Both tasks put a linear head on the positions each example lists: [CLS] for
+classification, each word's first piece for tagging. The encoder's last layer
+runs past attention on those rows only (``forward(rows=)``), and one masked
+cross-entropy over the listed positions trains either head.
 Reported numbers follow the repeated-runs protocol: five seeds, mean and
 sample standard deviation, rendered as "mean (std)" with four decimals.
 """
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (IGNORE_INDEX, Tensor, cross_entropy_masked, matmul, reshape,
-                       select_position)
+from .autodiff import Tensor, cross_entropy_masked, matmul
 from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
 from .optim import AdamState, LrSchedule
 from .pretrain import TrainingDiverged, fit
 # the benchmark's tracer rebinds these here; the fine-tunes train through fit
-from .autodiff import Tape, add, backward  # noqa: F401
+# and read their heads' positions through forward(rows=)
+from .autodiff import Tape, add, backward, reshape, select_position  # noqa: F401
 from .optim import adam_step  # noqa: F401
 from .tokenizer import Vocab, encode, encode_words
 
@@ -370,22 +372,33 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
     return results
 
 
-def _head_logits(encodings, vocab, config, work, pooled, tape=None, rng=None):
-    """Head output on the [CLS] vector (pooled) or on every piece; dropout with an rng."""
-    rows = [e.ids for e in encodings]
-    hidden = forward(pad_rows(rows, vocab.pad_id), length_mask(rows), config, work,
-                     tape=tape, rng=rng)[-1]
-    if pooled:
-        hidden = select_position(hidden, 0, tape)
+def _head_logits(examples, vocab, config, work, tape=None, rng=None):
+    """[n, classes] head output on every position the (encoding, positions, gold
+    ids) examples list, in example order; dropout with an rng."""
+    ids = [enc.ids for enc, _, _ in examples]
+    width = max(map(len, ids))
+    rows = np.array([b * width + p for b, (_, positions, _) in enumerate(examples)
+                     for p in positions], dtype=np.int64)
+    hidden = forward(pad_rows(ids, vocab.pad_id), length_mask(ids), config, work,
+                     tape=tape, rng=rng, rows=rows)[-1]
     return matmul(hidden, work["head.w"], tape, bias=work["head.b"])
 
 
-def _predict_rows(encodings, vocab, config, work, batch_size, pooled):
-    """Argmax head output per encoding, computed batch by batch."""
-    for lo in range(0, len(encodings), batch_size):
-        logits = _head_logits(encodings[lo:lo + batch_size], vocab, config, work,
-                              pooled=pooled)
-        yield from logits.data.argmax(axis=-1)
+def _head_loss(vocab, config):
+    """The batch_loss of both tasks: mean cross-entropy over every listed position."""
+    def batch_loss(batch, work, tape, rng):
+        gold = np.array([g for _, _, ids in batch for g in ids], dtype=np.int64)
+        return cross_entropy_masked(_head_logits(batch, vocab, config, work, tape, rng),
+                                    gold, tape)
+    return batch_loss
+
+
+def _predict(examples, vocab, config, work, batch_size):
+    """Per example, the argmax class at each listed position, batch by batch."""
+    for lo in range(0, len(examples), batch_size):
+        batch = examples[lo:lo + batch_size]
+        choices = _head_logits(batch, vocab, config, work).data.argmax(axis=-1)
+        yield from np.split(choices, np.cumsum([len(pos) for _, pos, _ in batch])[:-1])
 
 
 def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
@@ -399,44 +412,29 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
     _warn_if_degenerate([label for _, label in dataset.train], "train")
     labels = dataset.labels
     label_ids = {label: i for i, label in enumerate(labels)}
-    encodings = {text: encode(text, vocab, config.max_seq)
-                 for text, _ in dataset.train + dataset.dev + dataset.test}
+    train, dev, test = ([(encode(text, vocab, config.max_seq), [0], [label_ids[label]])
+                         for text, label in split]
+                        for split in (dataset.train, dataset.dev, dataset.test))
 
-    def batch_loss(batch, work, tape, rng):
-        logits = _head_logits([encodings[text] for text, _ in batch], vocab, config,
-                              work, pooled=True, tape=tape, rng=rng)
-        gold = np.array([label_ids[label] for _, label in batch])
-        return cross_entropy_masked(logits, gold, tape)
+    def score(examples, work):
+        pred = [labels[c] for (c,) in _predict(examples, vocab, config, work,
+                                                ft.batch_size)]
+        gold = [labels[g] for _, _, (g,) in examples]
+        return (classification_f1(pred, gold, labels, dataset.positive_label),)
 
-    def score(items, work):
-        choices = _predict_rows([encodings[text] for text, _ in items], vocab, config,
-                                work, ft.batch_size, pooled=True)
-        pred = [labels[j] for j in choices]
-        return (classification_f1(pred, [g for _, g in items], labels,
-                                  dataset.positive_label),)
-
-    scores = _run_seeds(config, params, seeds, ft, len(labels), dataset.train,
-                        batch_loss, score, dataset.dev, dataset.test)
+    scores = _run_seeds(config, params, seeds, ft, len(labels), train,
+                        _head_loss(vocab, config), score, dev, test)
     return RunReport.from_values(task, model_name, "f1", [s[0] for s in scores])
 
 
-def _encode_tagged(items, vocab, max_seq, tag_ids):
-    """Per item: encoding, per-piece label array, and word -> first-piece map."""
+def _tagged_examples(items, vocab, max_seq, tag_ids):
+    """(encoding, first piece of each word, tag ids of those words) per item;
+    words past the truncation horizon have no span and are left out."""
     out = []
     for tokens, tags in items:
         enc = encode_words(tokens, vocab, max_seq)
-        labels = np.full(len(enc.ids), IGNORE_INDEX, dtype=np.int64)
-        first_piece = []
-        for w, (start, stop) in enumerate(enc.word_spans):
-            if stop > start and w < len(tags):
-                labels[start] = tag_ids[tags[w]]
-                first_piece.append(start)
-            else:
-                first_piece.append(-1)
-        # Words beyond the truncation horizon keep -1 and predict as O.
-        while len(first_piece) < len(tokens):
-            first_piece.append(-1)
-        out.append((enc, labels, first_piece))
+        out.append((enc, [start for start, _ in enc.word_spans],
+                    [tag_ids[tag] for tag in tags[:len(enc.word_spans)]]))
     return out
 
 
@@ -449,28 +447,21 @@ def finetune_tag(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
     seeds = _check_protocol(seeds, dataset)
     tags = dataset.tags
     tag_ids = {tag: i for i, tag in enumerate(tags)}
-    train_rows = _encode_tagged(dataset.train, vocab, config.max_seq, tag_ids)
-    dev, test = ((_encode_tagged(split, vocab, config.max_seq, tag_ids),
+    train = _tagged_examples(dataset.train, vocab, config.max_seq, tag_ids)
+    dev, test = ((_tagged_examples(split, vocab, config.max_seq, tag_ids),
                   [gold for _, gold in split])
                  for split in (dataset.dev, dataset.test))
 
-    def batch_loss(rows, work, tape, rng):
-        logits = _head_logits([enc for enc, _, _ in rows], vocab, config, work,
-                              pooled=False, tape=tape, rng=rng)
-        labels = pad_rows([lab for _, lab, _ in rows], IGNORE_INDEX)
-        flat = reshape(logits, (labels.size, len(tags)), tape)
-        return cross_entropy_masked(flat, labels.reshape(-1), tape)
-
     def score(split, work):
-        rows, gold = split
-        choices = _predict_rows([enc for enc, _, _ in rows], vocab, config, work,
-                                ft.batch_size, pooled=False)
-        pred = [[tags[choice[p]] if p >= 0 else "O" for p in first_piece]
-                for choice, (_, _, first_piece) in zip(choices, rows)]
+        examples, gold = split
+        # a word past the truncation horizon predicts O
+        pred = [[tags[c] for c in choice] + ["O"] * (len(g) - len(choice))
+                for choice, g in zip(_predict(examples, vocab, config, work,
+                                              ft.batch_size), gold)]
         return span_f1(pred, gold), token_f1(pred, gold)
 
-    scores = _run_seeds(config, params, seeds, ft, len(tags), train_rows, batch_loss,
-                        score, dev, test)
+    scores = _run_seeds(config, params, seeds, ft, len(tags), train,
+                        _head_loss(vocab, config), score, dev, test)
     span_scores, token_scores = zip(*scores)
     return RunReport.from_values(task, model_name, "span_f1", span_scores,
                                  secondary_metric="token_f1",

@@ -44,7 +44,7 @@ def grad_check(inputs: list[Tensor], run, h: float = 1e-4, tol: float = 1e-6):
     without a tape while fd_gradient perturbs each input in place.
     """
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     tape = Tape()
     out = run(tape)
     backward(tape, out)

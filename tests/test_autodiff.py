@@ -42,12 +42,6 @@ class TestTensor:
     def test_scalar_shape_kept(self):
         assert Tensor(np.float32(2.0)).shape == ()
 
-    def test_zero_grad(self):
-        t = Tensor([1.0])
-        t.grad = np.ones(1, dtype=np.float32)
-        t.zero_grad()
-        assert t.grad is None
-
 
 class TestErf:
     GRID = np.linspace(-6.0, 6.0, 240_001)
@@ -392,7 +386,7 @@ GEOMETRIES = {"desk": (64, 18, 64, 4, 256), "cli": (8, 18, 32, 4, 128)}
 def taped_step(build, leaves, weights):
     """Output of ``build(tape)`` and each leaf's gradient of sum(out * weights)."""
     for t in [*leaves, weights]:
-        t.zero_grad()
+        t.grad = None
     tape = Tape()
     out = build(tape)
     backward(tape, tsum(mul(out, weights, tape), tape))
@@ -543,7 +537,7 @@ class TestAdjointRelease:
 
         grad_check([x0, gamma, beta], run, tol=1e-5)
         fused = x0.grad
-        x0.zero_grad()
+        x0.grad = None
         tape = Tape()
         x = gelu(x0, tape)
         backward(tape, tsum(mul(layer_norm(add(x, x, tape), gamma, beta, tape=tape),
@@ -793,7 +787,7 @@ def step_bits(leaves, build, tape):
     """Output and leaf gradients of one step on ``tape``: the output itself
     when it is a scalar loss, else sum(out * fixed weights)."""
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     out = build(tape)
     loss = out
     if out.shape != ():

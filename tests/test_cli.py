@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from daptlab import cli, pretrain
+from daptlab import cli, model, pretrain
 from daptlab.finetune import FinetuneConfig
 from daptlab.model import ModelConfig
 from daptlab.pretrain import TrainConfig
@@ -467,24 +467,15 @@ class TestErrorHandling:
         assert error.startswith("error:") and "non-finite gradient for 'emb.word'" in error
         assert list(out.iterdir()) == []
 
-    def test_nan_gradient_exits_two_and_writes_nothing(self, pipeline, capsys, tmp_path,
-                                                       monkeypatch):
-        # a NaN in one gradient behind a finite loss: the optimizer names it
-        _, run = pipeline
-        self.poison_word_gradient(monkeypatch)
-        self.assert_names_word_gradient_and_writes_nothing(
-            ["pretrain", "--corpus", str(run / "corpus.jsonl"),
-             "--vocab", str(run / "vocab.txt"), "--out", str(tmp_path)] +
-            MODEL_SETS + ["--set", "train.base.warmup_steps=2"], capsys, tmp_path)
-
-    @pytest.mark.parametrize("command", ["dapt", "finetune-classify", "finetune-tag"])
-    def test_nan_gradient_in_later_stages_exits_two(self, pipeline, capsys, tmp_path,
-                                                    monkeypatch, command):
-        # the same fault in the continued pretraining and in a seed of each fine-tune
-        root, run = pipeline
+    @staticmethod
+    def training_argv(command, root, run, out):
+        """argv for a short training run of ``command`` that writes into ``out``."""
         shared = ["--checkpoint", str(run / "base.ckpt"), "--vocab", str(run / "vocab.txt"),
-                  "--out", str(tmp_path)]
-        argv = {
+                  "--out", str(out)]
+        return {
+            "pretrain": ["pretrain", "--corpus", str(run / "corpus.jsonl"),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(out)] +
+                        MODEL_SETS + ["--set", "train.base.warmup_steps=2"],
             "dapt": ["dapt", "--corpus", str(root / "domain.jsonl")] + shared + MODEL_SETS +
                     ["--set", "train.dapt.epochs=1", "--set", "train.dapt.batch_size=8",
                      "--set", "train.dapt.warmup_steps=1"],
@@ -493,8 +484,45 @@ class TestErrorHandling:
             "finetune-tag": ["finetune-tag", "--data", str(root / "tagged.jsonl")] +
                             shared + FINETUNE_SETS,
         }[command]
+
+    def test_nan_gradient_exits_two_and_writes_nothing(self, pipeline, capsys, tmp_path,
+                                                       monkeypatch):
+        # a NaN in one gradient behind a finite loss: the optimizer names it
+        root, run = pipeline
         self.poison_word_gradient(monkeypatch)
-        self.assert_names_word_gradient_and_writes_nothing(argv, capsys, tmp_path)
+        self.assert_names_word_gradient_and_writes_nothing(
+            self.training_argv("pretrain", root, run, tmp_path), capsys, tmp_path)
+
+    @pytest.mark.parametrize("command", ["dapt", "finetune-classify", "finetune-tag"])
+    def test_nan_gradient_in_later_stages_exits_two(self, pipeline, capsys, tmp_path,
+                                                    monkeypatch, command):
+        # the same fault in the continued pretraining and in a seed of each fine-tune
+        root, run = pipeline
+        self.poison_word_gradient(monkeypatch)
+        self.assert_names_word_gradient_and_writes_nothing(
+            self.training_argv(command, root, run, tmp_path), capsys, tmp_path)
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune-tag"])
+    def test_nan_from_an_op_backward_exits_two(self, pipeline, capsys, tmp_path,
+                                               monkeypatch, command):
+        # each gelu records, right after its own backward closure, one that
+        # writes NaN into its output's adjoint: gelu's closure and every layer
+        # before it then carry the NaN down to the embeddings, behind a finite loss
+        root, run = pipeline
+        real_gelu = model.gelu
+
+        def poisoned_gelu(a, tape=None):
+            out = real_gelu(a, tape)
+            if tape is not None:
+                def poison():
+                    if out.grad is not None:
+                        out.grad[...] = np.nan
+                tape.record(poison)
+            return out
+
+        monkeypatch.setattr(model, "gelu", poisoned_gelu)
+        self.assert_names_word_gradient_and_writes_nothing(
+            self.training_argv(command, root, run, tmp_path), capsys, tmp_path)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finetune_divergence_exits_two(self, pipeline, capsys, tmp_path):

@@ -20,3 +20,18 @@ def test_artifact_mode_follows_umask(tmp_path, umask, mode):
     assert path.read_bytes() == b"abc"
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert [p.name for p in path.parent.iterdir()] == ["a.bin"]  # no temp file left
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_write_closes_its_temp_file(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise PermissionError("mode change refused")
+
+    monkeypatch.setattr(os, "chmod", refuse)
+    monkeypatch.setattr(os, "fchmod", refuse)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with pytest.raises(PermissionError):
+            atomic_write_bytes(tmp_path / "a.bin", b"abc")
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert list(tmp_path.iterdir()) == []

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from daptlab import finetune, pretrain
-from daptlab.autodiff import Tensor, cross_entropy_masked, matmul
+from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
+                              matmul, reshape, select_position)
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               TaggedTokenDataset, aggregate, classification_f1,
                               f1_binary, finetune_classify, finetune_tag,
                               format_mean_std, iob_spans, span_f1, token_f1)
-from daptlab.model import ModelConfig, init_params
+from daptlab.model import ModelConfig, forward, init_params, length_mask, pad_rows
 from daptlab.optim import LrSchedule, lr_at_step
 from daptlab.pretrain import TrainingDiverged
 from daptlab.synth import classification_records, tagging_records
-from daptlab.tokenizer import encode_words, train_vocab
-from helpers import (oracle_binary_f1, oracle_span_f1, oracle_spans,
+from daptlab.tokenizer import encode, encode_words, train_vocab
+from helpers import (grad_check, oracle_binary_f1, oracle_span_f1, oracle_spans,
                      random_iob_case)
 
 
@@ -515,3 +516,111 @@ class TestSeedProtocol:
         ten_steps = FinetuneConfig(lr=1e-2, epochs=2, batch_size=2)
         schedule = LrSchedule(ten_steps.lr, 1, 10)
         assert run_lrs(ten_steps, 10) == [lr_at_step(schedule, k) for k in range(1, 11)]
+
+
+def full_sequence_hidden(examples, vocab, config, work, tape):
+    """Oracle input: the last layer on every position of the padded batch."""
+    ids = [enc.ids for enc, _, _ in examples]
+    return forward(pad_rows(ids, vocab.pad_id), length_mask(ids), config, work,
+                   tape=tape)[-1]
+
+
+def oracle_head_loss(head_in, gold, work, tape):
+    logits = matmul(head_in, work["head.w"], tape, bias=work["head.b"])
+    return cross_entropy_masked(logits, gold, tape)
+
+
+class TestListedPositionsOnly:
+    """Both fine-tunes run the last layer past attention on the positions their
+    head reads; in float64 that matches the head on every position."""
+
+    TAGS = ("B-SOFT", "I-SOFT", "O")
+    # "vendors", "fuzzingaudit" and "audited" are several pieces each; the
+    # second record is longer than MAX_SEQ, so its last words are cut
+    RECORDS = [
+        (["vendors", "audited", "with"], ["O", "B-SOFT", "O"]),
+        (["during", "vendors", "fuzzingaudit", "dataforge", "4", "audited", "update",
+          "vendor", "notice"],
+         ["O", "O", "B-SOFT", "I-SOFT", "I-SOFT", "O", "O", "B-SOFT", "O"]),
+        (["dataforge", "4"], ["B-SOFT", "I-SOFT"]),
+    ]
+    MAX_SEQ = 12
+
+    @staticmethod
+    def float64_work(vocab, n_out, max_seq):
+        config = ModelConfig(num_layers=2, hidden=8, num_heads=2, ffn_dim=16,
+                             vocab_size=len(vocab), max_seq=max_seq, dropout=0.0)
+        rng = np.random.default_rng(3)
+        work = {name: Tensor(t.data.astype(np.float64))
+                for name, t in init_params(config, 0).items()}
+        work["head.w"] = Tensor(rng.standard_normal((config.hidden, n_out)))
+        work["head.b"] = Tensor(rng.standard_normal(n_out))
+        return config, work
+
+    def classified(self, vocab):
+        """(vocab, config, work, examples, oracle): the head on [CLS] through
+        select_position."""
+        config, work = self.float64_work(vocab, 2, 32)
+        texts = ["the dropper of worm and worm", "of attachment", "subnet with router"]
+        examples = [(encode(text, vocab, config.max_seq), [0], [i % 2])
+                    for i, text in enumerate(texts)]
+
+        def oracle(tape):
+            hidden = full_sequence_hidden(examples, vocab, config, work, tape)
+            return oracle_head_loss(select_position(hidden, 0, tape),
+                                    np.array([0, 1, 0]), work, tape)
+        return vocab, config, work, examples, oracle
+
+    def tagged(self, vocab):
+        """(vocab, config, work, examples, oracle): the head on every piece,
+        with IGNORE_INDEX off each word's first piece."""
+        config, work = self.float64_work(vocab, len(self.TAGS), self.MAX_SEQ)
+        tag_ids = {tag: i for i, tag in enumerate(self.TAGS)}
+        examples = finetune._tagged_examples(self.RECORDS, vocab, self.MAX_SEQ, tag_ids)
+        spans = [enc.word_spans for enc, _, _ in examples]
+        assert len(spans[1]) < len(self.RECORDS[1][0])  # truncated
+        assert any(stop - start >= 2 for kept in spans for start, stop in kept)
+        pieces = []
+        for (enc, _, _), (_, tags) in zip(examples, self.RECORDS):
+            pieces.append(np.full(len(enc.ids), IGNORE_INDEX))
+            for (start, _), tag in zip(enc.word_spans, tags):
+                pieces[-1][start] = tag_ids[tag]
+        labels = pad_rows(pieces, IGNORE_INDEX)
+
+        def oracle(tape):
+            hidden = full_sequence_hidden(examples, vocab, config, work, tape)
+            return oracle_head_loss(reshape(hidden, (labels.size, config.hidden), tape),
+                                    labels.reshape(-1), work, tape)
+        return vocab, config, work, examples, oracle
+
+    def test_loss_and_gradients_match_full_sequence_oracle(self, classify_setup,
+                                                           tag_setup):
+        for task, (vocab, config, work, examples, oracle) in (
+                ("classify", self.classified(classify_setup[2])),
+                ("tag", self.tagged(tag_setup[2]))):
+            results = []
+            for loss_fn in (lambda tape: finetune._head_loss(vocab, config)(
+                                examples, work, tape, None),
+                            oracle):
+                for t in work.values():
+                    t.grad = None
+                tape = Tape()
+                loss = loss_fn(tape)
+                backward(tape, loss)
+                results.append((float(loss.data), {name: t.grad for name, t in work.items()}))
+            (got_loss, got), (want_loss, want) = results
+            assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0.0), task
+            for name in work:
+                if want[name] is None:  # the MLM head
+                    assert got[name] is None, (task, name)
+                else:
+                    np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                               atol=1e-15, err_msg=f"{task} {name}")
+
+    def test_loss_matches_finite_differences(self, classify_setup, tag_setup):
+        for vocab, config, work, examples, _ in (self.classified(classify_setup[2]),
+                                                  self.tagged(tag_setup[2])):
+            checked = [work[name] for name in ("head.w", "head.b", "layer1.attn.wo",
+                                               "layer1.ffn.w2", "layer0.attn.wq")]
+            grad_check(checked, lambda tape: finetune._head_loss(vocab, config)(
+                examples, work, tape, None))

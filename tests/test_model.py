@@ -138,7 +138,7 @@ class TestForwardRows:
         backward(tape, tsum(mul(rows, weights, tape), tape))
         want = {name: t.grad for name, t in params.items()}
         for t in params.values():
-            t.zero_grad()
+            t.grad = None
         tape = Tape()
         last = forward(ids, mask, config, params, tape=tape, rows=keep)[-1]
         backward(tape, tsum(mul(last, weights, tape), tape))
@@ -327,7 +327,7 @@ class TestForward:
             assert not segment[1].any()
         finally:
             for t in params.values():
-                t.zero_grad()
+                t.grad = None
 
 
 def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
@@ -412,7 +412,7 @@ class TestMlmStep:
         backward(tape, want)
         want_grads = {name: t.grad for name, t in params.items()}
         for t in params.values():
-            t.zero_grad()
+            t.grad = None
 
         created = []
         real_init = Tensor.__init__
