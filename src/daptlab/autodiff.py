@@ -159,6 +159,8 @@ def _record(tape: Tape, out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -275,23 +277,33 @@ def reshape(a: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tens
 
 
 def gather_rows(table: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Row lookup table[ids]; ids is an integer array of any shape."""
+    """Row lookup: the rows of a [.., H] ``table`` with its leading axes
+    flattened, so row ``b * S + p`` of a [B, S, H] activation is position p
+    of sequence b; ``ids`` is an integer array of any shape."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ValueError("gather_rows ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ValueError(f"gather_rows id out of range for table of {table.data.shape[0]} rows")
+    if table.data.ndim < 2:
+        raise ValueError(f"gather_rows needs a table of rank >= 2, got {table.shape}")
+    flat = table.data.reshape(-1, table.data.shape[-1])  # a view: data is C-contiguous
+    if ids.size and (ids.min() < 0 or ids.max() >= flat.shape[0]):
+        raise ValueError(f"gather_rows id out of range for table of {flat.shape[0]} rows")
     # ids are in range: "clip" spares the copy "raise" makes of an out= buffer
-    out = Tensor(np.take(table.data, ids, axis=0, mode="clip", out=_empty(
-        tape, ids.shape + table.data.shape[1:], table.data.dtype)))
+    out = Tensor(np.take(flat, ids, axis=0, mode="clip", out=_empty(
+        tape, ids.shape + flat.shape[1:], table.data.dtype)))
     if tape is not None:
         def bwd(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            if ids.ndim == 1 and bool(np.all(ids[1:] > ids[:-1])):
-                table.grad[ids] += g  # unique ids: the sums add.at would make
+            grad, index = table.grad, ids
+            if grad.flags.c_contiguous:  # a [rows, H] view; others are indexed per axis
+                grad = grad.reshape(flat.shape)
             else:
-                np.add.at(table.grad, ids, g)
+                index = np.unravel_index(ids, table.shape[:-1])
+            if ids.ndim == 1 and bool(np.all(ids[1:] > ids[:-1])):
+                grad[index] += g  # unique ids: the sums add.at would make
+            else:
+                np.add.at(grad, index, g)
         _record(tape, out, bwd)
     return out
 
@@ -352,8 +364,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
                residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
-    With ``residual``, normalizes ``a + residual`` (a post-LN residual
-    connection) and gives both the same input gradient.
+    With ``residual`` (either may broadcast), normalizes ``a + residual``, a
+    post-LN residual connection; each gets its input gradient in its own shape.
     """
     shape = a.data.shape if residual is None else np.broadcast_shapes(a.data.shape,
                                                                      residual.data.shape)
@@ -397,10 +409,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
             g -= mean_gx
             g -= scratch
             g *= inv
-            gin = g
-            _accumulate(a, gin)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
             if residual is not None:
-                _accumulate(residual, gin.copy() if a.grad is gin else gin)
+                gr = _unbroadcast(g, residual.data.shape)
+                _accumulate(residual, gr.copy() if a.grad is gr else gr)
         _record(tape, out, bwd)
     return out
 

@@ -178,10 +178,10 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
 
     x = gather_rows(params["emb.word"], ids, tape)
     x = add(x, gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
-    # every position is segment 0: gather that one row and let add broadcast it
+    # every position is segment 0: that one row is the layer norm's broadcast residual
     segment = gather_rows(params["emb.segment"], np.zeros(1, dtype=np.int64), tape)
-    x = add(x, segment, tape)
-    x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"], tape=tape)
+    x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"], tape=tape,
+                   residual=segment)
     x = drop(x)
     hidden = [x]
 
@@ -198,12 +198,10 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         vh = transpose(reshape(v, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
         probs = drop(softmax(matmul(qh, kt, tape), -1, tape,
                              scale=1.0 / np.sqrt(dh), bias=key_bias))
-        ctx = transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape)
+        ctx = reshape(transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape),
+                      (batch, seq, h), tape)
         if rows is not None and i == config.num_layers - 1:
-            ctx = gather_rows(reshape(ctx, (batch * seq, h), tape), rows, tape)
-            x = gather_rows(reshape(x, (batch * seq, h), tape), rows, tape)
-        else:
-            ctx = reshape(ctx, (batch, seq, h), tape)
+            ctx, x = gather_rows(ctx, rows, tape), gather_rows(x, rows, tape)
         attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))
         x = layer_norm(attn, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"],
                        tape=tape, residual=x)

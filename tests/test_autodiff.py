@@ -378,6 +378,50 @@ class TestGradients:
         np.testing.assert_allclose(a.grad, 2.0)
 
 
+class TestGatherRowsFromActivation:
+    """gather_rows on a [B, S, H] activation reads its B·S rows, row b * S + p."""
+
+    IDS = {"repeated": [4, 0, 4, 5, 2, 0], "unique": [0, 2, 3, 5]}
+
+    @pytest.mark.parametrize("name", IDS)
+    def test_values_are_the_flattened_rows(self, name):
+        table, ids = t64((2, 3, 4), 0), np.array(self.IDS[name])
+        out = gather_rows(table, ids)
+        assert out.shape == (ids.size, 4)
+        assert np.array_equal(out.data, table.data.reshape(-1, 4)[ids])
+
+    @pytest.mark.parametrize("name", IDS)
+    def test_gradient(self, name):
+        table, ids = t64((2, 3, 4), 0), np.array(self.IDS[name])
+        weights = t64((ids.size, 4), 1)
+        grad_check([table], lambda tape: tsum(mul(gather_rows(table, ids, tape), weights,
+                                                  tape), tape))
+        assert table.grad.shape == (2, 3, 4)
+
+    def test_out_of_range_names_every_row(self):
+        with pytest.raises(ValueError, match="table of 6 rows"):
+            gather_rows(t64((2, 3, 4), 0), np.array([0, 6]))
+
+    def test_table_of_rank_one_rejected(self):
+        with pytest.raises(ValueError, match="rank >= 2"):
+            gather_rows(t64((6,), 0), np.array([0]))
+
+    @pytest.mark.parametrize("name", IDS)
+    def test_adds_into_a_held_non_contiguous_gradient(self, name):
+        # a transposed .grad has no [B·S, H] view: the scatter still lands in it
+        table, ids = t64((2, 3, 4), 0), np.array(self.IDS[name])
+        held = np.random.default_rng(5).standard_normal((4, 3, 2)).transpose(2, 1, 0)
+        assert not held.flags.c_contiguous
+        expected = held.copy()
+        adjoint = t64((ids.size, 4), 6)
+        table.grad = held
+        tape = Tape()
+        backward(tape, tsum(mul(gather_rows(table, ids, tape), adjoint, tape), tape))
+        np.add.at(expected.reshape(-1, 4), ids, adjoint.data)
+        assert table.grad is held
+        assert np.array_equal(held, expected)
+
+
 # (batch, seq, hidden, heads, ffn): desk geometry at batch 64, and the CLI's
 # configs/desk.ini geometry at batch 8
 GEOMETRIES = {"desk": (64, 18, 64, 4, 256), "cli": (8, 18, 32, 4, 128)}
@@ -468,6 +512,19 @@ class TestFusedEpilogues:
             layer_norm(a, gamma, beta, tape=tape, residual=r), weights, tape), tape),
             tol=1e-5)
         assert np.array_equal(a.grad, r.grad)
+
+    @pytest.mark.parametrize("a_shape, r_shape", [((2, 3, 4), (1, 4)), ((1, 4), (2, 3, 4))],
+                             ids=["residual-row", "input-row"])
+    def test_layer_norm_broadcast_residual_gradients(self, a_shape, r_shape):
+        # the embedding's segment row is such a residual: each operand's
+        # gradient is summed down to that operand's own shape
+        a, r = t64(a_shape, 0), t64(r_shape, 1)
+        gamma, beta = t64((4,), 2), t64((4,), 3)
+        weights = t64((2, 3, 4), 4)
+        grad_check([a, r, gamma, beta], lambda tape: tsum(mul(
+            layer_norm(a, gamma, beta, tape=tape, residual=r), weights, tape), tape),
+            tol=1e-5)
+        assert a.grad.shape == a_shape and r.grad.shape == r_shape
 
     def test_matmul_bias_needs_2d_weight_and_vector(self):
         with pytest.raises(ValueError, match="bias"):
