@@ -32,14 +32,14 @@ print(f"\nfresh model: perplexity {before_ppl:.1f} "
       f"(vocab size {len(vocab)}, so chance is about {len(vocab)}), "
       f"masked accuracy {before_acc:.3f}")
 
-log = train(config, params, texts, vocab,
-            TrainConfig(peak_lr=6e-3, epochs=100, batch_size=16,
-                        warmup_steps=10, seed=0))
+regimen = TrainConfig(peak_lr=6e-3, epochs=100, batch_size=16, warmup_steps=10, seed=0)
+log = train(config, params, texts, vocab, regimen)
 print(f"\ntrained {len(log.entries)} steps "
       f"(initial loss {log.entries[0][1]:.3f}, ln V = {math.log(len(vocab)):.3f})")
 print("loss at every tenth epoch boundary:")
-for end in log.epoch_ends[::10]:
-    print(f"  step {end:>4}  loss {dict(log.entries)[end]:.4f}")
+per_epoch = len(log.entries) // regimen.epochs
+for step, loss in log.entries[per_epoch - 1::10 * per_epoch]:
+    print(f"  step {step:>4}  loss {loss:.4f}")
 
 after_ppl = perplexity(config, params, texts, vocab, seed=5)
 after_acc = masked_token_accuracy(config, params, texts, vocab, seed=99)

@@ -8,19 +8,3 @@ chains the stages into reproducible runs.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import Tape, Tensor
-from .model import ModelConfig, forward, init_params
-from .tokenizer import Vocab, encode, train_vocab
-
-__all__ = [
-    "Tape",
-    "Tensor",
-    "ModelConfig",
-    "Vocab",
-    "encode",
-    "forward",
-    "init_params",
-    "train_vocab",
-    "__version__",
-]

@@ -1,14 +1,14 @@
 """Corpus ingestion, per-source filtering, exact dedupe, and token statistics.
 
-Dumps are JSON Lines with fields id/source/text. A blog post is kept at 300
-characters or more, an arXiv paper at 3000 or more, a tweet only if one of its
-lowercased word tokens is a keyword, and every NVD entry is kept.
+Dumps are JSON Lines with fields id/source/text. A text that is empty or
+whitespace only is dropped, whatever its source. Otherwise a blog post is kept
+at 300 characters or more, an arXiv paper at 3000 or more, a tweet only if one
+of its lowercased word tokens is a keyword, and every NVD entry is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import fileio
 from .tokenizer import Vocab, count_pieces, split_words
@@ -41,8 +41,9 @@ class Document:
 
 
 def keeps(doc: Document) -> bool:
-    """The curation rule: the source's length floor, and a keyword for tweets."""
-    if len(doc.text) < MIN_CHARS.get(doc.source, 0):
+    """The curation rule: some non-space text, the source's length floor, and
+    a keyword for tweets."""
+    if not doc.text.strip() or len(doc.text) < MIN_CHARS.get(doc.source, 0):
         return False
     return doc.source != "twitter" or not TWITTER_KEYWORDS.isdisjoint(split_words(doc.text))
 
@@ -107,11 +108,11 @@ def build_corpus(paths) -> tuple[list[Document], DropReport, int]:
         result = ingest(path)
         merged.extend(result.documents)
         skipped += result.skipped
-    seen_ids: dict[str, str] = {}
+    seen_ids: set[str] = set()
     for doc in merged:
         if doc.id in seen_ids:
             raise ValueError(f"duplicate document id {doc.id!r} across dumps")
-        seen_ids[doc.id] = doc.source
+        seen_ids.add(doc.id)
     kept: list[Document] = []
     report = DropReport(dropped=dict.fromkeys(SOURCES, 0))
     for doc in merged:
@@ -164,7 +165,8 @@ class CorpusStats:
 
 
 def compute_stats(documents, vocab: Vocab) -> CorpusStats:
-    """Tokenizer-based length stats (non-special WordPiece counts) per source."""
+    """Length stats per source, in ``count_pieces`` units (a word the vocab
+    cannot spell counts as one [UNK] piece)."""
     counts: dict[str, list[int]] = {src: [] for src in SOURCES}
     everything: list[int] = []
     for doc in documents:

@@ -104,7 +104,8 @@ def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Truncated-normal(std 0.02) weights, zero biases, identity layer norms.
+    """Layer-norm gains (``.gamma``) at one, every other 1-D tensor (biases,
+    layer-norm shifts) at zero, and every matrix truncated-normal(std 0.02).
 
     The MLM output projection is the token embedding table itself (tied), so
     it does not appear as a separate entry.
@@ -114,8 +115,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     for name, shape in param_shapes(config).items():
         if name.endswith(".gamma"):
             data = np.ones(shape, dtype=np.float32)
-        elif name.endswith((".beta", ".bias", ".b", ".bq", ".bk", ".bv", ".bo",
-                            ".b1", ".b2")):
+        elif len(shape) == 1:
             data = np.zeros(shape, dtype=np.float32)
         else:
             data = truncated_normal(rng, shape, 0.02)

@@ -87,10 +87,9 @@ class TrainConfig:
 
 @dataclass
 class LossLog:
-    """Per-step (step, loss) pairs plus the step index closing each epoch."""
+    """Per-step (step, loss) pairs."""
 
     entries: list[tuple[int, float]] = field(default_factory=list)
-    epoch_ends: list[int] = field(default_factory=list)
 
     def render(self) -> str:
         lines = ["step\tloss"]
@@ -152,6 +151,15 @@ def encode_corpus(texts, vocab: Vocab, max_seq: int) -> list[Encoding]:
     return encodings
 
 
+def _maskable(encodings: list[Encoding], vocab: Vocab
+              ) -> tuple[list[Encoding], list[np.ndarray]]:
+    """The encodings that have a maskable position, and those positions of
+    each; one whose every content piece is [UNK] has none and is skipped."""
+    candidates = [maskable_positions(enc, vocab) for enc in encodings]
+    kept = [i for i, cand in enumerate(candidates) if cand.size]
+    return [encodings[i] for i in kept], [candidates[i] for i in kept]
+
+
 def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab: Vocab,
                   policy: MaskingPolicy, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,7 +219,6 @@ def fit(state: AdamState, n_items: int, regimen, rng: np.random.Generator,
             except NonFiniteGradient as exc:
                 raise TrainingDiverged(step, f"non-finite gradient for {exc.name!r}",
                                        log) from exc
-        log.epoch_ends.append(step)
         if end_epoch is not None:
             end_epoch()
     return log
@@ -222,12 +229,14 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
     """MLM-train ``params`` in place through ``fit``; returns the full loss log.
 
     Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
-    schedule, masking with the default MaskingPolicy. One rng, seeded by the
-    config, draws each epoch's permutation, then each batch's masking, then
-    its dropout.
+    schedule, masking with the default MaskingPolicy; N counts the documents
+    with a maskable piece, so one that encodes to nothing but [UNK] is
+    skipped. One rng, seeded by the config, draws each epoch's permutation,
+    then each batch's masking, then its dropout.
     """
     policy = MaskingPolicy()
-    encodings = encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq))
+    encodings, candidates = _maskable(
+        encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq)), vocab)
     if not encodings:
         raise ValueError("training corpus has no usable documents")
     if train_config.epochs == 0:
@@ -238,7 +247,6 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
                          f"total steps ({total_steps}); lower it for short runs")
     schedule = LrSchedule(train_config.peak_lr, train_config.warmup_steps, total_steps)
     rng = np.random.default_rng(train_config.seed)
-    candidates = [maskable_positions(enc, vocab) for enc in encodings]
 
     def batch_loss(picked, tape):
         chunk = [encodings[i] for i in picked]
@@ -257,14 +265,13 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
 
 def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
     """Yield (MLM logits, labels) of the labelled positions per batch under a
-    fixed-seed default-policy corruption draw, skipping batches where the draw
-    masked nothing."""
-    encodings = encode_corpus(texts, vocab, config.max_seq)
+    fixed-seed default-policy corruption draw, skipping documents with no
+    maskable piece and batches where the draw masked nothing."""
+    encodings, candidates = _maskable(encode_corpus(texts, vocab, config.max_seq), vocab)
     if not encodings:
         raise ValueError(f"{what} needs at least one usable document")
     policy = MaskingPolicy()
     rng = np.random.default_rng(seed)
-    candidates = [maskable_positions(enc, vocab) for enc in encodings]
     for lo in range(0, len(encodings), batch_size):
         ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size],
                                           candidates[lo:lo + batch_size], vocab, policy, rng)
@@ -301,7 +308,8 @@ def masked_token_accuracy(config: ModelConfig, params: dict[str, Tensor], texts,
 
 
 def corpus_token_count(texts, vocab: Vocab) -> int:
-    """Total non-special WordPiece count, the unit of the data-size regimen check."""
+    """Total WordPiece count without [CLS]/[SEP] or truncation (an unspellable
+    word counts as one [UNK]), the unit of the data-size regimen check."""
     return sum(count_pieces(text, vocab) for text in texts)
 
 

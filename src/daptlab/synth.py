@@ -66,8 +66,7 @@ def patterned_corpus(n_sentences: int = 200, sentence_len: int = 10) -> list[str
 
 
 def topic_corpus(topics: dict[str, tuple[str, ...]], n_docs: int,
-                 words_per_doc: int = 8, seed: int = 0,
-                 scaffold: tuple[str, ...] = SCAFFOLD
+                 words_per_doc: int = 8, seed: int = 0
                  ) -> tuple[list[str], list[str]]:
     """Balanced topical documents; returns (texts, topic labels)."""
     rng = np.random.default_rng(seed)
@@ -79,8 +78,7 @@ def topic_corpus(topics: dict[str, tuple[str, ...]], n_docs: int,
         content = [pool[int(j)] for j in rng.integers(0, len(pool), words_per_doc)]
         words = []
         for j, word in enumerate(content):
-            if scaffold:
-                words.append(scaffold[(i + j) % len(scaffold)])
+            words.append(SCAFFOLD[(i + j) % len(SCAFFOLD)])
             words.append(word)
         texts.append(" ".join(words))
         labels.append(topic)
@@ -108,15 +106,14 @@ def pairing_topics(words: tuple[str, ...] = PAIR_WORDS, count: int = 5
     return tuple(rounds)
 
 
-def pairing_corpus(n_docs: int, pairs_per_doc: int = 16, seed: int = 0,
-                   words: tuple[str, ...] = PAIR_WORDS, n_topics: int = 5
+def pairing_corpus(n_docs: int, pairs_per_doc: int = 16, seed: int = 0
                    ) -> tuple[list[str], list[str]]:
     """Documents whose topic is carried only by which words appear adjacently."""
-    matchings = pairing_topics(words, n_topics)
+    matchings = pairing_topics()
     rng = np.random.default_rng(seed)
     texts, labels = [], []
     for i in range(n_docs):
-        topic = i % n_topics
+        topic = i % len(matchings)
         picks = rng.integers(0, len(matchings[topic]), pairs_per_doc)
         doc = []
         for j in picks:

@@ -39,9 +39,6 @@ class Vocab:
         self.pieces: tuple[str, ...] = tuple(pieces)
         self.index = index
         self.pad_id = index[PAD]
-        self.unk_id = index[UNK]
-        self.cls_id = index[CLS]
-        self.sep_id = index[SEP]
         self.mask_id = index[MASK]
         self.special_ids = frozenset(index[t] for t in SPECIAL_TOKENS)
         # ids a random MLM replacement draws from, in id order
@@ -168,7 +165,8 @@ def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
 
 
 def count_pieces(text: str, vocab: Vocab) -> int:
-    """Non-special piece count of a text, with no length truncation."""
+    """Piece count of a text without [CLS]/[SEP] or truncation; a word
+    WordPiece cannot spell counts as one [UNK]."""
     return sum(map(len, _word_groups(text, vocab)))
 
 

@@ -220,6 +220,36 @@ class TestPipelineArtifacts:
         run_ok(["corpus-stats", "--config", str(ini)])
         assert "total\t" in capsys.readouterr().out
 
+    def test_dapt_skips_a_document_the_vocab_cannot_spell(self, pipeline, tmp_path):
+        root, run = pipeline
+        domain = tmp_path / "domain.jsonl"
+        domain.write_text((root / "domain.jsonl").read_text(encoding="utf-8") + json.dumps(
+            {"id": "ru", "source": "nvd", "text": "уязвимость в ядре"}) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "out"
+        run_ok(["dapt", "--corpus", str(domain), "--checkpoint", str(run / "base.ckpt"),
+                "--name", "adapted", "--vocab", str(run / "vocab.txt"),
+                "--out", str(out)] + MODEL_SETS +
+               ["--set", "train.dapt.epochs=1", "--set", "train.dapt.batch_size=8",
+                "--set", "train.dapt.warmup_steps=1"])
+        # every word of the added document is [UNK], so it is skipped
+        assert (out / "adapted.ckpt").read_bytes() == (run / "adapted.ckpt").read_bytes()
+
+    def test_text_with_no_word_is_curated_out_before_eval(self, pipeline, tmp_path):
+        root, run = pipeline
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text((root / "dump.jsonl").read_text(encoding="utf-8") + "".join(
+            json.dumps({"id": f"blank{i}", "source": "nvd", "text": text}) + "\n"
+            for i, text in enumerate(["", " \n\t"])), encoding="utf-8")
+        out = tmp_path / "out"
+        run_ok(["corpus-build", str(dump), "--out", str(out)])
+        assert "nvd\t2" in (out / "drop_report.tsv").read_text()
+        run_ok(["eval-cluster", "--corpus", str(out / "corpus.jsonl"),
+                "--vocab", str(run / "vocab.txt"), "--checkpoint", str(run / "base.ckpt"),
+                "--out", str(out), "--set", "eval.k_min=2", "--set", "eval.k_max=3"])
+        assert (out / "cluster_base.tsv").read_bytes() == \
+            (run / "cluster_base.tsv").read_bytes()
+
 
 class TestReportGrid:
     def test_missing_cell_tie_and_single_model(self, tmp_path):

@@ -42,6 +42,12 @@ class TestFilterBoundaries:
     def test_nvd_passes_through(self):
         assert keeps(doc("a", "nvd", "x"))
 
+    @pytest.mark.parametrize("text", ["", " \n\t", " \n\t" * 1000],
+                             ids=["empty", "whitespace", "whitespace-past-floors"])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_text_with_no_word_dropped(self, source, text):
+        assert not keeps(doc("a", source, text))
+
 
 class TestTwitterKeywords:
     def test_keyword_set(self):
@@ -147,6 +153,17 @@ class TestBuildCorpus:
         assert skipped == 0
         assert report.render() == ("source\tdropped\narxiv\t1\nblog\t1\nnvd\t0\n"
                                    "twitter\t1\nkept\t5\n")
+
+    def test_blank_texts_counted_under_their_source(self, tmp_path):
+        write_dump(tmp_path / "d.jsonl", [
+            {"id": "n-empty", "source": "nvd", "text": ""},
+            {"id": "n-space", "source": "nvd", "text": " \n\t"},
+            {"id": "b-space", "source": "blog", "text": " " * 300},
+            {"id": "n1", "source": "nvd", "text": "z"}])
+        docs, report, _ = build_corpus([tmp_path / "d.jsonl"])
+        assert [d.id for d in docs] == ["n1"]
+        assert report.render() == ("source\tdropped\narxiv\t0\nblog\t1\nnvd\t2\n"
+                                   "twitter\t0\nkept\t1\n")
 
     def test_duplicate_id_across_dumps_rejected(self, tmp_path):
         write_dump(tmp_path / "a.jsonl", [{"id": "x", "source": "nvd", "text": "1"}])

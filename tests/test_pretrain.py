@@ -266,7 +266,7 @@ class TestTrain:
         before = {k: t.data.copy() for k, t in params.items()}
         log = train(config, params, ["alpha bravo"], vocab,
                     TrainConfig(peak_lr=1e-3, epochs=0))
-        assert log.entries == [] and log.epoch_ends == []
+        assert log.entries == []
         assert all(np.array_equal(before[k], params[k].data) for k in params)
 
     def test_step_count_and_epoch_ends(self, vocab):
@@ -277,7 +277,6 @@ class TestTrain:
         log = train(config, params, texts, vocab, tc)
         assert len(log.entries) == 3 * math.ceil(10 / 4)
         assert [s for s, _ in log.entries] == list(range(1, 10))
-        assert log.epoch_ends == [3, 6, 9]
 
     def test_loss_decreases(self, trained_tiny):
         _, _, _, log, _ = trained_tiny
@@ -330,6 +329,29 @@ class TestTrain:
         config, params = tiny_setup(vocab)
         with pytest.raises(ValueError, match="no usable"):
             train(config, params, ["", ""], vocab, TrainConfig(peak_lr=1e-3))
+
+    def test_document_with_no_maskable_piece_is_skipped(self, vocab):
+        # every word of the inserted text is [UNK] to the pattern vocab
+        texts = patterned_corpus(10, sentence_len=6)
+        unspellable = "уязвимость в ядре"
+        with_unk = texts[:5] + [unspellable] + texts[5:]
+        assert maskable_positions(encode(unspellable, vocab, 16), vocab).size == 0
+        tc = TrainConfig(peak_lr=1e-3, epochs=3, batch_size=4, warmup_steps=2, seed=0)
+        runs = []
+        for corpus in (with_unk, texts):
+            config, params = tiny_setup(vocab)
+            log = train(config, params, corpus, vocab, tc)
+            runs.append((log.entries, params_bytes(params),
+                         perplexity(config, params, corpus, vocab, batch_size=4),
+                         masked_token_accuracy(config, params, corpus, vocab,
+                                               batch_size=4)))
+        assert len(runs[0][0]) == tc.epochs * math.ceil((len(with_unk) - 1) / 4)
+        assert runs[0] == runs[1]  # as if the document were not there
+        config, params = tiny_setup(vocab)
+        with pytest.raises(ValueError, match="no usable"):
+            train(config, params, [unspellable], vocab, tc)
+        with pytest.raises(ValueError, match="usable"):
+            perplexity(config, params, [unspellable], vocab)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_log(self, vocab):
@@ -385,7 +407,7 @@ class TestTrain:
 
     def test_loss_log_render(self):
         from daptlab.pretrain import LossLog
-        log = LossLog(entries=[(1, 3.5), (2, 3.25)], epoch_ends=[2])
+        log = LossLog(entries=[(1, 3.5), (2, 3.25)])
         assert log.render() == "step\tloss\n1\t3.500000\n2\t3.250000\n"
 
 
@@ -436,7 +458,7 @@ class TestTapeReuse:
         def run():
             params = init_params(config, 0)
             log = train(config, params, texts, vocab, tc)
-            return log.entries, log.epoch_ends, params_bytes(params)
+            return log.entries, params_bytes(params)
 
         reused, fresh, handed = self.runs(monkeypatch, run)
         assert reused == fresh

@@ -2,6 +2,7 @@
 trained bytes that do not depend on the BLAS thread count; and what the
 benchmark's tracer, which patches names from outside the package, relies on."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -27,6 +28,13 @@ def run_python(code, **env):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    loaded = run_python("import sys, daptlab\n"
+                        "print(*sorted(m for m in sys.modules\n"
+                        "              if m.split('.')[0] in ('daptlab', 'numpy')))")
+    assert loaded == ["daptlab"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -122,3 +130,22 @@ def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
     assert backward_spans == {f"autodiff.bwd.{op}" for op in TRACED_BACKWARD_OPS}
     for (mod, attr), original in zip(bound, originals):
         assert getattr(modules[mod], attr) is original, f"daptlab.{mod}.{attr}"
+
+
+def test_src_imports_only_what_it_uses():
+    """Each name a ``daptlab`` module imports at top level is read in that
+    module, or is a binding the tracer replaces there."""
+    allowed = {(mod, attr) for mod, attr, _ in load_spans().BINDINGS}
+    allowed |= {("pretrain", "Tape"), ("finetune", "Tape")}
+    unused = []
+    for path in sorted((SRC / "daptlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"daptlab.{path.stem}.{name}" for name in imported
+                   if name not in read and (path.stem, name) not in allowed]
+    assert unused == []

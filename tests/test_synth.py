@@ -46,11 +46,6 @@ class TestTopicCorpus:
         assert len(words) == 8
         assert all(words[i] in synth.SCAFFOLD for i in range(0, 8, 2))
 
-    def test_no_scaffold(self):
-        texts, _ = synth.topic_corpus(synth.GENERAL_TOPICS, 5, words_per_doc=4,
-                                      scaffold=())
-        assert all(len(t.split()) == 4 for t in texts)
-
     def test_topic_pools_disjoint(self):
         pools = [set(v) for v in synth.GENERAL_TOPICS.values()]
         pools += [set(v) for v in synth.DOMAIN_TOPICS.values()]

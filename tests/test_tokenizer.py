@@ -89,7 +89,7 @@ class TestVocab:
         v = affable_vocab
         assert list(v.pieces[:5]) == list(SPECIAL_TOKENS)
         assert [v.id_of(p) for p in v.pieces] == list(range(len(v.pieces)))
-        assert v.pad_id == 0 and v.unk_id == 1
+        assert v.pad_id == 0 and v.id_of(UNK) == 1
 
     def test_non_special_ids(self):
         v = Vocab(["a", MASK, "b", PAD, SEP, "c", UNK, CLS])
