@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from .finetune import f1_binary
-from .model import ModelConfig, embed_document, forward, length_mask, mlm_logits, pad_rows
+from .model import ModelConfig, embed_document, forward, mlm_logits, pad_batch
 from .tokenizer import Encoding, Vocab, count_pieces, encode, wordpiece
 
 # Lloyd iterations kmeans runs at most before it stops without converging.
@@ -25,7 +25,8 @@ def kmeans(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with distance-weighted (k-means++) seeding.
 
     Ties assign to the lowest-index centroid; an emptied cluster is reseeded
-    to the point farthest from its current centroid. Returns (assignments,
+    to the point farthest from its current centroid among those whose cluster
+    keeps another member (one exists, as k <= n). Returns (assignments,
     centroids).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -55,10 +56,10 @@ def kmeans(points, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         own = dists[np.arange(n), new_assign]
         for j in range(k):
             if not (new_assign == j).any():
-                idx = int(own.argmax())
+                shared = np.bincount(new_assign, minlength=k)[new_assign] > 1
+                idx = int(np.where(shared, own, -1.0).argmax())
                 new_assign[idx] = j
                 centroids[j] = pts[idx]
-                own[idx] = 0.0
         if (new_assign == assign).all():
             break
         assign = new_assign
@@ -226,8 +227,8 @@ def model_cloze_predictor(config: ModelConfig, params, vocab: Vocab):
 
     def predict(word1: str, word2: str) -> tuple[float, float]:
         enc, mask_pos = render_cloze(word1, word2, vocab, config.max_seq)
-        hidden = forward(pad_rows([enc.ids], vocab.pad_id), length_mask([enc.ids]),
-                         config, params, rows=[mask_pos])
+        ids, mask, rows = pad_batch([enc.ids], [[mask_pos]], vocab.pad_id)
+        hidden = forward(ids, mask, config, params, rows=rows)
         logits = mlm_logits(hidden[-1], params).data[0]
         return float(logits[yes_id]), float(logits[no_id])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, cross_entropy_masked, matmul
-from .model import ModelConfig, forward, length_mask, pad_rows, truncated_normal
+from .model import ModelConfig, forward, pad_batch, truncated_normal
 from .optim import AdamState, LrSchedule
 from .pretrain import TrainingDiverged, fit
 # the benchmark's tracer rebinds these here; the fine-tunes train through fit
@@ -375,12 +375,9 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
 def _head_logits(examples, vocab, config, work, tape=None, rng=None):
     """[n, classes] head output on every position the (encoding, positions, gold
     ids) examples list, in example order; dropout with an rng."""
-    ids = [enc.ids for enc, _, _ in examples]
-    width = max(map(len, ids))
-    rows = np.array([b * width + p for b, (_, positions, _) in enumerate(examples)
-                     for p in positions], dtype=np.int64)
-    hidden = forward(pad_rows(ids, vocab.pad_id), length_mask(ids), config, work,
-                     tape=tape, rng=rng, rows=rows)[-1]
+    ids, mask, rows = pad_batch([enc.ids for enc, _, _ in examples],
+                                [positions for _, positions, _ in examples], vocab.pad_id)
+    hidden = forward(ids, mask, config, work, tape=tape, rng=rng, rows=rows)[-1]
     return matmul(hidden, work["head.w"], tape, bias=work["head.b"])
 
 

@@ -123,18 +123,19 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def pad_rows(rows, fill: int) -> np.ndarray:
-    """Right-pad 1-D integer rows with ``fill`` into one [B, longest] int64 array."""
-    out = np.full((len(rows), max(len(row) for row in rows)), fill, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, :len(row)] = row
-    return out
-
-
-def length_mask(rows) -> np.ndarray:
-    """[B, longest] int64 attention mask: 1 on each row's own positions, 0 past them."""
-    lengths = np.array([len(row) for row in rows])
-    return (np.arange(lengths.max()) < lengths[:, None]).astype(np.int64)
+def pad_batch(seqs, positions, pad_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch layout every caller of forward() reads: [B, S] int64 ids,
+    right-padded with ``pad_id`` to the longest sequence; their int64 attention
+    mask, 1 on each sequence's own positions; and the flat row ``b * S + p`` of
+    each ``p`` in ``positions[b]``, in sequence order (``forward(rows=)``)."""
+    lengths = np.array([len(seq) for seq in seqs])
+    width = lengths.max()
+    ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        ids[b, :len(seq)] = seq
+    mask = (np.arange(width) < lengths[:, None]).astype(np.int64)
+    rows = np.repeat(np.arange(len(seqs)) * width, [len(pos) for pos in positions])
+    return ids, mask, rows + np.concatenate(positions).astype(np.int64)
 
 
 def _check_inputs(ids: np.ndarray, mask: np.ndarray, config: ModelConfig) -> None:
@@ -238,9 +239,10 @@ def embed_document(text: str, vocab: Vocab, config: ModelConfig,
     positions = [i for start, stop in enc.word_spans for i in range(start, stop)]
     if not positions:
         raise ValueError("cannot embed a text with no content pieces")
-    hidden = forward(pad_rows([enc.ids], vocab.pad_id), length_mask([enc.ids]), config,
-                     params)
-    stacked = np.concatenate([layer.data[0, positions] for layer in hidden[-4:]], axis=-1)
+    ids, mask, rows = pad_batch([enc.ids], [positions], vocab.pad_id)
+    hidden = forward(ids, mask, config, params)
+    stacked = np.concatenate([layer.data.reshape(-1, config.hidden)[rows]
+                              for layer in hidden[-4:]], axis=-1)
     return stacked.mean(axis=0).astype(np.float32)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
                        reshape)  # noqa: F401  (the tracer rebinds reshape here)
-from .model import ModelConfig, forward, length_mask, mlm_logits, pad_rows
+from .model import ModelConfig, forward, mlm_logits, pad_batch
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
 from .tokenizer import Encoding, Vocab, count_pieces, encode
 
@@ -162,23 +162,16 @@ def _maskable(encodings: list[Encoding], vocab: Vocab
 
 def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab: Vocab,
                   policy: MaskingPolicy, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mask each encoding, given its maskable positions, and pad the batch to
-    its longest sequence."""
+    its longest sequence; returns ids, mask, the flat rows of the masked
+    positions and their original ids."""
     masked = [apply_masking(enc, vocab, policy, rng, cand)
               for enc, cand in zip(encodings, candidates)]
-    rows = [got for got, _ in masked]
-    return (pad_rows(rows, vocab.pad_id), length_mask(rows),
-            pad_rows([lab for _, lab in masked], IGNORE_INDEX))
-
-
-def _decode_labelled(ids, mask, labels: np.ndarray, config: ModelConfig,
-                     params: dict[str, Tensor], tape: Tape | None = None, rng=None
-                     ) -> tuple[Tensor, np.ndarray]:
-    """MLM logits [n, V] of the n labelled positions only, and their labels."""
-    keep = np.flatnonzero(labels != IGNORE_INDEX)
-    hidden = forward(ids, mask, config, params, tape=tape, rng=rng, rows=keep)
-    return mlm_logits(hidden[-1], params, tape), labels.reshape(-1)[keep]
+    positions = [(labels != IGNORE_INDEX).nonzero()[0] for _, labels in masked]
+    ids, mask, rows = pad_batch([got for got, _ in masked], positions, vocab.pad_id)
+    targets = np.concatenate([labels[pos] for (_, labels), pos in zip(masked, positions)])
+    return ids, mask, rows, targets
 
 
 def fit(state: AdamState, n_items: int, regimen, rng: np.random.Generator,
@@ -252,19 +245,20 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
         chunk = [encodings[i] for i in picked]
         chunk_candidates = [candidates[i] for i in picked]
         for _ in range(20):
-            ids, mask, labels = _batch_arrays(chunk, chunk_candidates, vocab, policy, rng)
-            if (labels != IGNORE_INDEX).any():
+            ids, mask, rows, targets = _batch_arrays(chunk, chunk_candidates, vocab,
+                                                     policy, rng)
+            if rows.size:
                 break
         else:
             raise RuntimeError("could not draw a batch with any masked position")
-        logits, targets = _decode_labelled(ids, mask, labels, config, params, tape, rng)
-        return cross_entropy_masked(logits, targets, tape)
+        hidden = forward(ids, mask, config, params, tape=tape, rng=rng, rows=rows)
+        return cross_entropy_masked(mlm_logits(hidden[-1], params, tape), targets, tape)
 
     return fit(AdamState(params), len(encodings), train_config, rng, schedule, batch_loss)
 
 
 def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
-    """Yield (MLM logits, labels) of the labelled positions per batch under a
+    """Yield (MLM logits, original ids) of the masked positions per batch under a
     fixed-seed default-policy corruption draw, skipping documents with no
     maskable piece and batches where the draw masked nothing."""
     encodings, candidates = _maskable(encode_corpus(texts, vocab, config.max_seq), vocab)
@@ -273,10 +267,13 @@ def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
     policy = MaskingPolicy()
     rng = np.random.default_rng(seed)
     for lo in range(0, len(encodings), batch_size):
-        ids, mask, labels = _batch_arrays(encodings[lo:lo + batch_size],
-                                          candidates[lo:lo + batch_size], vocab, policy, rng)
-        if (labels != IGNORE_INDEX).any():
-            yield _decode_labelled(ids, mask, labels, config, params)
+        ids, mask, rows, targets = _batch_arrays(encodings[lo:lo + batch_size],
+                                                 candidates[lo:lo + batch_size], vocab,
+                                                 policy, rng)
+        if rows.size:
+            # no name holds the hidden states across the yield, so they are freed
+            logits = mlm_logits(forward(ids, mask, config, params, rows=rows)[-1], params)
+            yield logits, targets
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,

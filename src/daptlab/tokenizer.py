@@ -69,8 +69,8 @@ class Vocab:
 class Encoding:
     """One encoded text: piece ids plus word piece spans.
 
-    Encodings are unpadded, so every position is attended; ``model.pad_rows``
-    pads a batch and ``model.length_mask`` gives its attention mask.
+    Encodings are unpadded, so every position is attended; ``model.pad_batch``
+    pads a batch and gives its attention mask.
     word_spans[i] is the half-open id range of pre-tokenized word i; spans
     partition the content pieces (everything except [CLS]/[SEP]). A piece is
     ``vocab.pieces[id]``.

@@ -97,6 +97,16 @@ class TestKmeans:
         assign, _ = kmeans(points, 2, seed=0)
         assert assign.shape == (8,)
 
+    def test_reseed_never_empties_another_cluster(self):
+        # the point farthest from its centroid is the only member of a cluster
+        # reseeded earlier in the same pass; moving it would empty that cluster
+        points = np.array([[1.0], [1.0], [1.0], [2.0], [1.0], [0.0], [0.0], [2.0]])
+        assign, centroids = kmeans(points, 5, seed=94)
+        assert sorted(set(assign.tolist())) == [0, 1, 2, 3, 4]
+        assert np.isfinite(centroids).all()
+        for j in range(5):
+            assert np.allclose(centroids[j], points[assign == j].mean(axis=0))
+
 
 class TestSilhouette:
     def test_misaligned_shapes(self):

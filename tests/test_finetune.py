@@ -13,7 +13,7 @@ from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               TaggedTokenDataset, aggregate, classification_f1,
                               f1_binary, finetune_classify, finetune_tag,
                               format_mean_std, iob_spans, span_f1, token_f1)
-from daptlab.model import ModelConfig, forward, init_params, length_mask, pad_rows
+from daptlab.model import ModelConfig, forward, init_params, pad_batch
 from daptlab.optim import LrSchedule, lr_at_step
 from daptlab.pretrain import TrainingDiverged
 from daptlab.synth import classification_records, tagging_records
@@ -520,9 +520,9 @@ class TestSeedProtocol:
 
 def full_sequence_hidden(examples, vocab, config, work, tape):
     """Oracle input: the last layer on every position of the padded batch."""
-    ids = [enc.ids for enc, _, _ in examples]
-    return forward(pad_rows(ids, vocab.pad_id), length_mask(ids), config, work,
-                   tape=tape)[-1]
+    ids, mask, _ = pad_batch([enc.ids for enc, _, _ in examples], [[]] * len(examples),
+                             vocab.pad_id)
+    return forward(ids, mask, config, work, tape=tape)[-1]
 
 
 def oracle_head_loss(head_in, gold, work, tape):
@@ -580,12 +580,11 @@ class TestListedPositionsOnly:
         spans = [enc.word_spans for enc, _, _ in examples]
         assert len(spans[1]) < len(self.RECORDS[1][0])  # truncated
         assert any(stop - start >= 2 for kept in spans for start, stop in kept)
-        pieces = []
-        for (enc, _, _), (_, tags) in zip(examples, self.RECORDS):
-            pieces.append(np.full(len(enc.ids), IGNORE_INDEX))
+        labels = np.full((len(examples), max(len(enc.ids) for enc, _, _ in examples)),
+                         IGNORE_INDEX)
+        for b, ((enc, _, _), (_, tags)) in enumerate(zip(examples, self.RECORDS)):
             for (start, _), tag in zip(enc.word_spans, tags):
-                pieces[-1][start] = tag_ids[tag]
-        labels = pad_rows(pieces, IGNORE_INDEX)
+                labels[b, start] = tag_ids[tag]
 
         def oracle(tape):
             hidden = full_sequence_hidden(examples, vocab, config, work, tape)

@@ -11,8 +11,8 @@ from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, backwa
                               cross_entropy_masked, dropout, gather_rows, gelu, layer_norm,
                               matmul, mul, reshape, scale, softmax, transpose, tsum)
 from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, embed_document, forward,
-                           init_params, length_mask, load_checkpoint, mlm_logits,
-                           pad_rows, param_shapes, save_checkpoint, truncated_normal)
+                           init_params, load_checkpoint, mlm_logits, pad_batch,
+                           param_shapes, save_checkpoint, truncated_normal)
 from daptlab.tokenizer import SPECIAL_TOKENS, Vocab, encode
 
 from helpers import grad_check
@@ -80,22 +80,35 @@ class TestParamShapes:
         assert "layer3.attn.wq" not in shapes
 
 
-class TestPadRows:
+class TestPadBatch:
     def test_ids_and_masks_padded_to_longest(self):
         vocab = letter_vocab()
         short, long = encode("a", vocab, 8), encode("a b c", vocab, 8)
         assert (len(short.ids), len(long.ids)) == (3, 5)
-        ids = pad_rows([short.ids, long.ids], vocab.pad_id)
-        mask = length_mask([short.ids, long.ids])
-        assert ids.dtype == mask.dtype == np.int64
+        ids, mask, rows = pad_batch([short.ids, long.ids], [[1], [1, 3]], vocab.pad_id)
+        assert ids.dtype == mask.dtype == rows.dtype == np.int64
         assert ids.tolist() == [short.ids + [vocab.pad_id] * 2, long.ids]
         assert mask.tolist() == [[1, 1, 1, 0, 0], [1] * 5]
+        assert rows.tolist() == [1, 6, 8]
 
-
-    def test_length_mask_marks_each_row_length(self):
-        mask = length_mask([[7, 8, 9], [7], [7, 8, 9, 9, 9]])
+    def test_mask_marks_each_sequence_length(self):
+        ids, mask, _ = pad_batch([[7, 8, 9], [7], [7, 8, 9, 9, 9]], [[], [], []], 0)
         assert mask.dtype == np.int64
         assert mask.tolist() == [[1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1] * 5]
+        assert ids.tolist() == [[7, 8, 9, 0, 0], [7, 0, 0, 0, 0], [7, 8, 9, 9, 9]]
+
+    def test_rows_in_sequence_order_each_sequence_as_listed(self):
+        seqs = [[7, 8, 9], [7], [7, 8, 9, 9], [7, 8]]
+        positions = [[2, 0], [], np.array([1, 3]), [0]]
+        ids, _, rows = pad_batch(seqs, positions, 0)
+        assert rows.tolist() == [2, 0, 9, 11, 12]
+        flat = ids.reshape(-1)
+        assert flat[rows].tolist() == [seq[p] for seq, pos in zip(seqs, positions)
+                                       for p in pos]
+
+    def test_no_positions_give_empty_int64_rows(self):
+        _, _, rows = pad_batch([[7, 8], [7]], [[], []], 0)
+        assert rows.shape == (0,) and rows.dtype == np.int64
 
 
 def rows_batch(config, seed, dtype=np.float32):

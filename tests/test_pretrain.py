@@ -189,24 +189,22 @@ class TestApplyMasking:
         policy = MaskingPolicy(select_prob=0.5, mask_frac=0.5, random_frac=0.3,
                                keep_frac=0.2)
         rng = np.random.default_rng(4)
+        # (ids, flat rows b * 8 + p of the masked positions, their original ids)
         expected = [
             ([[13, 0, 1, 2, 4, 8, 7, 7], [13, 12, 9, 10, 8, 7, 7, 7],
               [13, 11, 14, 3, 16, 5, 6, 8], [13, 1, 12, 5, 8, 7, 7, 7]],
-             [[-100, -100, -100, -100, 4, -100, -100, -100],
-              [-100, -100, -100, 10, -100, -100, -100, -100],
-              [-100, -100, -100, 15, 16, -100, -100, -100],
-              [-100, -100, -100, 0, -100, -100, -100, -100]]),
+             [4, 11, 19, 20, 27], [4, 10, 15, 16, 0]),
             ([[13, 0, 1, 2, 3, 8, 7, 7], [13, 12, 9, 10, 8, 7, 7, 7],
               [13, 3, 14, 15, 16, 5, 6, 8], [13, 3, 12, 0, 8, 7, 7, 7]],
-             [[-100, -100, -100, -100, 4, -100, -100, -100],
-              [-100, -100, 9, -100, -100, -100, -100, -100],
-              [-100, 11, 14, -100, -100, -100, -100, -100],
-              [-100, 1, -100, -100, -100, -100, -100, -100]]),
+             [4, 10, 17, 18, 25], [4, 9, 11, 14, 1]),
         ]
-        for want_ids, want_labels in expected:
-            ids, _, labels = pretrain._batch_arrays(encodings, candidates, vocab, policy, rng)
+        for want_ids, want_rows, want_targets in expected:
+            ids, _, rows, targets = pretrain._batch_arrays(encodings, candidates, vocab,
+                                                           policy, rng)
             assert ids.tolist() == want_ids
-            assert labels.tolist() == want_labels
+            assert rows.dtype == targets.dtype == np.int64
+            assert rows.tolist() == want_rows
+            assert targets.tolist() == want_targets
         assert rng.integers(0, 1 << 30) == 394798592
 
     def test_candidates_built_once_per_encoding_per_call(self, vocab, monkeypatch):
@@ -499,6 +497,14 @@ class TestTapeReuse:
         assert len({id(buf) for buf in handed}) < len(handed)
 
 
+def label_matrix(ids, rows, targets):
+    """Oracle input: a [B, S] matrix holding each target at its flat row and
+    IGNORE_INDEX everywhere else."""
+    labels = np.full(ids.size, IGNORE_INDEX, dtype=np.int64)
+    labels[rows] = targets
+    return labels.reshape(ids.shape)
+
+
 def full_decode_loss(config, params, ids, mask, labels, tape=None):
     """Oracle: decode every position, then let the loss skip the unlabelled ones."""
     hidden = forward(ids, mask, config, params, tape=tape)
@@ -529,9 +535,11 @@ class TestLabelledRowsOnly:
         log = train(config, params, patterned_corpus(12, sentence_len=6), vocab,
                     TrainConfig(peak_lr=1e-3, epochs=2, batch_size=12, warmup_steps=1))
         assert len(batches) == len(step_grads) == len(log.entries) == 2
-        for (ids, mask, labels), grads, (_, loss) in zip(batches, step_grads, log.entries):
+        for (ids, mask, rows, targets), grads, (_, loss) in zip(batches, step_grads,
+                                                                 log.entries):
             tape = Tape()
-            want = full_decode_loss(config, params, ids, mask, labels, tape)
+            want = full_decode_loss(config, params, ids, mask,
+                                    label_matrix(ids, rows, targets), tape)
             backward(tape, want)
             assert loss == pytest.approx(float(want.data), rel=1e-5)
             for name, t in params.items():
@@ -545,9 +553,10 @@ class TestLabelledRowsOnly:
         real_batch_arrays, real_mlm_logits = pretrain._batch_arrays, pretrain.mlm_logits
 
         def recording_batch_arrays(*args):
-            ids, mask, labels = real_batch_arrays(*args)
-            events.append(("labelled", int((labels != IGNORE_INDEX).sum())))
-            return ids, mask, labels
+            ids, mask, rows, targets = real_batch_arrays(*args)
+            assert rows.shape == targets.shape
+            events.append(("labelled", rows.size))
+            return ids, mask, rows, targets
 
         def recording_mlm_logits(last_hidden, params, tape=None):
             events.append(("decoded", last_hidden.data.shape))
@@ -572,9 +581,10 @@ class TestLabelledRowsOnly:
         nll = count = hits = 0
         for lo in range(0, len(encodings), 8):
             batch = encodings[lo:lo + 8]
-            ids, mask, labels = pretrain._batch_arrays(
+            ids, mask, rows, targets = pretrain._batch_arrays(
                 batch, [maskable_positions(e, vocab) for e in batch], vocab,
                 MaskingPolicy(), rng)
+            labels = label_matrix(ids, rows, targets)
             keep = labels != IGNORE_INDEX
             if not keep.any():
                 continue
