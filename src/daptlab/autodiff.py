@@ -30,6 +30,12 @@ keeps one past its step. A training step thus hands no activation storage
 back to the allocator, which would trim the heap and fault it back in on the
 next step. Untaped calls allocate fresh arrays.
 
+Every axis sum an op takes is one BLAS GEMV with a ones vector: ``_row_sum``
+over the last axis, ``_lead_sum`` over the leading ones (so every bias
+gradient). Their bits, like a matmul's, depend on the BLAS kernel.
+``softmax`` takes its row max as the column max of a transposed copy, with
+numpy's bits.
+
 Non-finite values are treated as an error state. NaN/Inf propagates to the
 loss, so enforcement lives at the loss/optimizer boundary (see pretrain and
 optim) instead of an isfinite scan after every primitive.
@@ -157,13 +163,30 @@ def _record(tape: Tape, out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
     tape.record(run)
 
 
+def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the last axis, keepdims, as ``x2 @ ones[h]``: one BLAS GEMV in
+    place of numpy's loop over short rows. Written into ``out`` when given, a
+    C-contiguous array of ``x``'s dtype with one element per row."""
+    n, h = math.prod(x.shape[:-1]), x.shape[-1]
+    s = np.matmul(x.reshape(n, h), np.ones(h, x.dtype),
+                  out=None if out is None else out.reshape(n))
+    return s.reshape(x.shape[:-1] + (1,))
+
+
+def _lead_sum(g: np.ndarray, lead: int) -> np.ndarray:
+    """Sums over the ``lead`` leading axes as ``ones[n] @ g2``, one BLAS GEMV;
+    a fresh array, as an adjoint handed to ``_accumulate`` must be."""
+    n, rest = math.prod(g.shape[:lead]), g.shape[lead:]
+    return (np.ones(n, g.dtype) @ g.reshape(n, math.prod(rest))).reshape(rest)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = _lead_sum(g, extra)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -322,16 +345,16 @@ def select_position(a: Tensor, pos: int, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None, *,
+def softmax(a: Tensor, tape: Tape | None = None, *,
             scale: float | None = None, bias: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax of ``a * scale + bias`` along ``axis``.
+    """Numerically stable softmax of ``a * scale + bias`` over the last axis.
 
     ``scale`` is a python scalar and ``bias`` a constant array broadcast onto
     ``a`` (an additive attention mask); no gradient flows into either. The
     result has the bits of the unfused ``scale``, ``add_const``, ``softmax``.
     """
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
+    if a.data.ndim == 0:
+        raise ValueError("softmax needs an array of rank >= 1")
     # Every step runs in p's own buffer: the same ufuncs on the same values,
     # so the bits of the step-by-step formula, with no array-sized temporary.
     x = a.data
@@ -340,13 +363,20 @@ def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None, *,
         x = np.multiply(x, x.dtype.type(scale), out=p)
     if bias is not None:
         x = np.add(x, bias, out=p)
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=p)
+    # The row max as the column max of a transposed copy, in place of numpy's
+    # loop over short rows; max is exact in any order, so x.max(-1)'s bits.
+    n, h = math.prod(x.shape[:-1]), x.shape[-1]
+    cols = _empty(tape, (h, n), x.dtype)
+    np.copyto(cols, x.reshape(n, h).T)
+    peak = np.max(cols, axis=0, out=_empty(tape, (n,), x.dtype))
+    np.subtract(x, peak.reshape(x.shape[:-1] + (1,)), out=p)
     np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
+    p /= _row_sum(p, _empty(tape, (n,), p.dtype))
     out = Tensor(p)
     if tape is not None:
         def bwd(g):  # p * (g - inner) [* scale], formed in g
-            inner = (g * p).sum(axis=axis, keepdims=True)
+            # g * p and its row sums in the buffers of the transposed copy and its max
+            inner = _row_sum(np.multiply(g, p, out=cols.reshape(g.shape)), peak)
             g -= inner
             g *= p
             if scale is not None:
@@ -354,10 +384,6 @@ def softmax(a: Tensor, axis: int = -1, tape: Tape | None = None, *,
             _accumulate(a, g)
         _record(tape, out, bwd)
     return out
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x, axis=-1, keepdims=True)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None, *,
@@ -382,12 +408,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
     xhat = _empty(tape, shape, dtype)
     y = _empty(tape, shape, np.result_type(xhat, gamma.data, beta.data))
     x = a.data if residual is None else np.add(a.data, residual.data, out=xhat)
-    # Means as a sum over the axis divided by h: the same values as ndarray.mean
-    # without its per-call Python overhead.
-    mu = _row_sum(x)
+    mu = _row_sum(x, _empty(tape, shape[:-1], dtype))
     mu /= h
     np.subtract(x, mu, out=xhat)
-    var = _row_sum(np.multiply(xhat, xhat, out=y if y.dtype == dtype else None))
+    var = _row_sum(np.multiply(xhat, xhat, out=y if y.dtype == dtype else None),
+                   _empty(tape, shape[:-1], dtype))
     var /= h
     inv = 1.0 / np.sqrt(var + dtype.type(LAYER_NORM_EPS))
     xhat *= inv
@@ -398,10 +423,9 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
         def bwd(g):
             # inv * (gx - rowsum(gx) / h - xhat * (rowsum(gx * xhat) / h)) with
             # gx = g * gamma, formed in g and one scratch array
-            lead = tuple(range(g.ndim - 1))
             scratch = np.multiply(g, xhat)
-            _accumulate(gamma, scratch.sum(axis=lead))
-            _accumulate(beta, g.sum(axis=lead))
+            _accumulate(gamma, _lead_sum(scratch, g.ndim - 1))
+            _accumulate(beta, _lead_sum(g, g.ndim - 1))
             g *= gamma.data
             mean_gx = _row_sum(g) / h
             mean_gx_xhat = _row_sum(np.multiply(g, xhat, out=scratch)) / h
@@ -586,7 +610,8 @@ def cross_entropy_masked(logits: Tensor, labels: np.ndarray,
 
     x = logits.data
     logp = np.subtract(x, x.max(axis=1, keepdims=True), out=_empty(tape, x.shape, x.dtype))
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))  # shifted minus its lse
+    lse = _row_sum(np.exp(logp), _empty(tape, x.shape[:1], x.dtype))
+    logp -= np.log(lse, out=lse)  # shifted minus its lse
     n = valid.size
     loss = -logp[valid, picked].sum() / logits.data.dtype.type(n)
     out = Tensor(np.asarray(loss, dtype=logits.data.dtype))

@@ -197,7 +197,7 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         qh = transpose(reshape(q, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
         kt = transpose(reshape(k, (batch, seq, heads, dh), tape), (0, 2, 3, 1), tape)
         vh = transpose(reshape(v, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
-        probs = drop(softmax(matmul(qh, kt, tape), -1, tape,
+        probs = drop(softmax(matmul(qh, kt, tape), tape,
                              scale=1.0 / np.sqrt(dh), bias=key_bias))
         ctx = reshape(transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape),
                       (batch, seq, h), tape)

@@ -8,7 +8,7 @@ import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
 from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, IGNORE_INDEX, Tape,
-                              Tensor, add, add_const, backward,
+                              Tensor, _lead_sum, _row_sum, add, add_const, backward,
                               cross_entropy_masked, dropout, erf, gather_rows,
                               gelu, layer_norm, matmul, mul, reshape, scale,
                               select_position, softmax, transpose, tsum)
@@ -313,16 +313,7 @@ class TestGradients:
         weights = Tensor(np.random.default_rng(9).standard_normal((3, 5)))
 
         def run(tape):
-            return tsum(mul(softmax(a, -1, tape), weights, tape), tape)
-
-        grad_check([a], run)
-
-    def test_softmax_leading_axis(self):
-        a = t64((4, 2), 0)
-        weights = Tensor(np.random.default_rng(9).standard_normal((4, 2)))
-
-        def run(tape):
-            return tsum(mul(softmax(a, 0, tape), weights, tape), tape)
+            return tsum(mul(softmax(a, tape), weights, tape), tape)
 
         grad_check([a], run)
 
@@ -470,9 +461,8 @@ class TestFusedEpilogues:
         mask_bias = key_bias(lengths, seq, np.float32)
         c = 1.0 / np.sqrt(h // heads)
         probs, (grad,) = assert_same_bits(
-            lambda tape: softmax(scores, -1, tape, scale=c, bias=mask_bias),
-            lambda tape: softmax(add_const(scale(scores, c, tape), mask_bias, tape),
-                                 -1, tape),
+            lambda tape: softmax(scores, tape, scale=c, bias=mask_bias),
+            lambda tape: softmax(add_const(scale(scores, c, tape), mask_bias, tape), tape),
             [scores], t32(scores.shape, 2))
         padded = np.broadcast_to(mask_bias != 0, scores.shape)
         assert padded.any()
@@ -501,7 +491,7 @@ class TestFusedEpilogues:
         mask_bias = key_bias([3, 2], 3, np.float64)
         weights = t64((2, 2, 3, 3), 1)
         grad_check([scores], lambda tape: tsum(mul(
-            softmax(scores, -1, tape, scale=0.35, bias=mask_bias), weights, tape), tape))
+            softmax(scores, tape, scale=0.35, bias=mask_bias), weights, tape), tape))
         assert not scores.grad[1, :, :, 2].any()
 
     def test_layer_norm_residual_gradients(self):
@@ -574,7 +564,7 @@ class TestAdjointRelease:
             x = layer_norm(x0, ones, zeros, tape=tape)
             q = matmul(x, wq, tape, bias=bq)
             kt = transpose(matmul(x, wk, tape, bias=bk), (0, 2, 1), tape)
-            probs = softmax(matmul(q, kt, tape), -1, tape, scale=0.5, bias=mask_bias[:, 0])
+            probs = softmax(matmul(q, kt, tape), tape, scale=0.5, bias=mask_bias[:, 0])
             attn = matmul(probs, matmul(x, wv, tape, bias=bv), tape)
             out = layer_norm(attn, ones, zeros, tape=tape, residual=x)
             return tsum(mul(out, weights, tape), tape)
@@ -810,7 +800,7 @@ def reuse_cases():
     def softmax_masked(seed, n):
         scores = gen(seed, n, 2, seq, seq)
         bias = key_bias(np.arange(n) % seq + 1, seq, np.float32)
-        return [scores], lambda tape: softmax(scores, -1, tape, scale=0.4, bias=bias)
+        return [scores], lambda tape: softmax(scores, tape, scale=0.4, bias=bias)
 
     def layer_norm_residual(seed, n):
         a, r, gamma, beta = gen(seed, n, seq, h), gen(seed + 1, n, seq, h), \
@@ -876,13 +866,26 @@ class TestTapeReuseBits:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def ones_row_sum(x):
+    """Sums over the last axis, keepdims, spelled as autodiff spells them: one
+    product of the rows, flattened to 2-D, with a ones vector."""
+    h = x.shape[-1]
+    return (x.reshape(-1, h) @ np.ones(h, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
+def ones_lead_sum(x):
+    """Sums over every axis but the last, as a ones vector times the rows."""
+    rows = x.reshape(-1, x.shape[-1])
+    return np.ones(rows.shape[0], x.dtype) @ rows
+
+
 def plain_softmax(x, g, scale, bias):
     """softmax(x * scale + bias) and its input gradient, one new array a step."""
     z = x * x.dtype.type(scale) + bias
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    ga = p * (g - (g * p).sum(axis=-1, keepdims=True))
+    p = e / ones_row_sum(e)
+    ga = p * (g - ones_row_sum(g * p))
     ga *= x.dtype.type(scale)
     return p, ga
 
@@ -890,18 +893,16 @@ def plain_softmax(x, g, scale, bias):
 def plain_layer_norm(x, gamma, beta, g):
     """layer_norm(x) and its x, gamma and beta gradients, one new array a step."""
     h = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu = ones_row_sum(x)
     mu /= h
     centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var = ones_row_sum(centered * centered)
     var /= h
     inv = 1.0 / np.sqrt(var + x.dtype.type(1e-12))
     xhat = centered * inv
-    lead = tuple(range(x.ndim - 1))
     gx = g * gamma
-    term = (gx - np.add.reduce(gx, axis=-1, keepdims=True) / h
-            - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / h))
-    return xhat * gamma + beta, inv * term, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    term = (gx - ones_row_sum(gx) / h - xhat * (ones_row_sum(gx * xhat) / h))
+    return xhat * gamma + beta, inv * term, ones_lead_sum(g * xhat), ones_lead_sum(g)
 
 
 def plain_cross_entropy(logits, labels):
@@ -909,7 +910,7 @@ def plain_cross_entropy(logits, labels):
     valid = np.nonzero(labels != IGNORE_INDEX)[0]
     picked, n = labels[valid], valid.size
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - np.log(ones_row_sum(np.exp(shifted)))
     loss = -logp[valid, picked].sum() / logits.dtype.type(n)
     g = np.ones((), dtype=logits.dtype)
     gl = np.zeros_like(logits)
@@ -929,7 +930,7 @@ class TestInPlaceBackwardBits:
         mask_bias = key_bias(np.arange(batch) % seq + 1, seq, dtype)
         g = t64(scores.shape, 1).data.astype(dtype)
         tape = Tape()
-        out = softmax(scores, -1, tape, scale=0.35, bias=mask_bias)
+        out = softmax(scores, tape, scale=0.35, bias=mask_bias)
         backward(tape, tsum(mul(out, Tensor(g), tape), tape))
         want_p, want_grad = plain_softmax(scores.data, g, 0.35, mask_bias)
         assert np.array_equal(out.data, want_p) and np.array_equal(scores.grad, want_grad)
@@ -956,6 +957,82 @@ class TestInPlaceBackwardBits:
         want_loss, want_grad = plain_cross_entropy(logits.data, labels)
         assert loss.data == want_loss and np.array_equal(logits.grad, want_grad)
         assert not logits.grad[::4].any()
+
+
+def sum_shapes(geometry):
+    """The shapes the model sums over: activations, FFN and attention scores."""
+    batch, seq, h, heads, ffn = GEOMETRIES[geometry]
+    return [(batch, seq, h), (batch, seq, ffn), (batch, heads, seq, seq)]
+
+
+def assert_sum_close(got, x, axis, want_shape):
+    """got is x summed over axis, to within h * eps of the sum of |x| (the
+    bound of any summation order), in x's dtype and want_shape."""
+    want = x.sum(axis=axis).reshape(want_shape)
+    bound = x.shape[axis] if isinstance(axis, int) else math.prod(x.shape[i] for i in axis)
+    bound *= np.finfo(x.dtype).eps * np.abs(x).sum(axis=axis).reshape(want_shape)
+    assert got.dtype == x.dtype and got.shape == want_shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
+class TestBlasSums:
+    """_row_sum and _lead_sum, the ones-vector products every axis sum of an
+    op goes through, against numpy's sums."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_match_numpy(self, geometry, dtype):
+        for seed, shape in enumerate(sum_shapes(geometry)):
+            x = t64(shape, seed).data.astype(dtype)
+            assert_sum_close(_row_sum(x), x, -1, shape[:-1] + (1,))
+            assert_sum_close(_lead_sum(x, x.ndim - 1), x, tuple(range(x.ndim - 1)),
+                             shape[-1:])
+            assert_sum_close(_lead_sum(x, 1), x, 0, shape[1:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_adjoint(self, dtype):
+        # the adjoint transpose's backward hands on: a view with no unit stride
+        # along its last axis
+        batch, seq, h, heads, _ = GEOMETRIES["desk"]
+        x = np.transpose(t64((batch, heads, seq, h // heads), 0).data.astype(dtype),
+                         (0, 2, 3, 1))
+        assert not x.flags.c_contiguous
+        assert_sum_close(_row_sum(x), x, -1, x.shape[:-1] + (1,))
+        assert_sum_close(_lead_sum(x, 2), x, (0, 1), x.shape[2:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_leading_axis_sums_to_zeros(self, dtype):
+        x = np.ones((0, 18, 32), dtype)
+        assert _row_sum(x).shape == (0, 18, 1)
+        for lead, shape in ((1, (18, 32)), (2, (32,))):
+            got = _lead_sum(x, lead)
+            assert got.dtype == dtype and got.shape == shape and not got.any()
+
+    def test_row_sum_written_into_out(self):
+        x = t32((4, 5, 6), 0).data
+        out = np.empty((4, 5), np.float32)
+        got = _row_sum(x, out)
+        assert got.shape == (4, 5, 1) and np.shares_memory(got, out)
+        assert np.array_equal(got, _row_sum(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_row_max_keeps_numpy_bits(self, dtype):
+        # rows masked with the attention bias, a NaN, +-inf, and a max of +-0
+        batch, seq, h, heads, _ = GEOMETRIES["cli"]
+        scores = t64((batch, heads, seq, seq), 0).data.astype(dtype)
+        scores[0, 0, 0, 3] = np.nan
+        scores[1, 1, 2, 0] = np.inf
+        scores[2, 2, 4, 5] = -np.inf
+        scores[3, 3, 5] = -1.0
+        scores[3, 3, 5, :2] = (-0.0, 0.0)
+        mask_bias = key_bias(np.arange(batch) % seq + 1, seq, dtype)
+        g = t64(scores.shape, 1).data.astype(dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf in the +inf row
+            out = softmax(Tensor(scores), Tape(), scale=0.35, bias=mask_bias)
+            want_p, _ = plain_softmax(scores, g, 0.35, mask_bias)
+        assert np.array_equal(out.data, want_p, equal_nan=True)
+        assert np.isnan(out.data[0, 0, 0]).all() and np.isnan(out.data[1, 1, 2]).all()
+        assert np.isfinite(out.data[2:]).all()
 
 
 class TestPlumbing:

@@ -386,7 +386,7 @@ def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
         q, k, v = (linear(x, f"{p}attn.w{c}", f"{p}attn.b{c}") for c in "qkv")
         scores = matmul(split_heads(q, (0, 2, 1, 3)), split_heads(k, (0, 2, 3, 1)), tape)
         scores = add_const(scale(scores, 1.0 / np.sqrt(dh), tape), mask_bias, tape)
-        probs = drop(softmax(scores, -1, tape))
+        probs = drop(softmax(scores, tape))
         ctx = transpose(matmul(probs, split_heads(v, (0, 2, 1, 3)), tape), (0, 2, 1, 3), tape)
         if i == config.num_layers - 1:  # the rest of the last layer on labelled rows
             ctx = gather_rows(reshape(ctx, (batch * seq, h), tape), keep, tape)
