@@ -48,8 +48,6 @@ from typing import Callable
 
 import numpy as np
 
-# Label value that cross_entropy_masked skips.
-IGNORE_INDEX = -100
 # Added to the variance inside layer_norm's square root.
 LAYER_NORM_EPS = 1e-12
 
@@ -590,10 +588,11 @@ def tsum(a: Tensor, tape: Tape | None = None) -> Tensor:
 
 def cross_entropy_masked(logits: Tensor, labels: np.ndarray,
                          tape: Tape | None = None) -> Tensor:
-    """Mean cross-entropy over rows whose label is not IGNORE_INDEX.
+    """Mean cross-entropy over every row, each against its label.
 
-    logits: [positions, classes]; labels: [positions] ints. Raises if every
-    position is ignored or a non-ignored label is out of range.
+    logits: [rows, classes], one row per masked position (or listed head
+    position); labels: [rows] ints in [0, classes). Raises on zero rows or a
+    label out of range.
     """
     if logits.data.ndim != 2:
         raise ValueError(f"cross_entropy_masked expects 2-d logits, got {logits.shape}")
@@ -601,26 +600,24 @@ def cross_entropy_masked(logits: Tensor, labels: np.ndarray,
     if labels.shape != (logits.data.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match logits rows "
                          f"{logits.data.shape[0]}")
-    valid = np.nonzero(labels != IGNORE_INDEX)[0]
-    if valid.size == 0:
-        raise ValueError("cross_entropy_masked: all positions ignored")
-    picked = labels[valid]
-    if picked.min() < 0 or picked.max() >= logits.data.shape[1]:
+    if labels.size == 0:
+        raise ValueError("cross_entropy_masked: no rows")
+    if labels.min() < 0 or labels.max() >= logits.data.shape[1]:
         raise ValueError("cross_entropy_masked: label out of range")
 
     x = logits.data
     logp = np.subtract(x, x.max(axis=1, keepdims=True), out=_empty(tape, x.shape, x.dtype))
     lse = _row_sum(np.exp(logp), _empty(tape, x.shape[:1], x.dtype))
     logp -= np.log(lse, out=lse)  # shifted minus its lse
-    n = valid.size
-    loss = -logp[valid, picked].sum() / logits.data.dtype.type(n)
-    out = Tensor(np.asarray(loss, dtype=logits.data.dtype))
+    n = labels.size
+    rows = np.arange(n)
+    loss = -logp[rows, labels].sum() / x.dtype.type(n)
+    out = Tensor(np.asarray(loss, dtype=x.dtype))
     if tape is not None:
         def bwd(g):
-            gl = np.exp(logp)  # p on every row, then 0 on the ignored ones
+            gl = np.exp(logp)
             gl *= g / n
-            gl[labels == IGNORE_INDEX] = 0.0
-            gl[valid, picked] -= g / logits.data.dtype.type(n)
+            gl[rows, labels] -= g / x.dtype.type(n)
             _accumulate(logits, gl)
         _record(tape, out, bwd)
     return out

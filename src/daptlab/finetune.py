@@ -37,13 +37,13 @@ class FinetuneConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 # ---------------------------------------------------------------------------

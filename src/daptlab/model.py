@@ -287,8 +287,13 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
     ints = take(f"<{len(_CKPT_INTS)}I")
     (drop_rate,) = take("<d")
     config = ModelConfig(**dict(zip(_CKPT_INTS, ints)), dropout=drop_rate)
-    expected = param_shapes(config)
     (n_tensors,) = take("<I")
+    # Bound the declared geometry by the file before building its shape map: a
+    # tensor record takes at least 13 bytes, and every layer owns tensors.
+    if 13 * n_tensors > len(data) - off or config.num_layers > n_tensors:
+        raise ValueError(f"corrupt checkpoint {path}: {config.num_layers} layers and "
+                         f"{n_tensors} tensors declared in {len(data)} bytes")
+    expected = param_shapes(config)
     params: dict[str, Tensor] = {}
     for _ in range(n_tensors):
         (name_len,) = take("<I")

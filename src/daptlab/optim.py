@@ -62,9 +62,9 @@ def adam_step(state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
     gradient, so it only decays. The gradients are zeroed after the update,
     ready for the next backward.
     """
-    if lr < 0.0:
+    if not lr >= 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if weight_decay < 0.0:
+    if not weight_decay >= 0.0:
         raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
     g, flat, m, v, tmp = state.grads, state.params, state.m, state.v, state._tmp
     if not np.isfinite(g).all():
@@ -107,7 +107,7 @@ class LrSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if self.peak_lr < 0.0:
+        if not self.peak_lr >= 0.0:
             raise ValueError(f"peak_lr must be >= 0, got {self.peak_lr}")
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
+from .autodiff import (Tape, Tensor, backward, cross_entropy_masked,
                        reshape)  # noqa: F401  (the tracer rebinds reshape here)
 from .model import ModelConfig, forward, mlm_logits, pad_batch
 from .optim import AdamState, LrSchedule, NonFiniteGradient, adam_step, lr_at_step
@@ -74,15 +74,15 @@ class TrainConfig:
     max_seq: int = 128
 
     def __post_init__(self):
-        if self.peak_lr <= 0.0:
-            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr}")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         for name in ("batch_size", "warmup_steps", "max_seq"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -109,36 +109,31 @@ def maskable_positions(encoding: Encoding, vocab: Vocab) -> np.ndarray:
 def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
                   rng: np.random.Generator, candidates: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one encoding; returns (input ids, labels with IGNORE_INDEX).
-
-    ``candidates`` is ``maskable_positions(encoding, vocab)``, for callers
-    that draw the same encoding many times; it is computed when not given.
+    """Corrupt one encoding; returns (input ids, masked positions): the int64
+    positions the draw selected, ascending, where the MLM loss scores the
+    original ids (none if both draws selected nothing). ``candidates`` is
+    ``maskable_positions(encoding, vocab)``, for callers that draw the same
+    encoding many times; it is computed when not given.
     """
-    ids = np.asarray(encoding.ids, dtype=np.int64)
     if candidates is None:
         candidates = maskable_positions(encoding, vocab)
     if candidates.size == 0:
         raise ValueError("encoding has no maskable content pieces")
 
-    labels = np.full_like(ids, IGNORE_INDEX)
-    corrupted = ids.copy()
     for _ in range(2):  # one resample for all-unselected draws
         selected = candidates[rng.random(candidates.size) < policy.select_prob]
         if selected.size:
             break
-    if selected.size == 0:
-        return corrupted, labels
-
-    labels[selected] = ids[selected]
     action = rng.random(selected.size)
     to_mask = selected[action < policy.mask_frac]
     to_random = selected[(action >= policy.mask_frac)
                          & (action < policy.mask_frac + policy.random_frac)]
+    corrupted = np.array(encoding.ids, dtype=np.int64)
     corrupted[to_mask] = vocab.mask_id
     if to_random.size:
         allowed = vocab.non_special_ids
         corrupted[to_random] = allowed[rng.integers(0, allowed.size, to_random.size)]
-    return corrupted, labels
+    return corrupted, selected
 
 
 def encode_corpus(texts, vocab: Vocab, max_seq: int) -> list[Encoding]:
@@ -166,11 +161,11 @@ def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab
     """Mask each encoding, given its maskable positions, and pad the batch to
     its longest sequence; returns ids, mask, the flat rows of the masked
     positions and their original ids."""
-    masked = [apply_masking(enc, vocab, policy, rng, cand)
-              for enc, cand in zip(encodings, candidates)]
-    positions = [(labels != IGNORE_INDEX).nonzero()[0] for _, labels in masked]
-    ids, mask, rows = pad_batch([got for got, _ in masked], positions, vocab.pad_id)
-    targets = np.concatenate([labels[pos] for (_, labels), pos in zip(masked, positions)])
+    corrupted, positions = zip(*(apply_masking(enc, vocab, policy, rng, cand)
+                                 for enc, cand in zip(encodings, candidates)))
+    ids, mask, rows = pad_batch(corrupted, positions, vocab.pad_id)
+    targets = np.array([enc.ids[p] for enc, pos in zip(encodings, positions)
+                        for p in pos.tolist()], dtype=np.int64)
     return ids, mask, rows, targets
 
 

@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from daptlab import cli
-from daptlab.autodiff import Tensor, cross_entropy_masked, reshape
+from daptlab.autodiff import Tensor, cross_entropy_masked, gather_rows
 from daptlab.corpus import Document, compute_stats, dedupe, keeps
 from daptlab.evaluate import (SIMILAR, DISSIMILAR, SimilarityPair, cluster_eval,
                               evaluate_pairs, forgetting_report, render_cloze,
                               silhouette)
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, f1_binary,
                               finetune_classify, span_f1)
-from daptlab.autodiff import IGNORE_INDEX
-from daptlab.model import ModelConfig, forward, init_params, mlm_logits
+from daptlab.model import ModelConfig, forward, init_params, mlm_logits, pad_batch
 from daptlab.pretrain import (MaskingPolicy, RegimenError, apply_masking, dapt,
                               encode_corpus, masked_token_accuracy, perplexity)
 from daptlab.synth import PATTERN_WORDS, classification_records, patterned_corpus
@@ -51,22 +50,17 @@ def test_criterion_1_gradient_correctness():
     encodings = encode_corpus(texts, vocab, config.max_seq)
     policy = MaskingPolicy(select_prob=0.3)
     rng = np.random.default_rng(3)
-    width = max(len(e.ids) for e in encodings)
-    ids = np.full((len(encodings), width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(encodings), width), dtype=np.int64)
-    labels = np.full((len(encodings), width), IGNORE_INDEX, dtype=np.int64)
-    for row, enc in enumerate(encodings):
-        got, lab = apply_masking(enc, vocab, policy, rng)
-        ids[row, :got.size] = got
-        labels[row, :lab.size] = lab
-        mask[row, :len(enc.ids)] = 1
-    assert (labels != IGNORE_INDEX).sum() >= 4, "unlucky masking draw"
+    masked = [apply_masking(enc, vocab, policy, rng) for enc in encodings]
+    positions = [pos for _, pos in masked]
+    ids, mask, rows = pad_batch([got for got, _ in masked], positions, vocab.pad_id)
+    targets = np.concatenate([np.asarray(enc.ids)[pos]
+                              for enc, pos in zip(encodings, positions)])
+    assert rows.size >= 4, "unlucky masking draw"
 
     def mlm_loss(tape):
         hidden = forward(ids, mask, config, params, tape=tape)
         logits = mlm_logits(hidden[-1], params, tape)
-        flat = reshape(logits, (ids.size, config.vocab_size), tape)
-        return cross_entropy_masked(flat, labels.reshape(-1), tape)
+        return cross_entropy_masked(gather_rows(logits, rows, tape), targets, tape)
 
     started = time.perf_counter()
     worst = grad_check(list(params.values()), mlm_loss, tol=1e-3)
@@ -88,12 +82,11 @@ def test_criterion_2_masking_statistics():
     candidates = selected = masked = randomized = kept = 0
     special_corruptions = 0
     for _ in range(600):
-        corrupted, labels = apply_masking(enc, vocab, policy, rng)
+        corrupted, chosen = apply_masking(enc, vocab, policy, rng)
         special_corruptions += int((corrupted[special] != original[special]).sum())
-        special_corruptions += int((labels[special] != IGNORE_INDEX).sum())
-        chosen = labels != IGNORE_INDEX
+        special_corruptions += int(special[chosen].sum())
         candidates += int((~special).sum())
-        selected += int(chosen.sum())
+        selected += chosen.size
         masked += int((corrupted[chosen] == vocab.mask_id).sum())
         kept += int((corrupted[chosen] == original[chosen]).sum())
         randomized += int(((corrupted[chosen] != vocab.mask_id)

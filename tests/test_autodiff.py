@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
-from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, IGNORE_INDEX, Tape,
-                              Tensor, _lead_sum, _row_sum, add, add_const, backward,
-                              cross_entropy_masked, dropout, erf, gather_rows,
-                              gelu, layer_norm, matmul, mul, reshape, scale,
-                              select_position, softmax, transpose, tsum)
+from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, Tape, Tensor, _lead_sum,
+                              _row_sum, add, add_const, backward, cross_entropy_masked,
+                              dropout, erf, gather_rows, gelu, layer_norm, matmul, mul,
+                              reshape, scale, select_position, softmax, transpose, tsum)
 from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, forward, init_params,
                            mlm_logits)
 
@@ -339,9 +338,9 @@ class TestGradients:
 
         grad_check([a], run)
 
-    def test_cross_entropy_with_ignored_rows(self):
+    def test_cross_entropy(self):
         logits = t64((6, 7), 0)
-        labels = np.array([1, IGNORE_INDEX, 3, 0, IGNORE_INDEX, 6])
+        labels = np.array([1, 5, 3, 0, 3, 6])
 
         def run(tape):
             return cross_entropy_masked(logits, labels, tape)
@@ -351,7 +350,7 @@ class TestGradients:
     def test_composite_chain(self):
         x, w1, b1 = t64((4, 5), 0), t64((5, 6), 1), t64((6,), 2)
         gamma, beta = Tensor(np.ones(6)), Tensor(np.zeros(6))
-        labels = np.array([0, 3, IGNORE_INDEX, 5])
+        labels = np.array([0, 3, 1, 5])
 
         def run(tape):
             h = add(matmul(x, w1, tape), b1, tape)
@@ -546,7 +545,7 @@ class TestAdjointRelease:
         h = matmul(x, w, tape, bias=bias)
         g = gelu(h, tape)
         n = layer_norm(g, gamma, beta, tape=tape, residual=h)
-        loss = cross_entropy_masked(n, np.array([0, 3, IGNORE_INDEX, 5]), tape)
+        loss = cross_entropy_masked(n, np.array([0, 3, 1, 5]), tape)
         backward(tape, loss)
         assert all(t.grad is None for t in (h, g, n, loss))
         assert all(t.grad is not None for t in (x, w, bias, gamma, beta))
@@ -640,14 +639,13 @@ class TestAdjointRelease:
         rng = np.random.default_rng(1)
         ids = rng.integers(0, config.vocab_size, size=(batch, seq))
         mask = (np.arange(seq) < rng.integers(4, seq + 1, size=batch)[:, None]).astype(np.int64)
-        labels = np.where(rng.random((batch, seq)) < 0.15, ids, IGNORE_INDEX).reshape(-1)
-        labels[0] = ids[0, 0]
+        keep = np.flatnonzero(rng.random((batch, seq)) < 0.15)
 
         def build(tape):
             hidden = forward(ids, mask, config, params, tape=tape, rng=rng)
             logits = mlm_logits(hidden[-1], params, tape)
-            flat = reshape(logits, (ids.size, config.vocab_size), tape)
-            return cross_entropy_masked(flat, labels, tape)
+            return cross_entropy_masked(gather_rows(logits, keep, tape),
+                                        ids.reshape(-1)[keep], tape)
 
         self.owned_after_backward(build, list(params.values()))
 
@@ -819,7 +817,6 @@ def reuse_cases():
     def cross_entropy(seed, n):
         logits = gen(seed, n * seq, 9)
         labels = np.random.default_rng(seed + 1).integers(0, 9, size=n * seq)
-        labels[::3] = IGNORE_INDEX
         return [logits], lambda tape: cross_entropy_masked(logits, labels, tape)
 
     return {fn.__name__: fn for fn in (
@@ -906,16 +903,14 @@ def plain_layer_norm(x, gamma, beta, g):
 
 
 def plain_cross_entropy(logits, labels):
-    """Masked mean cross-entropy and its logits gradient, zeros first."""
-    valid = np.nonzero(labels != IGNORE_INDEX)[0]
-    picked, n = labels[valid], valid.size
+    """Mean cross-entropy over every row and its logits gradient."""
+    rows, n = np.arange(labels.size), labels.size
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(ones_row_sum(np.exp(shifted)))
-    loss = -logp[valid, picked].sum() / logits.dtype.type(n)
+    loss = -logp[rows, labels].sum() / logits.dtype.type(n)
     g = np.ones((), dtype=logits.dtype)
-    gl = np.zeros_like(logits)
-    gl[valid] = np.exp(logp[valid]) * (g / n)
-    gl[valid, picked] -= g / logits.dtype.type(n)
+    gl = np.exp(logp) * (g / n)
+    gl[rows, labels] -= g / logits.dtype.type(n)
     return loss, gl
 
 
@@ -947,16 +942,14 @@ class TestInPlaceBackwardBits:
             assert got.dtype == dtype and np.array_equal(got, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_cross_entropy_with_ignored_rows(self, dtype):
+    def test_cross_entropy(self, dtype):
         logits = Tensor(t64((40, 23), 0).data.astype(dtype))
         labels = np.random.default_rng(1).integers(0, 23, size=40)
-        labels[::4] = IGNORE_INDEX
         tape = Tape()
         loss = cross_entropy_masked(logits, labels, tape)
         backward(tape, loss)
         want_loss, want_grad = plain_cross_entropy(logits.data, labels)
         assert loss.data == want_loss and np.array_equal(logits.grad, want_grad)
-        assert not logits.grad[::4].any()
 
 
 def sum_shapes(geometry):
@@ -1094,14 +1087,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             dropout(t64((2,), 0), 1.0, np.random.default_rng(0))
 
-    def test_cross_entropy_all_ignored(self):
-        logits = t64((2, 3), 0)
-        with pytest.raises(ValueError, match="ignored"):
-            cross_entropy_masked(logits, np.array([IGNORE_INDEX, IGNORE_INDEX]))
+    def test_cross_entropy_no_rows(self):
+        with pytest.raises(ValueError, match="no rows"):
+            cross_entropy_masked(t64((0, 3), 0), np.zeros(0, dtype=np.int64))
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             cross_entropy_masked(t64((2, 3), 0), np.array([0, 3]))
+        # -100, the usual "ignore this row" label, is out of range too
+        with pytest.raises(ValueError, match="range"):
+            cross_entropy_masked(t64((2, 3), 0), np.array([0, -100]))
 
     def test_cross_entropy_needs_2d(self):
         with pytest.raises(ValueError, match="2-d"):

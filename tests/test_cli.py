@@ -478,6 +478,26 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert not (tmp_path / "base.ckpt").exists()
 
+    @pytest.mark.parametrize("command,key", [
+        ("pretrain", "train.base.peak_lr"),
+        ("pretrain", "train.base.weight_decay"),
+        ("dapt", "train.dapt.peak_lr"),
+        ("finetune-classify", "finetune.lr"),
+        ("finetune-classify", "finetune.weight_decay"),
+    ])
+    def test_nan_rate_exits_one_before_training(self, pipeline, capsys, tmp_path,
+                                                command, key):
+        # every comparison with NaN is False, so the regimen guard's
+        # "nan >= base" lets one through; the configs' finiteness check stops
+        # it before the first step
+        root, run = pipeline
+        argv = self.training_argv(command, root, run, tmp_path) + ["--set", f"{key}=nan"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        field = key.rsplit(".", 1)[1]
+        assert err.startswith(f"error: {field} must be finite and")
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def poison_word_gradient(monkeypatch):
         """Set NaN in emb.word's gradient before every Adam step of pretrain.fit,

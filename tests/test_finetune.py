@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from daptlab import finetune, pretrain
-from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
-                              matmul, reshape, select_position)
+from daptlab.autodiff import (Tape, Tensor, backward, cross_entropy_masked, gather_rows,
+                              matmul, select_position)
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               TaggedTokenDataset, aggregate, classification_f1,
                               f1_binary, finetune_classify, finetune_tag,
@@ -284,6 +284,12 @@ class TestFinetuneConfig:
             FinetuneConfig(lr=0.0)
         with pytest.raises(ValueError, match="epochs"):
             FinetuneConfig(epochs=0)
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rates_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FinetuneConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -572,24 +578,25 @@ class TestListedPositionsOnly:
         return vocab, config, work, examples, oracle
 
     def tagged(self, vocab):
-        """(vocab, config, work, examples, oracle): the head on every piece,
-        with IGNORE_INDEX off each word's first piece."""
+        """(vocab, config, work, examples, oracle): the head on each word's
+        first piece, gathered from the last layer on every piece."""
         config, work = self.float64_work(vocab, len(self.TAGS), self.MAX_SEQ)
         tag_ids = {tag: i for i, tag in enumerate(self.TAGS)}
         examples = finetune._tagged_examples(self.RECORDS, vocab, self.MAX_SEQ, tag_ids)
         spans = [enc.word_spans for enc, _, _ in examples]
         assert len(spans[1]) < len(self.RECORDS[1][0])  # truncated
         assert any(stop - start >= 2 for kept in spans for start, stop in kept)
-        labels = np.full((len(examples), max(len(enc.ids) for enc, _, _ in examples)),
-                         IGNORE_INDEX)
+        width = max(len(enc.ids) for enc, _, _ in examples)
+        rows, gold = [], []
         for b, ((enc, _, _), (_, tags)) in enumerate(zip(examples, self.RECORDS)):
             for (start, _), tag in zip(enc.word_spans, tags):
-                labels[b, start] = tag_ids[tag]
+                rows.append(b * width + start)
+                gold.append(tag_ids[tag])
 
         def oracle(tape):
             hidden = full_sequence_hidden(examples, vocab, config, work, tape)
-            return oracle_head_loss(reshape(hidden, (labels.size, config.hidden), tape),
-                                    labels.reshape(-1), work, tape)
+            return oracle_head_loss(gather_rows(hidden, np.array(rows), tape),
+                                    np.array(gold), work, tape)
         return vocab, config, work, examples, oracle
 
     def test_loss_and_gradients_match_full_sequence_oracle(self, classify_setup,

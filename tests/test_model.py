@@ -3,13 +3,14 @@
 import math
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, add, add_const, backward,
-                              cross_entropy_masked, dropout, gather_rows, gelu, layer_norm,
-                              matmul, mul, reshape, scale, softmax, transpose, tsum)
+from daptlab.autodiff import (Tape, Tensor, add, add_const, backward, cross_entropy_masked,
+                              dropout, gather_rows, gelu, layer_norm, matmul, mul, reshape,
+                              scale, softmax, transpose, tsum)
 from daptlab.model import (ATTENTION_MASK_BIAS, ModelConfig, embed_document, forward,
                            init_params, load_checkpoint, mlm_logits, pad_batch,
                            param_shapes, save_checkpoint, truncated_normal)
@@ -112,16 +113,17 @@ class TestPadBatch:
 
 
 def rows_batch(config, seed, dtype=np.float32):
-    """Padded ids and mask, parameters in ``dtype`` with nonzero biases and
-    layer-norm shifts, and labels on about a third of the real positions."""
+    """Padded ids and mask, the flat rows of about a third of the real
+    positions (the labelled ones) and parameters in ``dtype`` with nonzero
+    biases and layer-norm shifts."""
     rng = np.random.default_rng(seed)
     lengths = np.array([config.max_seq, 3, config.max_seq - 2, 5])
     mask = (np.arange(config.max_seq) < lengths[:, None]).astype(np.int64)
     ids = np.where(mask == 1, rng.integers(5, config.vocab_size, mask.shape), 0)
-    labels = np.where((mask == 1) & (rng.random(mask.shape) < 0.3), ids, IGNORE_INDEX)
+    keep = np.flatnonzero((mask == 1) & (rng.random(mask.shape) < 0.3))
     params = {name: Tensor((t.data + rng.normal(0.0, 0.02, t.shape)).astype(dtype))
               for name, t in init_params(config, seed).items()}
-    return ids, mask, labels, params
+    return ids, mask, keep, params
 
 
 class TestForwardRows:
@@ -154,8 +156,7 @@ class TestForwardRows:
 
     def test_gradients_match_gathering_after_the_full_forward(self):
         config = tiny_config()
-        ids, mask, labels, params = rows_batch(config, 0, np.float64)
-        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        ids, mask, keep, params = rows_batch(config, 0, np.float64)
         weights = Tensor(np.random.default_rng(1).standard_normal((keep.size, config.hidden)))
         tape = Tape()
         last = forward(ids, mask, config, params, tape=tape)[-1]
@@ -180,8 +181,7 @@ class TestForwardRows:
     def test_last_hidden_equals_full_forward_rows(self, dtype, rtol, atol):
         config = tiny_config(hidden=32, num_heads=4, ffn_dim=128, vocab_size=40,
                              max_seq=12)
-        ids, mask, labels, params = rows_batch(config, 2, dtype)
-        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        ids, mask, keep, params = rows_batch(config, 2, dtype)
         full = forward(ids, mask, config, params)[-1].data.reshape(-1, config.hidden)
         pruned = forward(ids, mask, config, params, rows=keep)[-1].data
         assert pruned.dtype == dtype and pruned.shape == (keep.size, config.hidden)
@@ -190,14 +190,13 @@ class TestForwardRows:
     def test_pruned_mlm_loss_gradients_match_finite_differences(self):
         # criterion 1's check and tolerance, through the loss train() takes
         config = tiny_config()
-        ids, mask, labels, params = rows_batch(config, 3, np.float64)
-        keep = np.flatnonzero(labels != IGNORE_INDEX)
+        ids, mask, keep, params = rows_batch(config, 3, np.float64)
         assert keep.size >= 4
 
         def loss(tape):
             last = forward(ids, mask, config, params, tape=tape, rows=keep)[-1]
             return cross_entropy_masked(mlm_logits(last, params, tape),
-                                        labels.reshape(-1)[keep], tape)
+                                        ids.reshape(-1)[keep], tape)
 
         assert grad_check(list(params.values()), loss, tol=1e-3) < 1e-3
 
@@ -355,14 +354,13 @@ class TestForward:
                 t.grad = None
 
 
-def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
+def unfused_mlm_loss(ids, mask, keep, config, params, tape, rng):
     """The MLM training loss with every epilogue as its own op: bias adds, the
     attention scale and mask, the residual adds. The reference the fused
     ``forward`` and ``mlm_logits`` must match bit for bit."""
     batch, seq = ids.shape
     h, heads = config.hidden, config.num_heads
     dh = h // heads
-    keep = np.flatnonzero(labels != IGNORE_INDEX)
 
     def drop(t):
         return dropout(t, config.dropout, rng, tape)
@@ -400,13 +398,12 @@ def unfused_mlm_loss(ids, mask, labels, config, params, tape, rng):
     t = norm(gelu(linear(x, "mlm.dense.w", "mlm.dense.b"), tape), "mlm.ln")
     decoder = transpose(params["emb.word"], (1, 0), tape)
     logits = add(matmul(t, decoder, tape), params["mlm.bias"], tape)
-    return cross_entropy_masked(logits, labels.reshape(-1)[keep], tape)
+    return cross_entropy_masked(logits, ids.reshape(-1)[keep], tape)
 
 
-def fused_mlm_loss(ids, mask, labels, config, params, tape, rng):
-    keep = np.flatnonzero(labels != IGNORE_INDEX)
+def fused_mlm_loss(ids, mask, keep, config, params, tape, rng):
     last = forward(ids, mask, config, params, tape=tape, rng=rng, rows=keep)[-1]
-    return cross_entropy_masked(mlm_logits(last, params, tape), labels.reshape(-1)[keep],
+    return cross_entropy_masked(mlm_logits(last, params, tape), ids.reshape(-1)[keep],
                                 tape)
 
 
@@ -419,20 +416,20 @@ class TestMlmStep:
         lengths = np.array([config.max_seq, 3, 7, config.max_seq - 1, 5, 2, 9, 4])
         mask = (np.arange(config.max_seq) < lengths[:, None]).astype(np.int64)
         ids = np.where(mask == 1, rng.integers(5, config.vocab_size, mask.shape), 0)
-        labels = np.where((mask == 1) & (rng.random(mask.shape) < 0.3), ids, IGNORE_INDEX)
-        return ids, mask, labels
+        keep = np.flatnonzero((mask == 1) & (rng.random(mask.shape) < 0.3))
+        return ids, mask, keep
 
     def test_step_matches_unfused_ops_and_frees_intermediate_grads(self, monkeypatch):
         # the CLI geometry with dropout on, so both paths also draw the same masks
         config = tiny_config(hidden=32, num_heads=4, ffn_dim=128, vocab_size=40,
                              max_seq=12, dropout=0.1)
-        ids, mask, labels = self.batch(config, 0)
+        ids, mask, keep = self.batch(config, 0)
         params = init_params(config, seed=3)
         for t in params.values():  # nonzero biases and layer-norm shifts
             t.data += np.random.default_rng(4).normal(0.0, 0.02, t.shape).astype(np.float32)
 
         tape = Tape()
-        want = unfused_mlm_loss(ids, mask, labels, config, params, tape,
+        want = unfused_mlm_loss(ids, mask, keep, config, params, tape,
                                 np.random.default_rng(5))
         backward(tape, want)
         want_grads = {name: t.grad for name, t in params.items()}
@@ -448,7 +445,7 @@ class TestMlmStep:
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         tape = Tape()
-        got = fused_mlm_loss(ids, mask, labels, config, params, tape,
+        got = fused_mlm_loss(ids, mask, keep, config, params, tape,
                              np.random.default_rng(5))
         backward(tape, got)
         monkeypatch.undo()
@@ -461,20 +458,19 @@ class TestMlmStep:
 
     def test_tied_embedding_gets_gather_and_decoder_paths(self):
         config = tiny_config(vocab_size=20, max_seq=12)
-        ids, mask, labels = self.batch(config, 1)
+        ids, mask, keep = self.batch(config, 1)
         params = {name: Tensor(t.data.astype(np.float64))
                   for name, t in init_params(config, seed=0).items()}
         tape = Tape()
-        backward(tape, fused_mlm_loss(ids, mask, labels, config, params, tape, None))
+        backward(tape, fused_mlm_loss(ids, mask, keep, config, params, tape, None))
         tied = params["emb.word"].grad
 
         encoder = {name: Tensor(t.data.copy()) for name, t in params.items()}
         decoder = dict(encoder, **{"emb.word": Tensor(params["emb.word"].data.copy())})
         tape = Tape()
-        keep = np.flatnonzero(labels != IGNORE_INDEX)
         last = forward(ids, mask, config, encoder, tape=tape, rows=keep)[-1]
         backward(tape, cross_entropy_masked(mlm_logits(last, decoder, tape),
-                                            labels.reshape(-1)[keep], tape))
+                                            ids.reshape(-1)[keep], tape))
         gathered, decoded = encoder["emb.word"].grad, decoder["emb.word"].grad
         assert np.abs(gathered).max() > 0 and np.abs(decoded).max() > 0
         np.testing.assert_allclose(tied, gathered + decoded, rtol=1e-12, atol=1e-15)
@@ -652,6 +648,25 @@ class TestCheckpoint:
                    f"expected ({config.vocab_size},)")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
+
+    def test_layer_count_beyond_the_file(self, tiny, tmp_path):
+        # a 52-byte file that declares 2**32 - 1 layers and no tensor: rejected
+        # before a shape map is built for the layers
+        blob = self.saved(tiny, tmp_path)
+        blob = (blob[:12] + struct.pack("<I", 2**32 - 1) + blob[16:self.HEADER - 4] +
+                struct.pack("<I", 0))
+        assert len(blob) == self.HEADER
+        started = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match=": 4294967295 layers and 0 tensors declared in 52 bytes$"):
+            self.load_bytes(tmp_path, blob)
+        assert time.perf_counter() - started < 1.0
+
+    def test_tensor_count_beyond_the_file(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        blob = blob[:self.HEADER - 4] + struct.pack("<I", 2**32 - 1) + blob[self.HEADER:]
+        with pytest.raises(ValueError, match=" and 4294967295 tensors declared in "):
+            self.load_bytes(tmp_path, blob)
 
     def test_cut_inside_config_block(self, tiny, tmp_path):
         blob = self.saved(tiny, tmp_path)[:20]

@@ -201,6 +201,16 @@ class TestAdam:
             adam_step(state, lr=0.1, weight_decay=-1.0)
         assert state.t == 0
 
+    def test_nan_hyperparameters_rejected(self):
+        p = {"a": Tensor(np.ones(1, dtype=np.float64))}
+        state = AdamState(p)
+        set_grads(p, {"a": np.ones(1)})
+        with pytest.raises(ValueError, match="learning rate"):
+            adam_step(state, lr=math.nan)
+        with pytest.raises(ValueError, match="weight decay"):
+            adam_step(state, lr=0.1, weight_decay=math.nan)
+        assert state.t == 0 and p["a"].data[0] == 1.0
+
 
 class TestSchedule:
     def test_shape(self):
@@ -238,3 +248,5 @@ class TestSchedule:
             LrSchedule(peak_lr=1.0, warmup_steps=0, total_steps=2)
         with pytest.raises(ValueError, match="exceed"):
             LrSchedule(peak_lr=1.0, warmup_steps=5, total_steps=5)
+        with pytest.raises(ValueError, match="peak_lr"):
+            LrSchedule(peak_lr=math.nan, warmup_steps=1, total_steps=2)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from daptlab import finetune, pretrain
-from daptlab.autodiff import (IGNORE_INDEX, Tape, Tensor, backward, cross_entropy_masked,
-                              reshape)
+from daptlab.autodiff import Tape, Tensor, backward, cross_entropy_masked, gather_rows
 from daptlab.model import ModelConfig, forward, init_params, mlm_logits
 from daptlab.pretrain import (MaskingPolicy, RegimenError, TrainConfig,
                               TrainingDiverged, apply_masking,
@@ -66,60 +65,78 @@ class TestMaskingPolicy:
             MaskingPolicy(mask_frac=1.1, random_frac=-0.2, keep_frac=0.1)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["peak_lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rates_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**{"peak_lr": 1e-3, field: value})
+
+
 class TestApplyMasking:
     def test_labels_mark_selected_positions_only(self, vocab):
         enc = encode("alpha bravo charlie delta echo", vocab, 16)
         rng = np.random.default_rng(3)
         ids = np.asarray(enc.ids)
-        corrupted, labels = apply_masking(enc, vocab, MaskingPolicy(), rng)
-        chosen = labels != IGNORE_INDEX
-        assert chosen.any()
-        assert np.array_equal(labels[chosen], ids[chosen])
-        assert np.array_equal(corrupted[~chosen], ids[~chosen])
+        corrupted, positions = apply_masking(enc, vocab, MaskingPolicy(), rng)
+        assert positions.size
+        unchosen = np.delete(np.arange(ids.size), positions)
+        assert np.array_equal(corrupted[unchosen], ids[unchosen])
+
+    def test_positions_ascending_int64_subset_of_candidates(self, vocab):
+        enc = encode("alpha bravo zulu charlie delta echo foxtrot", vocab, 16)  # zulu: [UNK]
+        candidates = maskable_positions(enc, vocab)
+        assert candidates.tolist() == [1, 2, 4, 5, 6, 7]
+        for seed in range(30):
+            _, positions = apply_masking(enc, vocab, MaskingPolicy(select_prob=0.5),
+                                         np.random.default_rng(seed))
+            assert positions.dtype == np.int64
+            assert np.all(np.diff(positions) > 0)
+            assert np.isin(positions, candidates).all()
 
     def test_specials_never_touched(self, vocab):
         enc = encode("alpha bravo", vocab, 8)  # CLS a b SEP PAD...
         ids = np.asarray(enc.ids)
         policy = MaskingPolicy(select_prob=1.0)
         for seed in range(20):
-            corrupted, labels = apply_masking(enc, vocab, policy,
-                                              np.random.default_rng(seed))
+            corrupted, positions = apply_masking(enc, vocab, policy,
+                                                 np.random.default_rng(seed))
             special = np.isin(ids, list(vocab.special_ids))
             assert np.array_equal(corrupted[special], ids[special])
-            assert np.all(labels[special] == IGNORE_INDEX)
+            assert not special[positions].any()
 
     def test_select_all(self, vocab):
         enc = encode("alpha bravo charlie", vocab, 8)
-        _, labels = apply_masking(enc, vocab, MaskingPolicy(select_prob=1.0),
-                                  np.random.default_rng(0))
-        assert (labels != IGNORE_INDEX).sum() == 3
+        _, positions = apply_masking(enc, vocab, MaskingPolicy(select_prob=1.0),
+                                     np.random.default_rng(0))
+        assert positions.tolist() == [1, 2, 3]
 
     def test_mask_replacement_uses_mask_token(self, vocab):
         enc = encode("alpha bravo charlie delta", vocab, 8)
         policy = MaskingPolicy(select_prob=1.0, mask_frac=1.0,
                                random_frac=0.0, keep_frac=0.0)
-        corrupted, labels = apply_masking(enc, vocab, policy,
-                                          np.random.default_rng(1))
-        assert np.all(corrupted[labels != IGNORE_INDEX] == vocab.mask_id)
+        corrupted, positions = apply_masking(enc, vocab, policy,
+                                             np.random.default_rng(1))
+        assert np.all(corrupted[positions] == vocab.mask_id)
 
     def test_random_replacement_never_special(self, vocab):
         enc = encode("alpha bravo charlie delta", vocab, 8)
         policy = MaskingPolicy(select_prob=1.0, mask_frac=0.0,
                                random_frac=1.0, keep_frac=0.0)
         for seed in range(50):
-            corrupted, labels = apply_masking(enc, vocab, policy,
-                                              np.random.default_rng(seed))
-            replaced = corrupted[labels != IGNORE_INDEX]
+            corrupted, positions = apply_masking(enc, vocab, policy,
+                                                 np.random.default_rng(seed))
+            replaced = corrupted[positions]
             assert not np.isin(replaced, list(vocab.special_ids)).any()
 
     def test_keep_leaves_ids(self, vocab):
         enc = encode("alpha bravo charlie", vocab, 8)
         policy = MaskingPolicy(select_prob=1.0, mask_frac=0.0,
                                random_frac=0.0, keep_frac=1.0)
-        corrupted, labels = apply_masking(enc, vocab, policy,
-                                          np.random.default_rng(2))
+        corrupted, positions = apply_masking(enc, vocab, policy,
+                                             np.random.default_rng(2))
         assert np.array_equal(corrupted, np.asarray(enc.ids))
-        assert (labels != IGNORE_INDEX).sum() == 3
+        assert positions.size == 3
 
     def test_resamples_once_after_empty_draw(self, vocab):
         enc = encode("alpha bravo charlie delta echo foxtrot", vocab, 16)
@@ -133,16 +150,16 @@ class TestApplyMasking:
                 hit = seed
                 break
         assert hit is not None
-        _, labels = apply_masking(enc, vocab, policy, np.random.default_rng(hit))
-        assert (labels != IGNORE_INDEX).any()
+        _, positions = apply_masking(enc, vocab, policy, np.random.default_rng(hit))
+        assert positions.size
 
     def test_gives_up_after_two_empty_draws(self, vocab):
         enc = encode("alpha bravo", vocab, 8)
         policy = MaskingPolicy(select_prob=1e-12)
-        corrupted, labels = apply_masking(enc, vocab, policy,
-                                          np.random.default_rng(0))
+        corrupted, positions = apply_masking(enc, vocab, policy,
+                                             np.random.default_rng(0))
         assert np.array_equal(corrupted, np.asarray(enc.ids))
-        assert np.all(labels == IGNORE_INDEX)
+        assert positions.dtype == np.int64 and positions.size == 0
 
     def test_no_content_rejected(self, vocab):
         enc = encode("", vocab, 8)
@@ -160,19 +177,18 @@ class TestApplyMasking:
         rng = np.random.default_rng(11)
         expected = [
             ("alpha bravo charlie delta echo foxtrot",
-             [13, 3, 3, 2, 1, 9, 6, 8], [-100, 0, 1, 2, 4, 5, -100, -100]),
+             [13, 3, 3, 2, 1, 9, 6, 8], [1, 2, 3, 4, 5]),
             ("golf hotel india juliett kilo lima alpha",
-             [13, 16, 10, 5, 14, 16, 10, 0, 8],
-             [-100, 9, 10, 11, -100, 15, 16, -100, -100]),
-            ("zulu bravo", [13, 12, 1, 8], [-100, -100, 1, -100]),
+             [13, 16, 10, 5, 14, 16, 10, 0, 8], [1, 2, 3, 5, 6]),
+            ("zulu bravo", [13, 12, 1, 8], [2]),
             ("lima kilo juliett india hotel golf foxtrot echo",
-             [13, 16, 6, 5, 11, 11, 9, 3, 6, 8],
-             [-100, -100, 15, 14, 11, 10, -100, 6, 5, -100]),
+             [13, 16, 6, 5, 11, 11, 9, 3, 6, 8], [2, 3, 4, 5, 7, 8]),
         ]
-        for text, want_ids, want_labels in expected:
-            corrupted, labels = apply_masking(encode(text, vocab, 16), vocab, policy, rng)
+        for text, want_ids, want_positions in expected:
+            corrupted, positions = apply_masking(encode(text, vocab, 16), vocab, policy,
+                                                 rng)
             assert corrupted.tolist() == want_ids
-            assert labels.tolist() == want_labels
+            assert positions.tolist() == want_positions
 
     def test_batch_draws_pinned_with_candidates_given(self):
         # the batch path hands each encoding's maskable positions to
@@ -233,10 +249,9 @@ class TestApplyMasking:
         selected = masked = random_repl = kept = 0
         candidates = 0
         for _ in range(1500):
-            corrupted, labels = apply_masking(enc, vocab, MaskingPolicy(), rng)
-            chosen = labels != IGNORE_INDEX
+            corrupted, chosen = apply_masking(enc, vocab, MaskingPolicy(), rng)
             candidates += 20
-            selected += int(chosen.sum())
+            selected += chosen.size
             masked += int((corrupted[chosen] == vocab.mask_id).sum())
             kept += int((corrupted[chosen] == ids[chosen]).sum())
             random_repl += int(((corrupted[chosen] != vocab.mask_id)
@@ -497,20 +512,11 @@ class TestTapeReuse:
         assert len({id(buf) for buf in handed}) < len(handed)
 
 
-def label_matrix(ids, rows, targets):
-    """Oracle input: a [B, S] matrix holding each target at its flat row and
-    IGNORE_INDEX everywhere else."""
-    labels = np.full(ids.size, IGNORE_INDEX, dtype=np.int64)
-    labels[rows] = targets
-    return labels.reshape(ids.shape)
-
-
-def full_decode_loss(config, params, ids, mask, labels, tape=None):
-    """Oracle: decode every position, then let the loss skip the unlabelled ones."""
+def full_decode_loss(config, params, ids, mask, rows, targets, tape=None):
+    """Oracle: decode every position, then score the labelled flat rows only."""
     hidden = forward(ids, mask, config, params, tape=tape)
     logits = mlm_logits(hidden[-1], params, tape)
-    flat = reshape(logits, (ids.size, config.vocab_size), tape)
-    return cross_entropy_masked(flat, labels.reshape(-1), tape)
+    return cross_entropy_masked(gather_rows(logits, rows, tape), targets, tape)
 
 
 class TestLabelledRowsOnly:
@@ -538,8 +544,7 @@ class TestLabelledRowsOnly:
         for (ids, mask, rows, targets), grads, (_, loss) in zip(batches, step_grads,
                                                                  log.entries):
             tape = Tape()
-            want = full_decode_loss(config, params, ids, mask,
-                                    label_matrix(ids, rows, targets), tape)
+            want = full_decode_loss(config, params, ids, mask, rows, targets, tape)
             backward(tape, want)
             assert loss == pytest.approx(float(want.data), rel=1e-5)
             for name, t in params.items():
@@ -584,15 +589,14 @@ class TestLabelledRowsOnly:
             ids, mask, rows, targets = pretrain._batch_arrays(
                 batch, [maskable_positions(e, vocab) for e in batch], vocab,
                 MaskingPolicy(), rng)
-            labels = label_matrix(ids, rows, targets)
-            keep = labels != IGNORE_INDEX
-            if not keep.any():
+            if not rows.size:
                 continue
-            n = int(keep.sum())
-            nll += float(full_decode_loss(config, params, ids, mask, labels).data) * n
-            count += n
+            nll += float(full_decode_loss(config, params, ids, mask, rows,
+                                          targets).data) * rows.size
+            count += rows.size
             logits = mlm_logits(forward(ids, mask, config, params)[-1], params).data
-            hits += int((logits.argmax(axis=-1)[keep] == labels[keep]).sum())
+            hits += int((logits.reshape(-1, len(vocab))[rows].argmax(axis=-1)
+                         == targets).sum())
         assert 0 < hits < count
         assert perplexity(config, params, texts, vocab, seed=5, batch_size=8) == \
             pytest.approx(math.exp(nll / count), rel=1e-5)
