@@ -238,25 +238,71 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     return out
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[B, S, heads·d] as [B, heads, S, d]: a strided view when ``x`` is C-contiguous."""
+    batch, seq, width = x.shape
+    return x.reshape(batch, seq, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def _check_heads(a: tuple[int, ...], b: tuple[int, ...], heads: int) -> None:
+    """Raise unless one of shapes ``a`` x ``b`` is a [B, S, heads·d] activation
+    and the other [B, heads, d, n] after it or [B, heads, m, S] before it."""
+    if heads < 1 or sorted((len(a), len(b))) != [3, 4]:
+        raise ValueError(f"matmul heads={heads} needs one rank-3 and one rank-4 "
+                         f"operand, got {a} x {b}")
+    x, other = (a, b) if len(a) == 3 else (b, a)
+    if x[2] % heads:
+        raise ValueError(f"matmul width {x[2]} is not divisible by heads={heads}")
+    inner = (x[2] // heads, other[2]) if len(a) == 3 else (other[3], x[1])
+    if other[:2] != (x[0], heads) or inner[0] != inner[1]:
+        raise ValueError(f"matmul heads={heads} extents differ: {a} x {b}")
+
+
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
-           bias: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, heads: int | None = None) -> Tensor:
     """Matrix product over the last two axes, plus an optional [n] ``bias``.
 
     Supported shapes: [.., m, k] x [k, n] (shared weight) and
     [d0.., m, k] x [d0.., k, n] (batched, identical leading dims). ``bias``
     needs the 2-D weight; the result has the bits of ``add(matmul(a, b), bias)``.
+
+    With ``heads``, one operand is a [B, S, heads·d] activation, read as the
+    [B, heads, S, d] per-head matrices through a strided view, and the other
+    is [B, heads, ·, ·]: [B, S, heads·d] x [B, heads, d, n] gives
+    [B, heads, S, n], and [B, heads, m, S] x [B, S, heads·d] gives
+    [B, m, heads·d], written through the same view. The activation's gradient
+    is written through it into one fresh array. No head is copied, yet every
+    GEMM keeps its transposition flags, so forward and gradients have the
+    bits of splitting the heads with ``reshape`` and ``transpose`` (and merging
+    them back) around a batched ``matmul``. ``bias`` does not go with ``heads``.
     """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError(f"matmul leading extents differ: {a.shape} x {b.shape}")
+    if heads is not None:
+        if bias is not None:
+            raise ValueError("matmul takes no bias with heads")
+        _check_heads(a.data.shape, b.data.shape, heads)
+    else:
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
+        if a.data.shape[-1] != b.data.shape[-2]:
+            raise ValueError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+        if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
+            raise ValueError(f"matmul leading extents differ: {a.shape} x {b.shape}")
     if bias is not None and (b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]):
         raise ValueError(f"matmul bias needs a 2-D weight and shape ({b.shape[-1]},), "
                          f"got {b.shape} and {bias.shape}")
-    out = Tensor(np.matmul(a.data, b.data, out=_empty(
-        tape, a.data.shape[:-1] + b.data.shape[-1:], np.result_type(a.data, b.data))))
+    split_a = heads is not None and a.data.ndim == 3
+    split_b = heads is not None and b.data.ndim == 3
+
+    def view(x: np.ndarray, split: bool) -> np.ndarray:
+        return _split_heads(x, heads) if split else x
+
+    av, bv = view(a.data, split_a), view(b.data, split_b)
+    # with split_b the [B, heads, m, d] product is written merged, as [B, m, heads·d]
+    shape = ((a.data.shape[0], a.data.shape[2], b.data.shape[2]) if split_b
+             else av.shape[:-1] + bv.shape[-1:])
+    buf = _empty(tape, shape, np.result_type(a.data, b.data))
+    np.matmul(av, bv, out=view(buf, split_b))
+    out = Tensor(buf)
     if bias is not None:
         out.data += bias.data
     if tape is not None:
@@ -269,8 +315,13 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
                 _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
                 _accumulate(b, a.data.reshape(-1, b.data.shape[0]).T @ g2)
             else:
-                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+                gv = view(g, split_b)
+                ga = np.empty(a.data.shape, np.result_type(g, b.data))
+                np.matmul(gv, np.swapaxes(bv, -1, -2), out=view(ga, split_a))
+                _accumulate(a, ga)
+                gb = np.empty(b.data.shape, np.result_type(a.data, g))
+                np.matmul(np.swapaxes(av, -1, -2), gv, out=view(gb, split_b))
+                _accumulate(b, gb)
         _record(tape, out, bwd)
     return out
 

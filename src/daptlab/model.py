@@ -170,8 +170,8 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
     if rows is not None and (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
                              or rows.size and not 0 <= rows.min() <= rows.max() < ids.size):
         raise ValueError(f"rows must be 1-D integer indices below {ids.size}, got {rows!r}")
-    h, heads = config.hidden, config.num_heads
-    dh = h // heads
+    heads = config.num_heads
+    dh = config.hidden // heads
     dtype = params["emb.word"].data.dtype
 
     def drop(t: Tensor) -> Tensor:
@@ -194,13 +194,13 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         q = matmul(x, params[f"{p}.attn.wq"], tape, bias=params[f"{p}.attn.bq"])
         k = matmul(x, params[f"{p}.attn.wk"], tape, bias=params[f"{p}.attn.bk"])
         v = matmul(x, params[f"{p}.attn.wv"], tape, bias=params[f"{p}.attn.bv"])
-        qh = transpose(reshape(q, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
+        # q and v are read per head as views and the context comes back as
+        # [B, S, H]; k is copied to [B, heads, dh, S], so every GEMM keeps the
+        # transposition flags (and the bits) of copying all three
         kt = transpose(reshape(k, (batch, seq, heads, dh), tape), (0, 2, 3, 1), tape)
-        vh = transpose(reshape(v, (batch, seq, heads, dh), tape), (0, 2, 1, 3), tape)
-        probs = drop(softmax(matmul(qh, kt, tape), tape,
+        probs = drop(softmax(matmul(q, kt, tape, heads=heads), tape,
                              scale=1.0 / np.sqrt(dh), bias=key_bias))
-        ctx = reshape(transpose(matmul(probs, vh, tape), (0, 2, 1, 3), tape),
-                      (batch, seq, h), tape)
+        ctx = matmul(probs, v, tape, heads=heads)
         if rows is not None and i == config.num_layers - 1:
             ctx, x = gather_rows(ctx, rows, tape), gather_rows(x, rows, tape)
         attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))

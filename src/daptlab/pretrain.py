@@ -51,8 +51,8 @@ class MaskingPolicy:
         if not 0.0 < self.select_prob <= 1.0:
             raise ValueError(f"select_prob must be in (0, 1], got {self.select_prob}")
         for name in ("mask_frac", "random_frac", "keep_frac"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0.0:  # NaN too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         total = self.mask_frac + self.random_frac + self.keep_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mask/random/keep fractions must sum to 1, got {total}")

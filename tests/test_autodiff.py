@@ -522,6 +522,87 @@ class TestFusedEpilogues:
             matmul(t64((3, 4), 0), t64((4, 5), 1), bias=t64((1, 5), 2))
 
 
+def split_heads(x, heads, axes, tape):
+    """[B, S, heads·d] to per-head layout by the reshape and transpose copy
+    that matmul(heads=) does without."""
+    batch, seq, width = x.shape
+    return transpose(reshape(x, (batch, seq, heads, width // heads), tape), axes, tape)
+
+
+class TestMatmulHeads:
+    """matmul(heads=) reads a [B, S, heads·d] activation per head through a
+    view: the bits of the reshape/transpose/matmul composition it replaces,
+    forward and in every gradient."""
+
+    # the GEOMETRIES, plus one-token sequences (vector-matrix products)
+    SHAPES = {**GEOMETRIES, "one-token": (3, 1, 16, 2, 0)}
+
+    @pytest.mark.parametrize("geometry", sorted(SHAPES))
+    def test_scores_bits(self, geometry):
+        batch, seq, h, heads, _ = self.SHAPES[geometry]
+        q, k = t32((batch, seq, h), 0), t32((batch, seq, h), 1)
+
+        def kt(tape):
+            return split_heads(k, heads, (0, 2, 3, 1), tape)
+
+        assert_same_bits(
+            lambda tape: matmul(q, kt(tape), tape, heads=heads),
+            lambda tape: matmul(split_heads(q, heads, (0, 2, 1, 3), tape), kt(tape), tape),
+            [q, k], t32((batch, heads, seq, seq), 2))
+
+    @pytest.mark.parametrize("geometry", sorted(SHAPES))
+    def test_context_bits(self, geometry):
+        batch, seq, h, heads, _ = self.SHAPES[geometry]
+        probs, v = t32((batch, heads, seq, seq), 0), t32((batch, seq, h), 1)
+
+        def merged(tape):
+            ctx = matmul(probs, split_heads(v, heads, (0, 2, 1, 3), tape), tape)
+            return reshape(transpose(ctx, (0, 2, 1, 3), tape), (batch, seq, h), tape)
+
+        out, _ = assert_same_bits(lambda tape: matmul(probs, v, tape, heads=heads), merged,
+                                  [probs, v], t32((batch, seq, h), 2))
+        assert out.shape == (batch, seq, h) and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("form", ["scores", "context"])
+    def test_gradients(self, form):
+        if form == "scores":  # [B, S, heads·d] x [B, heads, d, n]
+            a, b, out_shape = t64((2, 3, 6), 0), t64((2, 2, 3, 4), 1), (2, 2, 3, 4)
+        else:  # [B, heads, m, S] x [B, S, heads·d]
+            a, b, out_shape = t64((2, 2, 3, 4), 0), t64((2, 4, 6), 1), (2, 3, 6)
+        weights = t64(out_shape, 2)
+        grad_check([a, b], lambda tape: tsum(
+            mul(matmul(a, b, tape, heads=2), weights, tape), tape))
+
+    @pytest.mark.parametrize("form", ["scores", "context"])
+    def test_activation_gradient_is_fresh(self, form):
+        x = t32((2, 3, 8), 0)
+        other = t32((2, 4, 2, 5) if form == "scores" else (2, 4, 5, 3), 1)
+        a, b = (x, other) if form == "scores" else (other, x)
+        tape = Tape()
+        out = matmul(a, b, tape, heads=4)
+        backward(tape, tsum(mul(out, t32(out.shape, 2), tape), tape))
+        assert x.grad.shape == x.shape and x.grad.dtype == x.dtype
+        assert x.grad.flags.c_contiguous and x.grad.base is None
+        assert_grads_owned([x, other])
+
+    @pytest.mark.parametrize("a_shape, b_shape, match", [
+        ((2, 3, 6), (2, 4, 1, 3), "not divisible"),    # width 6 over 4 heads
+        ((2, 3, 8), (3, 4, 2, 3), "extents differ"),   # batch
+        ((2, 3, 8), (2, 2, 2, 3), "extents differ"),   # heads
+        ((2, 3, 8), (2, 4, 3, 3), "extents differ"),   # per-head width
+        ((2, 4, 3, 5), (2, 3, 8), "extents differ"),   # length
+        ((2, 4, 3, 2), (2, 4, 2, 3), "rank-3"),        # no activation
+        ((2, 3, 8), (2, 8, 3), "rank-3"),              # two activations
+    ])
+    def test_shapes_rejected(self, a_shape, b_shape, match):
+        with pytest.raises(ValueError, match=match):
+            matmul(t32(a_shape, 0), t32(b_shape, 1), heads=4)
+
+    def test_bias_rejected(self):
+        with pytest.raises(ValueError, match="bias"):
+            matmul(t32((2, 3, 8), 0), t32((2, 4, 2, 3), 1), heads=4, bias=t32((3,), 2))
+
+
 def assert_grads_owned(tensors):
     """Every ``.grad`` is a writable array of its tensor's shape and dtype, and
     no two tensors' gradients share memory (gradients are adopted, not copied)."""

@@ -64,6 +64,13 @@ class TestMaskingPolicy:
         with pytest.raises(ValueError):
             MaskingPolicy(mask_frac=1.1, random_frac=-0.2, keep_frac=0.1)
 
+    @pytest.mark.parametrize("field", ["mask_frac", "random_frac", "keep_frac"])
+    def test_nan_fraction(self, field):
+        # nan < 0 and the sum check are both False for NaN; apply_masking
+        # would then mask and replace nothing
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got nan"):
+            MaskingPolicy(**{field: math.nan})
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["peak_lr", "weight_decay"])
