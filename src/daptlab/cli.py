@@ -8,6 +8,13 @@ the same config and seed reproduces them byte for byte.
 
 from __future__ import annotations
 
+import os
+
+# BLAS on one thread, whatever the environment says: the trained bytes depend
+# on the thread count at some shapes, and the lab is single-core by design.
+# This runs before numpy loads, as ``import daptlab`` loads none.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 import argparse
 import configparser
 import dataclasses

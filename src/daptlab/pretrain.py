@@ -137,21 +137,21 @@ def apply_masking(encoding: Encoding, vocab: Vocab, policy: MaskingPolicy,
 
 
 def encode_corpus(texts, vocab: Vocab, max_seq: int) -> list[Encoding]:
-    """Encode texts, dropping any that end up with no content pieces."""
-    encodings = []
-    for text in texts:
-        enc = encode(text, vocab, max_seq)
-        if any(stop > start for start, stop in enc.word_spans):
-            encodings.append(enc)
-    return encodings
+    """Encode every text, truncated to max_seq pieces."""
+    return [encode(text, vocab, max_seq) for text in texts]
 
 
-def _maskable(encodings: list[Encoding], vocab: Vocab
+def _maskable(texts, vocab: Vocab, max_seq: int, what: str
               ) -> tuple[list[Encoding], list[np.ndarray]]:
-    """The encodings that have a maskable position, and those positions of
-    each; one whose every content piece is [UNK] has none and is skipped."""
+    """The one rule for which documents masked-LM reads: the encodings of
+    ``texts`` that have a maskable position, and those positions of each. An
+    empty text and one whose every word is [UNK] have none and are skipped;
+    ValueError when no document is left."""
+    encodings = encode_corpus(texts, vocab, max_seq)
     candidates = [maskable_positions(enc, vocab) for enc in encodings]
     kept = [i for i, cand in enumerate(candidates) if cand.size]
+    if not kept:
+        raise ValueError(f"{what} has no usable document")
     return [encodings[i] for i in kept], [candidates[i] for i in kept]
 
 
@@ -218,15 +218,14 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
 
     Runs epochs x ceil(N / batch_size) optimizer steps under the warmup/decay
     schedule, masking with the default MaskingPolicy; N counts the documents
-    with a maskable piece, so one that encodes to nothing but [UNK] is
-    skipped. One rng, seeded by the config, draws each epoch's permutation,
-    then each batch's masking, then its dropout.
+    with a maskable piece (``_maskable``), so an empty text and one that
+    encodes to nothing but [UNK] are skipped. One rng, seeded by the config,
+    draws each epoch's permutation, then each batch's masking, then its
+    dropout.
     """
     policy = MaskingPolicy()
-    encodings, candidates = _maskable(
-        encode_corpus(texts, vocab, min(train_config.max_seq, config.max_seq)), vocab)
-    if not encodings:
-        raise ValueError("training corpus has no usable documents")
+    encodings, candidates = _maskable(texts, vocab, min(train_config.max_seq, config.max_seq),
+                                      "training corpus")
     if train_config.epochs == 0:
         return LossLog()
     total_steps = train_config.epochs * math.ceil(len(encodings) / train_config.batch_size)
@@ -255,20 +254,23 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
 def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
     """Yield (MLM logits, original ids) of the masked positions per batch under a
     fixed-seed default-policy corruption draw, skipping documents with no
-    maskable piece and batches where the draw masked nothing."""
-    encodings, candidates = _maskable(encode_corpus(texts, vocab, config.max_seq), vocab)
-    if not encodings:
-        raise ValueError(f"{what} needs at least one usable document")
+    maskable piece and batches where the draw masked nothing; ValueError when
+    no batch masked anything."""
+    encodings, candidates = _maskable(texts, vocab, config.max_seq, what)
     policy = MaskingPolicy()
     rng = np.random.default_rng(seed)
+    masked = False
     for lo in range(0, len(encodings), batch_size):
         ids, mask, rows, targets = _batch_arrays(encodings[lo:lo + batch_size],
                                                  candidates[lo:lo + batch_size], vocab,
                                                  policy, rng)
         if rows.size:
+            masked = True
             # no name holds the hidden states across the yield, so they are freed
             logits = mlm_logits(forward(ids, mask, config, params, rows=rows)[-1], params)
             yield logits, targets
+    if not masked:
+        raise ValueError("masking selected no position in the whole corpus")
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
@@ -277,11 +279,9 @@ def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Voc
     total_nll = 0.0
     total_count = 0
     for logits, labels in _masked_eval(config, params, texts, vocab, seed, batch_size,
-                                       "perplexity"):
+                                       "perplexity corpus"):
         total_nll += float(cross_entropy_masked(logits, labels).data) * labels.size
         total_count += labels.size
-    if total_count == 0:
-        raise ValueError("masking selected no position in the whole corpus")
     return float(math.exp(total_nll / total_count))
 
 
@@ -291,11 +291,9 @@ def masked_token_accuracy(config: ModelConfig, params: dict[str, Tensor], texts,
     hits = 0
     total = 0
     for logits, labels in _masked_eval(config, params, texts, vocab, seed, batch_size,
-                                       "accuracy"):
+                                       "accuracy corpus"):
         hits += int((logits.data.argmax(axis=-1) == labels).sum())
         total += labels.size
-    if total == 0:
-        raise ValueError("masking selected no position in the whole corpus")
     return hits / total
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from daptlab import finetune, pretrain
 from daptlab.autodiff import (Tape, Tensor, backward, cross_entropy_masked, gather_rows,
-                              matmul, select_position)
+                              matmul, reshape)
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, RunReport,
                               TaggedTokenDataset, aggregate, classification_f1,
                               f1_binary, finetune_classify, finetune_tag,
@@ -564,8 +564,9 @@ class TestListedPositionsOnly:
         return config, work
 
     def classified(self, vocab):
-        """(vocab, config, work, examples, oracle): the head on [CLS] through
-        select_position."""
+        """(vocab, config, work, examples, oracle): the head on [CLS], read
+        from the last layer on every piece by a one-hot selection matmul over
+        its flattened rows, which is exact in float64."""
         config, work = self.float64_work(vocab, 2, 32)
         texts = ["the dropper of worm and worm", "of attachment", "subnet with router"]
         examples = [(encode(text, vocab, config.max_seq), [0], [i % 2])
@@ -573,8 +574,11 @@ class TestListedPositionsOnly:
 
         def oracle(tape):
             hidden = full_sequence_hidden(examples, vocab, config, work, tape)
-            return oracle_head_loss(select_position(hidden, 0, tape),
-                                    np.array([0, 1, 0]), work, tape)
+            batch, width, size = hidden.data.shape
+            one_hot = np.zeros((batch, batch * width))
+            one_hot[np.arange(batch), np.arange(batch) * width] = 1.0
+            cls = matmul(Tensor(one_hot), reshape(hidden, (batch * width, size), tape), tape)
+            return oracle_head_loss(cls, np.array([0, 1, 0]), work, tape)
         return vocab, config, work, examples, oracle
 
     def tagged(self, vocab):

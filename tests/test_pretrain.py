@@ -271,9 +271,11 @@ class TestApplyMasking:
 
 
 class TestEncodeCorpus:
-    def test_drops_empty_documents(self, vocab):
+    def test_keeps_every_document(self, vocab):
+        # the masked-LM document rule is pretrain._maskable's, not this one's
         encs = encode_corpus(["alpha bravo", "", "charlie"], vocab, 8)
-        assert len(encs) == 2
+        assert len(encs) == 3
+        assert encs[1].word_spans == []
 
     def test_respects_max_seq(self, vocab):
         encs = encode_corpus(["alpha bravo charlie delta"], vocab, 4)
@@ -351,27 +353,29 @@ class TestTrain:
             train(config, params, ["", ""], vocab, TrainConfig(peak_lr=1e-3))
 
     def test_document_with_no_maskable_piece_is_skipped(self, vocab):
-        # every word of the inserted text is [UNK] to the pattern vocab
+        # every word of the first text is [UNK] to the pattern vocab; the
+        # second has no word at all
         texts = patterned_corpus(10, sentence_len=6)
-        unspellable = "уязвимость в ядре"
-        with_unk = texts[:5] + [unspellable] + texts[5:]
-        assert maskable_positions(encode(unspellable, vocab, 16), vocab).size == 0
         tc = TrainConfig(peak_lr=1e-3, epochs=3, batch_size=4, warmup_steps=2, seed=0)
-        runs = []
-        for corpus in (with_unk, texts):
+
+        def run(corpus):
             config, params = tiny_setup(vocab)
             log = train(config, params, corpus, vocab, tc)
-            runs.append((log.entries, params_bytes(params),
-                         perplexity(config, params, corpus, vocab, batch_size=4),
-                         masked_token_accuracy(config, params, corpus, vocab,
-                                               batch_size=4)))
-        assert len(runs[0][0]) == tc.epochs * math.ceil((len(with_unk) - 1) / 4)
-        assert runs[0] == runs[1]  # as if the document were not there
-        config, params = tiny_setup(vocab)
-        with pytest.raises(ValueError, match="no usable"):
-            train(config, params, [unspellable], vocab, tc)
-        with pytest.raises(ValueError, match="usable"):
-            perplexity(config, params, [unspellable], vocab)
+            return (log.entries, params_bytes(params),
+                    perplexity(config, params, corpus, vocab, batch_size=4),
+                    masked_token_accuracy(config, params, corpus, vocab, batch_size=4))
+
+        without = run(texts)
+        assert len(without[0]) == tc.epochs * math.ceil(len(texts) / 4)
+        for skipped in ("уязвимость в ядре", ""):
+            assert maskable_positions(encode(skipped, vocab, 16), vocab).size == 0
+            # as if the document were not there
+            assert run(texts[:5] + [skipped] + texts[5:]) == without, repr(skipped)
+            config, params = tiny_setup(vocab)
+            with pytest.raises(ValueError, match="no usable"):
+                train(config, params, [skipped], vocab, tc)
+            with pytest.raises(ValueError, match="usable"):
+                perplexity(config, params, [skipped], vocab)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_log(self, vocab):

@@ -3,10 +3,12 @@ trained bytes that do not depend on the BLAS thread count; and what the
 benchmark's tracer, which patches names from outside the package, relies on."""
 
 import ast
+import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,29 +19,31 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(daptlab.__file__).resolve().parents[1]
 
 
-def run_python(code, **env):
-    """Run code in a fresh interpreter that imports daptlab from this checkout."""
+def run_python(*args, **env):
+    """Run ``python *args`` in a fresh interpreter that imports daptlab from this
+    checkout; returns its stdout split on whitespace."""
     full_env = {k: v for k, v in os.environ.items()
                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     full_env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     full_env.update(env)
-    done = subprocess.run([sys.executable, "-c", code], env=full_env,
+    done = subprocess.run([sys.executable, *args], env=full_env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
-    loaded = run_python("import sys, daptlab\n"
-                        "print(*sorted(m for m in sys.modules\n"
-                        "              if m.split('.')[0] in ('daptlab', 'numpy')))")
+    loaded = run_python("-c", "import sys, daptlab\n"
+                              "print(*sorted(m for m in sys.modules\n"
+                              "              if m.split('.')[0] in ('daptlab', 'numpy')))")
     assert loaded == ["daptlab"]
 
 
 def test_cli_import_loads_no_scipy():
-    loaded = run_python("import sys, daptlab.cli\n"
-                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    loaded = run_python("-c", "import sys, daptlab.cli\n"
+                              "print(*sorted(m for m in sys.modules\n"
+                              "              if m.split('.')[0] == 'scipy'))")
     assert loaded == []
 
 
@@ -85,10 +89,44 @@ print(threads, digest.hexdigest())
 
 
 def test_trained_bytes_independent_of_blas_threads():
-    one = run_python(PROBE, OPENBLAS_NUM_THREADS="1")
-    two = run_python(PROBE, OPENBLAS_NUM_THREADS="2")
+    one = run_python("-c", PROBE, OPENBLAS_NUM_THREADS="1")
+    two = run_python("-c", PROBE, OPENBLAS_NUM_THREADS="2")
     assert one[0] in ("1", "-1") and two[0] in ("2", "-1")
     assert one[1] == two[1]
+
+
+# A CLI pretrain at a geometry where, without the CLI's pin, two BLAS threads
+# give other bytes than one: at batch 64 and 60-125-word documents the pruned
+# last layer's and the MLM head's weight gradients run over 500+ masked rows.
+CLI_PRETRAIN_SETS = ["model.num_layers=1", "model.hidden=64", "model.num_heads=4",
+                     "model.ffn_dim=256", "model.max_seq=128", "model.dropout=0.0",
+                     "train.base.batch_size=64", "train.base.epochs=2",
+                     "train.base.warmup_steps=1"]
+
+
+def test_cli_bytes_independent_of_blas_threads(tmp_path):
+    import numpy as np
+    from daptlab.corpus import Document, write_corpus
+    from daptlab.tokenizer import train_vocab
+
+    rng = np.random.default_rng(0)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    lexicon = ["".join(rng.choice(letters, rng.integers(3, 10))) for _ in range(400)]
+    texts = [" ".join(rng.choice(lexicon, rng.integers(60, 126))) for _ in range(128)]
+    write_corpus([Document(f"d{i}", "nvd", text) for i, text in enumerate(texts)],
+                 tmp_path / "corpus.jsonl")
+    train_vocab(texts, target_size=300, min_frequency=1).save(tmp_path / "vocab.txt")
+    sets = [arg for item in CLI_PRETRAIN_SETS for arg in ("--set", item)]
+    start = time.perf_counter()
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python("-m", "daptlab.cli", "pretrain", "--corpus", str(tmp_path / "corpus.jsonl"),
+                   "--vocab", str(tmp_path / "vocab.txt"), "--out", str(out), *sets,
+                   OPENBLAS_NUM_THREADS=threads)
+        digests.append(hashlib.sha256((out / "base.ckpt").read_bytes()).hexdigest())
+    assert time.perf_counter() - start < 10.0
+    assert digests[0] == digests[1]
 
 
 # The op labels the benchmark's tracer gives the backward closures of a

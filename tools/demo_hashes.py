@@ -5,7 +5,8 @@ Usage, from anywhere inside a daptlab checkout:
     python3 tools/demo_hashes.py [--rev REV] [--expect FILE]
 
 Runs demos/06_cli_pipeline.sh twice, each time in a fresh temporary
-directory, with the BLAS thread variables set to 1. With ``--rev REV`` the
+directory, with the BLAS thread variables set to 1 (the CLI sets them itself,
+but a ``--rev`` tree may predate that pin). With ``--rev REV`` the
 script and the package come from a ``git archive REV`` copy in a temporary
 directory instead of this checkout. Exits 1 if any artifact differs between
 the two runs; otherwise prints a ``# kernel NAME`` line, then one
