@@ -91,6 +91,8 @@ class LabeledTextDataset:
             raise ValueError("labels must be a non-empty set of distinct names")
         if self.positive_label is not None and self.positive_label not in self.labels:
             raise ValueError(f"positive_label {self.positive_label!r} not in labels")
+        if self.positive_label is not None and len(self.labels) != 2:
+            raise ValueError(f"positive_label needs exactly two labels, got {len(self.labels)}")
         for split_name, split in (("train", self.train), ("dev", self.dev),
                                   ("test", self.test)):
             for i, (_, label) in enumerate(split):

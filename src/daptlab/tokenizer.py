@@ -8,6 +8,7 @@ inside words). Word-internal continuation pieces carry the usual "##" prefix.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,8 @@ from .fileio import atomic_write_text
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
 MAX_WORD_CHARS = 100
+# a run of alphanumerics (str.isalnum), or else one non-space character
+_WORDS = re.compile(r"[^\W_]+|\S")
 
 
 class Vocab:
@@ -82,23 +85,7 @@ class Encoding:
 
 def split_words(text: str) -> list[str]:
     """Lowercase and split into words; punctuation becomes single-char words."""
-    words: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if current:
-                words.append("".join(current))
-                current = []
-        elif not ch.isalnum():
-            if current:
-                words.append("".join(current))
-                current = []
-            words.append(ch)
-        else:
-            current.append(ch)
-    if current:
-        words.append("".join(current))
-    return words
+    return _WORDS.findall(text.lower())
 
 
 def wordpiece(word: str, vocab: Vocab) -> list[str] | None:

@@ -227,6 +227,13 @@ class TestLabeledTextDataset:
                                test=[("z", "a")], labels=("a", "b"),
                                positive_label="c")
 
+    def test_positive_label_needs_two_labels(self):
+        # with more labels classification_f1 macro-averages, so the positive
+        # label would be silently ignored
+        records = [{"text": f"t{i}", "label": "abc"[i % 3]} for i in range(9)]
+        with pytest.raises(ValueError, match="exactly two labels, got 3"):
+            LabeledTextDataset.from_records(records, positive_label="a")
+
     def test_split_leakage_rejected(self):
         with pytest.raises(ValueError, match="both"):
             LabeledTextDataset(train=[("same", "a")], dev=[("same", "a")],

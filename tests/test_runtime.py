@@ -1,6 +1,7 @@
 """The runtime in fresh interpreters: imports, declared dependencies, and
-trained bytes that do not depend on the BLAS thread count; and what the
-benchmark's tracer, which patches names from outside the package, relies on."""
+trained bytes that do not depend on the BLAS thread count; what the
+benchmark's tracer, which patches names from outside the package, relies on;
+and the demo-06 chain that the demo and the benchmark both run."""
 
 import ast
 import hashlib
@@ -136,12 +137,14 @@ TRACED_BACKWARD_OPS = ("add", "cross_entropy_masked", "gather_rows", "gelu",
                        "layer_norm", "matmul", "reshape", "softmax", "transpose")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path as the module perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
@@ -150,7 +153,7 @@ def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
     from daptlab.synth import PATTERN_WORDS, patterned_corpus
     from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
 
-    spans = load_spans()
+    spans = load_perfbench("spans")
     bound = [(mod, attr) for mod, attr, _ in spans.BINDINGS]
     bound += [("pretrain", "Tape"), ("finetune", "Tape")]
     modules = {mod: importlib.import_module(f"daptlab.{mod}") for mod, _ in bound}
@@ -173,7 +176,7 @@ def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
 def test_src_imports_only_what_it_uses():
     """Each name a ``daptlab`` module imports at top level is read in that
     module, or is a binding the tracer replaces there."""
-    allowed = {(mod, attr) for mod, attr, _ in load_spans().BINDINGS}
+    allowed = {(mod, attr) for mod, attr, _ in load_perfbench("spans").BINDINGS}
     allowed |= {("pretrain", "Tape"), ("finetune", "Tape")}
     unused = []
     for path in sorted((SRC / "daptlab").glob("*.py")):
@@ -187,3 +190,23 @@ def test_src_imports_only_what_it_uses():
         unused += [f"daptlab.{path.stem}.{name}" for name in imported
                    if name not in read and (path.stem, name) not in allowed]
     assert unused == []
+
+
+def test_demo_chain_runs_every_command_with_flags_it_takes(tmp_path):
+    """demos/06_cli_pipeline.sh and the cli_pipeline workload run the chain in
+    perfbench/workloads.py: it writes the seven inputs, its stages name every
+    command, and each stage's argv parses with nothing unread."""
+    from daptlab import cli
+
+    workloads = load_perfbench("workloads")
+    workloads.write_demo_inputs(tmp_path, 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adapted_scores.json", "base_scores.json", "classify.jsonl", "domain.jsonl",
+        "dump.jsonl", "pairs.jsonl", "tagged.jsonl"]
+    stages = workloads.demo_stages(tmp_path, tmp_path / "run")
+    assert len(stages) == 13
+    assert {argv[0] for argv in stages} == {name for name, *_ in cli._COMMANDS}
+    parser = cli.build_parser()
+    for argv in stages:
+        args, unread = parser.parse_known_args(argv)
+        assert (args.command, unread) == (argv[0], []), argv

@@ -1,5 +1,6 @@
 """WordPiece vocab, encoding, and the trainer."""
 
+import re
 import string
 from collections import Counter
 
@@ -75,6 +76,7 @@ class TestSplitWords:
     def test_punctuation_inside_word_splits(self):
         assert split_words("can't") == ["can", "'", "t"]
         assert split_words("a-b") == ["a", "-", "b"]
+        assert split_words("a_b") == ["a", "_", "b"]
 
     def test_whitespace_variants(self):
         assert split_words(" a\tb\nc ") == ["a", "b", "c"]
@@ -82,6 +84,16 @@ class TestSplitWords:
     def test_empty(self):
         assert split_words("") == []
         assert split_words("   ") == []
+
+    def test_regex_classes_are_the_str_predicates_on_every_code_point(self):
+        # split_words is findall(r"[^\W_]+|\S"): a run of str.isalnum()
+        # characters, or one character that is not str.isspace(). That is the
+        # per-character rule exactly when these classes match these predicates
+        # and no character is both alphanumeric and a space.
+        chars = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"[^\W_]", chars) == [c for c in chars if c.isalnum()]
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+        assert not any(c.isalnum() and c.isspace() for c in chars)
 
 
 class TestVocab:
