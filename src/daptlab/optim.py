@@ -112,8 +112,8 @@ class LrSchedule:
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.total_steps <= self.warmup_steps:
-            raise ValueError(f"total_steps ({self.total_steps}) must exceed "
-                             f"warmup_steps ({self.warmup_steps})")
+            raise ValueError(f"total_steps ({self.total_steps}) must exceed warmup_steps "
+                             f"({self.warmup_steps}); lower warmup_steps for short runs")
 
 
 def lr_at_step(schedule: LrSchedule, step: int) -> float:

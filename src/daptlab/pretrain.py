@@ -3,7 +3,8 @@
 Masking follows the usual recipe: each content position is selected with
 probability select_prob; a selected position is replaced by [MASK], by a
 random non-special token, or kept, per the policy fractions. Sequences where
-the draw selects nothing are resampled once.
+the draw selects nothing are resampled once, and a batch whose draw masks no
+position at all is drawn again, in training and evaluation alike.
 
 fit() is the one training loop, run by train(), dapt() and every fine-tune seed.
 
@@ -160,9 +161,14 @@ def _batch_arrays(encodings: list[Encoding], candidates: list[np.ndarray], vocab
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mask each encoding, given its maskable positions, and pad the batch to
     its longest sequence; returns ids, mask, the flat rows of the masked
-    positions and their original ids."""
-    corrupted, positions = zip(*(apply_masking(enc, vocab, policy, rng, cand)
-                                 for enc, cand in zip(encodings, candidates)))
+    positions and their original ids. A draw that masks no position in the
+    whole batch is drawn again; every encoding has a candidate, so some draw
+    masks one and the loop ends."""
+    while True:
+        corrupted, positions = zip(*(apply_masking(enc, vocab, policy, rng, cand)
+                                     for enc, cand in zip(encodings, candidates)))
+        if any(pos.size for pos in positions):
+            break
     ids, mask, rows = pad_batch(corrupted, positions, vocab.pad_id)
     targets = np.array([enc.ids[p] for enc, pos in zip(encodings, positions)
                         for p in pos.tolist()], dtype=np.int64)
@@ -229,22 +235,13 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
     if train_config.epochs == 0:
         return LossLog()
     total_steps = train_config.epochs * math.ceil(len(encodings) / train_config.batch_size)
-    if total_steps <= train_config.warmup_steps:
-        raise ValueError(f"warmup_steps ({train_config.warmup_steps}) must be below "
-                         f"total steps ({total_steps}); lower it for short runs")
     schedule = LrSchedule(train_config.peak_lr, train_config.warmup_steps, total_steps)
     rng = np.random.default_rng(train_config.seed)
 
     def batch_loss(picked, tape):
-        chunk = [encodings[i] for i in picked]
-        chunk_candidates = [candidates[i] for i in picked]
-        for _ in range(20):
-            ids, mask, rows, targets = _batch_arrays(chunk, chunk_candidates, vocab,
-                                                     policy, rng)
-            if rows.size:
-                break
-        else:
-            raise RuntimeError("could not draw a batch with any masked position")
+        ids, mask, rows, targets = _batch_arrays([encodings[i] for i in picked],
+                                                 [candidates[i] for i in picked], vocab,
+                                                 policy, rng)
         hidden = forward(ids, mask, config, params, tape=tape, rng=rng, rows=rows)
         return cross_entropy_masked(mlm_logits(hidden[-1], params, tape), targets, tape)
 
@@ -254,23 +251,17 @@ def train(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,
 def _masked_eval(config, params, texts, vocab, seed, batch_size, what):
     """Yield (MLM logits, original ids) of the masked positions per batch under a
     fixed-seed default-policy corruption draw, skipping documents with no
-    maskable piece and batches where the draw masked nothing; ValueError when
-    no batch masked anything."""
+    maskable piece."""
     encodings, candidates = _maskable(texts, vocab, config.max_seq, what)
     policy = MaskingPolicy()
     rng = np.random.default_rng(seed)
-    masked = False
     for lo in range(0, len(encodings), batch_size):
         ids, mask, rows, targets = _batch_arrays(encodings[lo:lo + batch_size],
                                                  candidates[lo:lo + batch_size], vocab,
                                                  policy, rng)
-        if rows.size:
-            masked = True
-            # no name holds the hidden states across the yield, so they are freed
-            logits = mlm_logits(forward(ids, mask, config, params, rows=rows)[-1], params)
-            yield logits, targets
-    if not masked:
-        raise ValueError("masking selected no position in the whole corpus")
+        # no name holds the hidden states across the yield, so they are freed
+        logits = mlm_logits(forward(ids, mask, config, params, rows=rows)[-1], params)
+        yield logits, targets
 
 
 def perplexity(config: ModelConfig, params: dict[str, Tensor], texts, vocab: Vocab,

@@ -14,7 +14,8 @@ from daptlab import cli, model, pretrain
 from daptlab.finetune import FinetuneConfig
 from daptlab.model import ModelConfig
 from daptlab.pretrain import TrainConfig
-from daptlab.synth import PAIR_WORDS, classification_records, tagging_records
+from daptlab.synth import PAIR_WORDS, PATTERN_WORDS, classification_records, tagging_records
+from daptlab.tokenizer import SPECIAL_TOKENS, Vocab
 
 POOL = PAIR_WORDS[:16]
 
@@ -477,6 +478,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert not (tmp_path / "base.ckpt").exists()
+
+    def test_pretrain_one_word_documents_at_batch_one(self, capsys, tmp_path):
+        # at seed 2 some one-document batch masks nothing in both of its
+        # draws; the batch is drawn again, where it was a crash (exit 2)
+        vocab = Vocab(list(SPECIAL_TOKENS) + list(PATTERN_WORDS))
+        vocab.save(tmp_path / "vocab.txt")
+        write_jsonl(tmp_path / "corpus.jsonl",
+                    [{"id": f"w{i}", "source": "nvd", "text": word}
+                     for i, word in enumerate(PATTERN_WORDS)])
+        argv = ["pretrain", "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--out", str(tmp_path / "run"),
+                "--seed", "2", "--set", "model.num_layers=1", "--set", "model.hidden=8",
+                "--set", "model.num_heads=2", "--set", "model.ffn_dim=16",
+                "--set", "model.max_seq=16", "--set", "model.dropout=0.0",
+                "--set", "train.base.epochs=10", "--set", "train.base.batch_size=1"]
+        # 20 documents x 10 epochs at batch 1 is 200 steps, too few for 200 warmup
+        assert cli.main(argv + ["--set", "train.base.warmup_steps=200"]) == 1
+        assert "lower warmup_steps for short runs" in capsys.readouterr().err
+        run_ok(argv + ["--set", "train.base.warmup_steps=10"])
+        assert (tmp_path / "run" / "base.ckpt").is_file()
 
     @pytest.mark.parametrize("command,key", [
         ("pretrain", "train.base.peak_lr"),

@@ -377,6 +377,15 @@ class TestTrain:
             with pytest.raises(ValueError, match="usable"):
                 perplexity(config, params, [skipped], vocab)
 
+    def test_batch_that_masks_nothing_is_drawn_again(self, vocab):
+        # one-word documents at batch 1: at seed 2 some batch's two draws both
+        # select nothing, and the batch is drawn again rather than given up
+        config, params = tiny_setup(vocab)
+        tc = TrainConfig(peak_lr=1e-3, epochs=10, batch_size=1, warmup_steps=10, seed=2)
+        log = train(config, params, list(PATTERN_WORDS), vocab, tc)
+        assert [step for step, _ in log.entries] == list(range(1, 201))
+        assert all(math.isfinite(loss) for _, loss in log.entries)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_log(self, vocab):
         config, params = tiny_setup(vocab)
@@ -633,6 +642,20 @@ class TestPerplexity:
         config, params = tiny_setup(vocab)
         with pytest.raises(ValueError, match="usable"):
             perplexity(config, params, [""], vocab)
+
+    def test_batch_that_masks_nothing_is_drawn_again(self, vocab):
+        # at seeds 5-9 both of apply_masking's draws of the one two-piece
+        # document select nothing, so the batch is drawn again; seeds 0-4 keep
+        # the values of their first batch draw
+        config, params = tiny_setup(vocab)
+        ppls = [perplexity(config, params, ["alpha bravo"], vocab, seed=seed)
+                for seed in range(10)]
+        accs = [masked_token_accuracy(config, params, ["alpha bravo"], vocab, seed=seed)
+                for seed in range(10)]
+        assert all(math.isfinite(ppl) for ppl in ppls)
+        assert all(0.0 <= acc <= 1.0 for acc in accs)
+        assert [round(ppl, 3) for ppl in ppls[:5]] == [24.748, 22.918, 25.873, 22.199,
+                                                       25.873]
 
 
 class TestMaskedAccuracy:

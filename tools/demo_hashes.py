@@ -20,24 +20,16 @@ only the standard library, git, bash and the numpy the demo runs on.
 
 import argparse
 import hashlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
+from pairs import export  # this script's directory is on sys.path
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = Path("demos") / "06_cli_pipeline.sh"
-
-
-def export(rev: str, dest: Path) -> None:
-    """Unpack ``git archive rev`` into dest."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                         check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
 
 
 # Prints the core name of the OpenBLAS that numpy loaded.
