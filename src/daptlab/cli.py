@@ -41,10 +41,6 @@ from .pretrain import (TrainConfig, TrainingDiverged, corpus_token_count,
 from .tokenizer import Vocab, train_vocab
 
 
-class CliError(ValueError):
-    """Input or configuration problem; reported on stderr, exit code 1."""
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -53,15 +49,15 @@ def load_config(path: str | None, overrides: list[str]) -> configparser.ConfigPa
     cp.optionxform = str
     if path is not None:
         if not Path(path).is_file():
-            raise CliError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         try:
             cp.read(path, encoding="utf-8")
         except configparser.Error as exc:
-            raise CliError(f"bad config file {path}: {exc}") from None
+            raise ValueError(f"bad config file {path}: {exc}") from None
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep or "." not in key:
-            raise CliError(f"bad --set override {item!r} (expected section.key=value)")
+            raise ValueError(f"bad --set override {item!r} (expected section.key=value)")
         section, option = key.rsplit(".", 1)  # sections may be dotted (train.base)
         if not cp.has_section(section):
             cp.add_section(section)
@@ -76,7 +72,7 @@ def cfg_get(cp, section: str, key: str, default, cast=str):
     try:
         return cast(raw)
     except (TypeError, ValueError):
-        raise CliError(f"bad config value [{section}] {key} = {raw!r}") from None
+        raise ValueError(f"bad config value [{section}] {key} = {raw!r}") from None
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -87,10 +83,10 @@ def cfg_path(cp, key: str, flag_value, what: str):
     """Resolve an input path from a flag or [paths]; must exist."""
     value = flag_value if flag_value is not None else cfg_get(cp, "paths", key, None)
     if value is None:
-        raise CliError(f"{what} not configured (set [paths] {key} or pass the flag)")
+        raise ValueError(f"{what} not configured (set [paths] {key} or pass the flag)")
     path = Path(value)
     if not path.is_file():
-        raise CliError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -142,25 +138,35 @@ def _load_model(cp, flag_value, vocab: Vocab):
     path = cfg_path(cp, "checkpoint", flag_value, "checkpoint")
     params, config = load_checkpoint(path)
     if config.vocab_size != len(vocab.pieces):
-        raise CliError(f"vocab size {len(vocab.pieces)} does not match checkpoint "
-                       f"vocab_size {config.vocab_size}")
+        raise ValueError(f"vocab size {len(vocab.pieces)} does not match checkpoint "
+                         f"vocab_size {config.vocab_size}")
     return params, config, path
 
 
+def _file_name(value: str, what: str) -> str:
+    """``value``, checked before it names an output file: one non-empty path
+    component, not . or .., and no tab or line break, as the TSV reports
+    that carry it split on those."""
+    if value in ("", ".", "..") or Path(value).name != value or set(value) & set("\t\r\n"):
+        raise ValueError(f"bad {what} {value!r}: a name is one path component, "
+                         "not . or .., with no tab or line break")
+    return value
+
+
 def _model_name(args, path: Path) -> str:
-    return args.model_name if args.model_name else path.stem
+    return _file_name(args.model_name or path.stem, "model name")
 
 
 def _read_records(path: Path, what: str) -> list[dict]:
     records = []
     for lineno, rec in read_jsonl(path):
         if rec is None:
-            raise CliError(f"{what} line {lineno}: malformed JSON")
+            raise ValueError(f"{what} line {lineno}: malformed JSON")
         if not isinstance(rec, dict):
-            raise CliError(f"{what} line {lineno}: expected an object")
+            raise ValueError(f"{what} line {lineno}: expected an object")
         records.append(rec)
     if not records:
-        raise CliError(f"{what} is empty: {path}")
+        raise ValueError(f"{what} is empty: {path}")
     return records
 
 
@@ -172,11 +178,11 @@ def cmd_corpus_build(args, cp) -> int:
     if dumps is None:
         raw = cfg_get(cp, "paths", "dumps", None)
         if raw is None:
-            raise CliError("no dump files given (positional args or [paths] dumps)")
+            raise ValueError("no dump files given (positional args or [paths] dumps)")
         dumps = [Path(p) for p in raw.split()]
     for dump in dumps:
         if not dump.is_file():
-            raise CliError(f"dump file not found: {dump}")
+            raise ValueError(f"dump file not found: {dump}")
     out = out_dir_of(args, cp)
     documents, report, skipped = build_corpus(dumps)
     write_corpus(documents, out / "corpus.jsonl")
@@ -223,18 +229,18 @@ def _save_trained(out: Path, name: str, params, config, log, done: str) -> int:
 
 
 def cmd_pretrain(args, cp) -> int:
-    out = out_dir_of(args, cp)
+    out, name = out_dir_of(args, cp), _file_name(args.name, "checkpoint name")
     vocab = _load_vocab(cp, args.vocab)
     texts = _load_texts(cfg_path(cp, "corpus", args.corpus, "corpus file"))
     config = model_config_from(cp, len(vocab.pieces))
     train_config = train_config_from(cp, "train.base", 1e-4, args.seed)
     params = init_params(config, train_config.seed)
     log = train(config, params, texts, vocab, train_config)
-    return _save_trained(out, args.name, params, config, log, "trained")
+    return _save_trained(out, name, params, config, log, "trained")
 
 
 def cmd_dapt(args, cp) -> int:
-    out = out_dir_of(args, cp)
+    out, name = out_dir_of(args, cp), _file_name(args.name, "checkpoint name")
     vocab = _load_vocab(cp, args.vocab)
     domain_texts = _load_texts(cfg_path(cp, "domain_corpus", args.corpus, "domain corpus"))
     base_params, config, _ = _load_model(cp, args.checkpoint, vocab)
@@ -249,22 +255,22 @@ def cmd_dapt(args, cp) -> int:
         base_tokens = corpus_token_count(_load_texts(base_corpus), vocab)
     adapted, log = dapt(config, base_params, domain_texts, vocab, dapt_config,
                         base_config, base_token_count=base_tokens)
-    return _save_trained(out, args.name, adapted, config, log, "adapted for")
+    return _save_trained(out, name, adapted, config, log, "adapted for")
 
 
 def cmd_eval_cluster(args, cp) -> int:
     out = out_dir_of(args, cp)
     vocab = _load_vocab(cp, args.vocab)
     params, config, ckpt = _load_model(cp, args.checkpoint, vocab)
+    name = _model_name(args, ckpt)
     texts = _load_texts(cfg_path(cp, "eval_corpus", args.corpus, "evaluation corpus"))
     k_min = cfg_get(cp, "eval", "k_min", 5, int)
     k_max = cfg_get(cp, "eval", "k_max", 9, int)
     if k_max < k_min:
-        raise CliError(f"bad k range: k_min {k_min} > k_max {k_max}")
+        raise ValueError(f"bad k range: k_min {k_min} > k_max {k_max}")
     seed = args.seed if args.seed is not None else cfg_get(cp, "eval", "seed", 0, int)
     runs = cluster_eval(config, params, vocab, texts,
                         k_values=range(k_min, k_max + 1), seed=seed)
-    name = _model_name(args, ckpt)
     table = render_cluster_report(name, runs)
     atomic_write_text(out / f"cluster_{name}.tsv", table)
     print(table, end="")
@@ -276,6 +282,7 @@ def cmd_eval_similarity(args, cp) -> int:
     out = out_dir_of(args, cp)
     vocab = _load_vocab(cp, args.vocab)
     params, config, ckpt = _load_model(cp, args.checkpoint, vocab)
+    name = _model_name(args, ckpt)
     pairs = load_pairs(cfg_path(cp, "pairs", args.pairs, "word pair file"))
     seed = args.seed if args.seed is not None else cfg_get(cp, "eval", "seed", 0, int)
     if all(pair.label == SIMILAR for pair in pairs):
@@ -285,7 +292,6 @@ def cmd_eval_similarity(args, cp) -> int:
               f"sampled negatives")
     predictor = model_cloze_predictor(config, params, vocab)
     f1, predictions = evaluate_pairs(pairs, predictor)
-    name = _model_name(args, ckpt)
     table = render_similarity_report(name, f1, predictions)
     atomic_write_text(out / f"similarity_{name}.tsv", table)
     print(f"{name}\tf1={f1:.6f}")
@@ -315,7 +321,7 @@ def _cmd_finetune(args, cp, kind: str) -> int:
     else:
         dataset = TaggedTokenDataset.from_records(records, seed=split_seed)
         run, metric = finetune_tag, "span f1"
-    task = args.task if args.task else data_path.stem
+    task = _file_name(args.task or data_path.stem, "task name")
     name = _model_name(args, ckpt)
     report = run(config, params, vocab, dataset, seeds, ft, task=task, model_name=name)
     path = out / f"{kind}_{task}_{name}.tsv"
@@ -331,15 +337,15 @@ def _read_scores(path: Path, what: str) -> dict[str, float]:
             # integers read as floats, so one too large for a float is inf
             data = json.load(handle, parse_int=float)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{what} is not valid JSON: {exc}") from None
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not data:
-        raise CliError(f"{what} must be a non-empty JSON object of task -> score")
+        raise ValueError(f"{what} must be a non-empty JSON object of task -> score")
     scores = {}
     for task, value in data.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CliError(f"{what}: score for task {task!r} is not a number")
+            raise ValueError(f"{what}: score for task {task!r} is not a number")
         if not math.isfinite(value):
-            raise CliError(f"{what}: score for task {task!r} is not a finite number")
+            raise ValueError(f"{what}: score for task {task!r} is not a finite number")
         scores[str(task)] = float(value)
     return scores
 
@@ -396,28 +402,28 @@ def _collect_cells(entries, what: str):
         cells[key] = (display, mean)
         sources[key] = source
     if duplicates:
-        raise CliError("conflicting duplicate rows: " + "; ".join(duplicates))
+        raise ValueError("conflicting duplicate rows: " + "; ".join(duplicates))
     return cells
 
 
 def _cluster_rows(path: Path, table):
     for row in table[1:]:
         if len(row) != 3:
-            raise CliError(f"malformed cluster report {path.name}: {row!r}")
+            raise ValueError(f"malformed cluster report {path.name}: {row!r}")
         model, k, value = row
         yield k, model, value, float(value), path.name
 
 
 def _similarity_rows(path: Path, table):
     if len(table) < 2 or len(table[1]) != 2:
-        raise CliError(f"malformed similarity report {path.name}")
+        raise ValueError(f"malformed similarity report {path.name}")
     model, value = table[1]
     yield "f1", model, value, float(value), path.name
 
 
 def _run_rows(path: Path, table):
     if len(table) < 2 or len(table[1]) < 6:
-        raise CliError(f"malformed run report {path.name}")
+        raise ValueError(f"malformed run report {path.name}")
     task, model, metric, mean, _, formatted = table[1][:6]
     yield f"{task} ({metric})", model, formatted, float(mean), path.name
 
@@ -435,12 +441,12 @@ _REPORT_SECTIONS = (
 def cmd_report(args, cp) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
-        raise CliError(f"run directory not found: {run_dir}")
+        raise ValueError(f"run directory not found: {run_dir}")
     found = [(section, sorted(run_dir.glob(section[0]))) for section in _REPORT_SECTIONS]
     forgetting_file = run_dir / "forgetting.tsv"
     if not (any(files for _, files in found) or forgetting_file.is_file()):
-        raise CliError(f"no result files found in {run_dir} (expected cluster_*.tsv, "
-                       "similarity_*.tsv, classify_*.tsv, tag_*.tsv, forgetting.tsv)")
+        raise ValueError(f"no result files found in {run_dir} (expected cluster_*.tsv, "
+                         "similarity_*.tsv, classify_*.tsv, tag_*.tsv, forgetting.tsv)")
 
     sections: list[str] = []
     for (_, title, row_label, parse_rows, row_key), files in found:
@@ -566,7 +572,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {_single_line(exc)}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {_single_line(exc)}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure

@@ -333,15 +333,15 @@ def _warn_if_degenerate(labels, what):
                       "a decision boundary", stacklevel=3)
 
 
-def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, test):
+def _run_seeds(config, params, vocab, seeds, ft, n_out, train, score, dev, test):
     """The five-seed protocol shared by both tasks; returns score(test) per seed.
 
     Per seed: a fresh linear head of n_out outputs beside ``params``, all
     copied into one ``AdamState``; ``pretrain.fit`` over ft.epochs of
-    ``batch_loss(batch, work, tape, rng)``; and the weights of the epoch whose
+    ``_head_loss`` on the train examples; and the weights of the epoch whose
     first ``score(dev, work)`` entry (an F1) is best, kept as a copy of the
     state's parameters and restored into them. The seed's rng draws the head,
-    then one permutation per epoch, then dropout inside ``batch_loss``.
+    then one permutation per epoch, then dropout inside ``_head_loss``.
     Divergence is re-raised as "seed N: ...".
     """
     total = ft.epochs * math.ceil(len(train) / ft.batch_size)
@@ -364,7 +364,8 @@ def _run_seeds(config, params, seeds, ft, n_out, train, batch_loss, score, dev, 
 
         try:
             fit(state, len(train), ft, rng, schedule,
-                lambda picked, tape: batch_loss([train[i] for i in picked], work, tape, rng),
+                lambda picked, tape: _head_loss([train[i] for i in picked], vocab, config,
+                                                work, tape, rng),
                 keep_if_best)
         except TrainingDiverged as exc:
             raise TrainingDiverged(exc.step, f"seed {seed}: {exc.reason}",
@@ -383,13 +384,11 @@ def _head_logits(examples, vocab, config, work, tape=None, rng=None):
     return matmul(hidden, work["head.w"], tape, bias=work["head.b"])
 
 
-def _head_loss(vocab, config):
-    """The batch_loss of both tasks: mean cross-entropy over every listed position."""
-    def batch_loss(batch, work, tape, rng):
-        gold = np.array([g for _, _, ids in batch for g in ids], dtype=np.int64)
-        return cross_entropy_masked(_head_logits(batch, vocab, config, work, tape, rng),
-                                    gold, tape)
-    return batch_loss
+def _head_loss(examples, vocab, config, work, tape=None, rng=None):
+    """The loss of both tasks: mean cross-entropy over every listed position."""
+    gold = np.array([g for _, _, ids in examples for g in ids], dtype=np.int64)
+    return cross_entropy_masked(_head_logits(examples, vocab, config, work, tape, rng),
+                                gold, tape)
 
 
 def _predict(examples, vocab, config, work, batch_size):
@@ -421,8 +420,8 @@ def finetune_classify(config: ModelConfig, params: dict[str, Tensor], vocab: Voc
         gold = [labels[g] for _, _, (g,) in examples]
         return (classification_f1(pred, gold, labels, dataset.positive_label),)
 
-    scores = _run_seeds(config, params, seeds, ft, len(labels), train,
-                        _head_loss(vocab, config), score, dev, test)
+    scores = _run_seeds(config, params, vocab, seeds, ft, len(labels), train, score,
+                        dev, test)
     return RunReport.from_values(task, model_name, "f1", [s[0] for s in scores])
 
 
@@ -459,8 +458,8 @@ def finetune_tag(config: ModelConfig, params: dict[str, Tensor], vocab: Vocab,
                                               ft.batch_size), gold)]
         return span_f1(pred, gold), token_f1(pred, gold)
 
-    scores = _run_seeds(config, params, seeds, ft, len(tags), train,
-                        _head_loss(vocab, config), score, dev, test)
+    scores = _run_seeds(config, params, vocab, seeds, ft, len(tags), train, score,
+                        dev, test)
     span_scores, token_scores = zip(*scores)
     return RunReport.from_values(task, model_name, "span_f1", span_scores,
                                  secondary_metric="token_f1",

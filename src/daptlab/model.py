@@ -294,27 +294,21 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
         raise ValueError(f"corrupt checkpoint {path}: {config.num_layers} layers and "
                          f"{n_tensors} tensors declared in {len(data)} bytes")
     expected = param_shapes(config)
+    if n_tensors != len(expected):
+        raise ValueError(f"checkpoint {path} declares {n_tensors} tensors, "
+                         f"its config has {len(expected)}")
+    # The records follow param_shapes' order, as save_checkpoint writes them.
     params: dict[str, Tensor] = {}
-    for _ in range(n_tensors):
+    for slot, (want, want_shape) in enumerate(expected.items()):
         (name_len,) = take("<I")
         name = take(f"{name_len}s")[0].decode("utf-8")
         (rank,) = take("<I")
-        if rank > 8:
-            raise ValueError(f"implausible rank {rank} for tensor {name!r}")
         shape = take(f"<{rank}I")
-        if name not in expected:
-            raise ValueError(f"unexpected tensor {name!r} in checkpoint")
-        if name in params:
-            raise ValueError(f"duplicate tensor {name!r} in checkpoint")
-        if shape != expected[name]:
-            raise ValueError(f"tensor {name!r} has shape {shape}, expected "
-                             f"{expected[name]}")
+        if (name, shape) != (want, want_shape):
+            raise ValueError(f"tensor {slot} of checkpoint {path} is {name!r} of shape "
+                             f"{shape}, expected {want!r} of shape {want_shape}")
         (raw,) = take(f"{4 * math.prod(shape)}s")
         params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-    missing = sorted(set(expected) - set(params))
-    if missing:
-        raise ValueError(f"checkpoint is missing tensors: {missing}")
     if off != len(data):
         raise ValueError(f"trailing bytes in checkpoint {path}")
-    # Restore canonical ordering so re-saving is byte-identical.
-    return {name: params[name] for name in expected}, config
+    return params, config

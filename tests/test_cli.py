@@ -5,6 +5,7 @@ model, then individual tests inspect artifacts, exit codes, and determinism.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -756,3 +757,144 @@ class TestDaptCorpusGuard:
         assert cli.main(argv) == 1
         assert "must be smaller than the base corpus" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputNames:
+    """A name that becomes part of an output file name is one path component,
+    not . or .., with no tab or line break; a bad one exits 1 before the stage
+    trains or evaluates, and writes nothing."""
+
+    WHAT = {"--name": "checkpoint name", "--model-name": "model name", "--task": "task name"}
+
+    @staticmethod
+    def argv(command, root, run, out):
+        if command in ("pretrain", "dapt", "finetune-classify", "finetune-tag"):
+            return TestErrorHandling.training_argv(command, root, run, out)
+        shared = ["--checkpoint", str(run / "base.ckpt"), "--vocab", str(run / "vocab.txt"),
+                  "--out", str(out)]
+        return {
+            "eval-cluster": ["eval-cluster", "--corpus", str(run / "corpus.jsonl"),
+                             "--set", "eval.k_min=2", "--set", "eval.k_max=2"] + shared,
+            "eval-similarity": ["eval-similarity", "--pairs", str(root / "pairs.jsonl")] +
+                               shared,
+        }[command]
+
+    def assert_refused(self, argv, capsys, tmp_path, what, value, inputs=()):
+        """argv exits 1 on ``value`` and leaves tmp_path holding only ``inputs``."""
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad {what} {value!r}: a name is one path component, "
+            "not . or .., with no tab or line break\n")
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("pretrain", "--name", "../escaped"),
+        ("pretrain", "--name", ""),
+        ("dapt", "--name", "a/b"),
+        ("eval-similarity", "--model-name", "a/b"),
+        ("eval-cluster", "--model-name", "t\tab"),
+        ("finetune-classify", "--task", ".."),
+        ("finetune-classify", "--model-name", "a\rb"),
+        ("finetune-tag", "--task", "."),
+        ("finetune-tag", "--model-name", "a\nb"),
+    ])
+    def test_bad_flag_value(self, pipeline, capsys, tmp_path, command, flag, value):
+        # the output directory is a child of tmp_path, so a name that climbs
+        # out of it would show there too
+        root, run = pipeline
+        argv = self.argv(command, root, run, tmp_path / "out") + [flag, value]
+        self.assert_refused(argv, capsys, tmp_path, self.WHAT[flag], value)
+
+    @pytest.mark.parametrize("command,flag,source,stem,what", [
+        ("eval-similarity", "--checkpoint", "run/base.ckpt", "t\tab", "model name"),
+        ("finetune-classify", "--data", "classify.jsonl", "c\nd", "task name"),
+    ])
+    def test_bad_default_stem(self, pipeline, capsys, tmp_path, command, flag, source,
+                              stem, what):
+        # the flag names an input whose stem is the default name
+        root, run = pipeline
+        given = tmp_path / (stem + Path(source).suffix)
+        given.write_bytes((root / source).read_bytes())
+        argv = self.argv(command, root, run, tmp_path / "out")
+        argv[argv.index(flag) + 1] = str(given)
+        self.assert_refused(argv, capsys, tmp_path, what, stem, inputs=[given])
+
+
+class TestInputErrors:
+    """Input problems the pipeline run never meets: each exits 1 with its message."""
+
+    def test_input_not_configured(self, capsys, tmp_path):
+        assert cli.main(["corpus-stats", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: corpus file not configured (set [paths] corpus or pass the flag)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,message", [
+        ("{not json\n", "classification data line 1: malformed JSON"),
+        ('{"text": "a b", "label": "x"}\n[1, 2]\n',
+         "classification data line 2: expected an object"),
+        ("\n  \n", "classification data is empty: {path}"),
+    ], ids=["malformed", "not-an-object", "blank"])
+    def test_finetune_data_file(self, pipeline, capsys, tmp_path, text, message):
+        _, run = pipeline
+        data = tmp_path / "data.jsonl"
+        data.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["finetune-classify", "--data", str(data),
+                         "--checkpoint", str(run / "base.ckpt"),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=data)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["[0.5]", "{}"])
+    def test_score_file_not_an_object(self, pipeline, capsys, tmp_path, raw):
+        root, _ = pipeline
+        base = tmp_path / "base.json"
+        base.write_text(raw)
+        out = tmp_path / "out"
+        assert cli.main(["forgetting", "--base", str(base),
+                         "--adapted", str(root / "adapted_scores.json"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: base score file must be a non-empty JSON object of task -> score\n")
+        assert not out.exists()
+
+    def test_dumps_from_config(self, capsys, tmp_path):
+        dumps = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        write_jsonl(dumps[0], [{"id": "n0", "source": "nvd", "text": "a b"}])
+        write_jsonl(dumps[1], [{"id": "n1", "source": "nvd", "text": "c d"},
+                               {"id": "n2", "source": "nvd", "text": "e f"}])
+        ini = tmp_path / "dumps.ini"
+        ini.write_text(f"[paths]\ndumps = {dumps[0]} {dumps[1]}\n"
+                       f"out = {tmp_path / 'out'}\n")
+        assert cli.main(["corpus-build", "--config", str(ini)]) == 0
+        assert "kept 3 documents (0 dropped, 0 skipped lines)" in capsys.readouterr().out
+        ids = [json.loads(line)["id"]
+               for line in (tmp_path / "out" / "corpus.jsonl").read_text().splitlines()]
+        assert ids == ["n0", "n1", "n2"]
+
+    def test_blank_lines_read_as_nothing(self, pipeline, capsys, tmp_path):
+        # blank lines in a JSONL corpus are skipped, and blank lines at the
+        # end of a vocab file are not pieces
+        _, run = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n \n".join((run / "corpus.jsonl").read_text().splitlines()),
+                          encoding="utf-8")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((run / "vocab.txt").read_text() + "\n\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["corpus-stats", "--corpus", str(corpus), "--vocab", str(vocab),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "corpus_stats.tsv").read_bytes() == \
+            (run / "corpus_stats.tsv").read_bytes()
+
+    def test_unexpected_failure_exits_two(self, monkeypatch, capsys, tmp_path):
+        def broken(args, cp):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_COMMANDS", tuple(
+            (name, broken if name == "report" else func, help_text, flags)
+            for name, func, help_text, flags in cli._COMMANDS))
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unexpected failure: RuntimeError('boom')\n"

@@ -454,7 +454,7 @@ class TestProtocolChecks:
 class TestSeedProtocol:
     """The per-seed loop of ``_run_seeds``: which training items each step sees
     (head, then one permutation per epoch, then the dropout draws inside
-    ``batch_loss``, all from the seed's rng) and the dev-best selection."""
+    ``_head_loss``, all from the seed's rng) and the dev-best selection."""
 
     # Recorded before _run_seeds trained through pretrain.fit; integers, so
     # the record holds on every platform.
@@ -469,33 +469,34 @@ class TestSeedProtocol:
                          max_seq=8)
 
     @classmethod
-    def head_loss(cls, batch, work, tape, rng):
+    def head_loss(cls, batch, vocab, config, work, tape, rng):
         # stands in for the encoder: consumes the rng as dropout would
         x = Tensor(rng.standard_normal((len(batch), cls.CONFIG.hidden), dtype=np.float32))
         logits = matmul(x, work["head.w"], tape, bias=work["head.b"])
         return cross_entropy_masked(logits, np.array(batch) % 2, tape)
 
-    def test_batches_and_dev_best_weights_pinned(self):
+    def test_batches_and_dev_best_weights_pinned(self, monkeypatch):
         params = {"w": Tensor(np.ones(3, dtype=np.float32))}
         ft = FinetuneConfig(lr=1e-2, epochs=3, batch_size=3)
         batches, weights, buffers, dev_f1 = [], [], [], []
 
-        def batch_loss(batch, work, tape, rng):
+        def batch_loss(batch, *args):
             batches.append([int(i) for i in batch])
-            return self.head_loss(batch, work, tape, rng)
+            return self.head_loss(batch, *args)
 
         def score(items, work):
             weights.append({k: t.data.copy() for k, t in work.items()})
             buffers.append(work["head.w"].data.base)
             return (dev_f1.pop(0) if items == "dev" else 0.0,)
 
+        monkeypatch.setattr(finetune, "_head_loss", batch_loss)
         for seed, want in self.BATCHES.items():
             batches.clear()
             weights.clear()
             buffers.clear()
             dev_f1[:] = [0.2, 0.9, 0.5]
-            finetune._run_seeds(self.CONFIG, params, [seed], ft, 2, list(range(7)),
-                                batch_loss, score, "dev", "test")
+            finetune._run_seeds(self.CONFIG, params, None, [seed], ft, 2, list(range(7)),
+                                score, "dev", "test")
             assert batches == want
             assert len(weights) == 4 and dev_f1 == []
             epoch2, epoch3, tested = weights[1], weights[2], weights[3]
@@ -519,11 +520,12 @@ class TestSeedProtocol:
 
         def run_lrs(ft, n_train):
             lrs.clear()
-            finetune._run_seeds(self.CONFIG, params, [0], ft, 2, list(range(n_train)),
-                                self.head_loss, lambda items, work: (0.5,), "dev", "test")
+            finetune._run_seeds(self.CONFIG, params, None, [0], ft, 2, list(range(n_train)),
+                                lambda items, work: (0.5,), "dev", "test")
             return list(lrs)
 
         monkeypatch.setattr(pretrain, "adam_step", recording_step)
+        monkeypatch.setattr(finetune, "_head_loss", self.head_loss)
         one_step = FinetuneConfig(lr=1e-2, epochs=1, batch_size=3)
         assert run_lrs(one_step, 3) == [one_step.lr]
         ten_steps = FinetuneConfig(lr=1e-2, epochs=2, batch_size=2)
@@ -616,8 +618,8 @@ class TestListedPositionsOnly:
                 ("classify", self.classified(classify_setup[2])),
                 ("tag", self.tagged(tag_setup[2]))):
             results = []
-            for loss_fn in (lambda tape: finetune._head_loss(vocab, config)(
-                                examples, work, tape, None),
+            for loss_fn in (lambda tape: finetune._head_loss(examples, vocab, config, work,
+                                                             tape),
                             oracle):
                 for t in work.values():
                     t.grad = None
@@ -639,5 +641,5 @@ class TestListedPositionsOnly:
                                                   self.tagged(tag_setup[2])):
             checked = [work[name] for name in ("head.w", "head.b", "layer1.attn.wo",
                                                "layer1.ffn.w2", "layer0.attn.wq")]
-            grad_check(checked, lambda tape: finetune._head_loss(vocab, config)(
-                examples, work, tape, None))
+            grad_check(checked, lambda tape: finetune._head_loss(examples, vocab, config,
+                                                                 work, tape))

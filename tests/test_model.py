@@ -579,7 +579,9 @@ class TestCheckpoint:
         partial = {k: v for k, v in params.items() if k != "mlm.bias"}
         path = tmp_path / "m.ckpt"
         save_checkpoint(partial, config, path)
-        with pytest.raises(ValueError, match="missing"):
+        message = (f"checkpoint {path} declares {len(partial)} tensors, "
+                   f"its config has {len(params)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_unexpected_tensor(self, tiny, tmp_path):
@@ -589,12 +591,15 @@ class TestCheckpoint:
         extra["rogue"] = Tensor(np.zeros(3, dtype=np.float32))
         path = tmp_path / "m.ckpt"
         save_checkpoint(extra, config, path)
-        with pytest.raises(ValueError, match="unexpected"):
+        message = (f"checkpoint {path} declares {len(extra)} tensors, "
+                   f"its config has {len(params)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
-    # Fault injection: each corrupt file gets its own message. The header is
-    # magic (8 bytes), version, seven uint32 config fields, float64 dropout and
-    # the tensor count (52 bytes); the first tensor record follows it.
+    # Fault injection: each corrupt file is rejected with a message that names
+    # what it holds. The header is magic (8 bytes), version, seven uint32
+    # config fields, float64 dropout and the tensor count (52 bytes); the
+    # tensor records follow it in param_shapes' order.
     HEADER = 52
 
     def saved(self, tiny, tmp_path):
@@ -603,14 +608,14 @@ class TestCheckpoint:
         save_checkpoint(params, config, path)
         return path.read_bytes()
 
-    def first_record(self, blob):
-        """(offset of its rank field, end offset, name) of the first tensor."""
-        (name_len,) = struct.unpack_from("<I", blob, self.HEADER)
-        rank_at = self.HEADER + 4 + name_len
+    def record(self, blob, start):
+        """(offset of its rank field, end offset, name) of the record at start."""
+        (name_len,) = struct.unpack_from("<I", blob, start)
+        rank_at = start + 4 + name_len
         (rank,) = struct.unpack_from("<I", blob, rank_at)
         shape = struct.unpack_from(f"<{rank}I", blob, rank_at + 4)
         end = rank_at + 4 + 4 * rank + 4 * math.prod(shape)
-        return rank_at, end, blob[self.HEADER + 4:rank_at].decode()
+        return rank_at, end, blob[start + 4:rank_at].decode()
 
     def load_bytes(self, tmp_path, blob):
         path = tmp_path / "bad.ckpt"
@@ -624,19 +629,43 @@ class TestCheckpoint:
             self.load_bytes(tmp_path, blob)
 
     def test_implausible_rank(self, tiny, tmp_path):
+        # the rank is not bounded on its own: nine dimensions are read, and the
+        # first slot's shape does not match them
+        config, _ = tiny
         blob = self.saved(tiny, tmp_path)
-        rank_at, _, name = self.first_record(blob)
+        rank_at, _, name = self.record(blob, self.HEADER)
         blob = blob[:rank_at] + struct.pack("<I", 9) + blob[rank_at + 4:]
-        with pytest.raises(ValueError, match=f"^implausible rank 9 for tensor '{name}'$"):
+        read = struct.unpack_from("<9I", blob, rank_at + 4)
+        message = (f"tensor 0 of checkpoint {tmp_path / 'bad.ckpt'} is {name!r} of shape "
+                   f"{read}, expected {name!r} of shape {param_shapes(config)[name]}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.load_bytes(tmp_path, blob)
 
     def test_duplicate_tensor(self, tiny, tmp_path):
+        _, params = tiny
         blob = self.saved(tiny, tmp_path)
-        _, end, name = self.first_record(blob)
+        _, end, _ = self.record(blob, self.HEADER)
         (count,) = struct.unpack_from("<I", blob, self.HEADER - 4)
         blob = (blob[:self.HEADER - 4] + struct.pack("<I", count + 1) +
                 blob[self.HEADER:end] + blob[self.HEADER:end] + blob[end:])
-        with pytest.raises(ValueError, match=f"^duplicate tensor '{name}' in checkpoint$"):
+        message = (f"checkpoint {tmp_path / 'bad.ckpt'} declares {len(params) + 1} "
+                   f"tensors, its config has {len(params)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.load_bytes(tmp_path, blob)
+
+    def test_swapped_records(self, tiny, tmp_path):
+        # every record is whole and the count is right, but the first two
+        # trade places: the records must follow the config's order
+        config, _ = tiny
+        blob = self.saved(tiny, tmp_path)
+        _, first_end, first = self.record(blob, self.HEADER)
+        _, second_end, second = self.record(blob, first_end)
+        blob = (blob[:self.HEADER] + blob[first_end:second_end] +
+                blob[self.HEADER:first_end] + blob[second_end:])
+        shapes = param_shapes(config)
+        message = (f"tensor 0 of checkpoint {tmp_path / 'bad.ckpt'} is {second!r} of "
+                   f"shape {shapes[second]}, expected {first!r} of shape {shapes[first]}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.load_bytes(tmp_path, blob)
 
     def test_shape_mismatch(self, tiny, tmp_path):
@@ -645,8 +674,9 @@ class TestCheckpoint:
         bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size + 1, dtype=np.float32))
         path = tmp_path / "m.ckpt"
         save_checkpoint(bad, config, path)
-        message = (f"tensor 'mlm.bias' has shape ({config.vocab_size + 1},), "
-                   f"expected ({config.vocab_size},)")
+        message = (f"tensor {len(params) - 1} of checkpoint {path} is 'mlm.bias' of shape "
+                   f"({config.vocab_size + 1},), expected 'mlm.bias' of shape "
+                   f"({config.vocab_size},)")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 

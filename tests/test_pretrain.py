@@ -609,8 +609,7 @@ class TestLabelledRowsOnly:
             ids, mask, rows, targets = pretrain._batch_arrays(
                 batch, [maskable_positions(e, vocab) for e in batch], vocab,
                 MaskingPolicy(), rng)
-            if not rows.size:
-                continue
+            assert rows.size
             nll += float(full_decode_loss(config, params, ids, mask, rows,
                                           targets).data) * rows.size
             count += rows.size
