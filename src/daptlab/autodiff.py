@@ -30,6 +30,17 @@ keeps one past its step. A training step thus hands no activation storage
 back to the allocator, which would trim the heap and fault it back in on the
 next step. Untaped calls allocate fresh arrays.
 
+``gelu``, ``layer_norm`` and ``softmax`` take ``out=``, a C-contiguous
+writable array of the result's shape and dtype to write the result into, in
+place of a new one; anything else raises ValueError. It may be the input's own
+buffer, as each reads its input before it writes. Pass that only when nothing
+reads the input's values afterwards: no closure reads its op's output, only
+the op's inputs and what it keeps. ``model`` passes it at each such call. So
+a training step keeps what its closures read (each matmul's inputs, softmax's
+probabilities, layer norm's normalised values and row statistics, gelu's
+slope, dropout's factor) but no attention score, no w1 output before gelu and
+no sublayer output before its norm: each result lives in its input's buffer.
+
 Every axis sum an op takes is one BLAS GEMV with a ones vector: ``_row_sum``
 over the last axis, ``_lead_sum`` over the leading ones (so every bias
 gradient). Their bits, like a matmul's, depend on the BLAS kernel.
@@ -126,6 +137,18 @@ class Tape:
 def _empty(tape: Tape | None, shape: tuple[int, ...], dtype) -> np.ndarray:
     """Room for an op's output or kept value: from ``tape`` when there is one."""
     return np.empty(shape, dtype) if tape is None else tape.empty(shape, dtype)
+
+
+def _out(tape: Tape | None, out: np.ndarray | None, shape: tuple[int, ...],
+         dtype) -> np.ndarray:
+    """Room for an op's result: the caller's ``out``, checked, else ``_empty``'s."""
+    if out is None:
+        return _empty(tape, shape, dtype)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a C-contiguous writable {np.dtype(dtype)} array "
+                         f"of shape {shape}")
+    return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -394,8 +417,8 @@ def select_position(a: Tensor, pos: int, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, tape: Tape | None = None, *,
-            scale: float | None = None, bias: np.ndarray | None = None) -> Tensor:
+def softmax(a: Tensor, tape: Tape | None = None, *, scale: float | None = None,
+            bias: np.ndarray | None = None, out: np.ndarray | None = None) -> Tensor:
     """Numerically stable softmax of ``a * scale + bias`` over the last axis.
 
     ``scale`` is a python scalar and ``bias`` a constant array broadcast onto
@@ -407,7 +430,7 @@ def softmax(a: Tensor, tape: Tape | None = None, *,
     # Every step runs in p's own buffer: the same ufuncs on the same values,
     # so the bits of the step-by-step formula, with no array-sized temporary.
     x = a.data
-    p = _empty(tape, x.shape, x.dtype if bias is None else np.result_type(x, bias))
+    p = _out(tape, out, x.shape, x.dtype if bias is None else np.result_type(x, bias))
     if scale is not None:
         x = np.multiply(x, x.dtype.type(scale), out=p)
     if bias is not None:
@@ -436,7 +459,7 @@ def softmax(a: Tensor, tape: Tape | None = None, *,
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None, *,
-               residual: Tensor | None = None) -> Tensor:
+               residual: Tensor | None = None, out: np.ndarray | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     With ``residual`` (either may broadcast), normalizes ``a + residual``, a
@@ -452,10 +475,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
                          f"got {gamma.shape} and {beta.shape}")
     # The sum, the centred values and their squares are formed in the buffers
     # of xhat and of the output: the same ufuncs on the same values, so the
-    # bits of the step-by-step formula, with no array-sized temporary.
+    # bits of the step-by-step formula, with no array-sized temporary. a is
+    # last read before the output's buffer is first written, so out may be a's.
     dtype = a.data.dtype if residual is None else np.result_type(a.data, residual.data)
     xhat = _empty(tape, shape, dtype)
-    y = _empty(tape, shape, np.result_type(xhat, gamma.data, beta.data))
+    y = _out(tape, out, shape, np.result_type(xhat, gamma.data, beta.data))
     x = a.data if residual is None else np.add(a.data, residual.data, out=xhat)
     mu = _row_sum(x, _empty(tape, shape[:-1], dtype))
     mu /= h
@@ -573,17 +597,18 @@ def erf(x) -> np.ndarray:
 _GELU_BLOCK = 32768
 
 
-def gelu(a: Tensor, tape: Tape | None = None) -> Tensor:
+def gelu(a: Tensor, tape: Tape | None = None, *, out: np.ndarray | None = None) -> Tensor:
     """GELU with erf: 0.5 * x * (1 + erf(x / sqrt(2))), erf as in ``erf``.
 
     Evaluated on flat blocks of ``_GELU_BLOCK`` elements, so that erf's
     two dozen passes and their temporaries stay in cache instead of
     streaming (and freshly faulting) array-sized buffers. With a tape the
     same pass also forms the backward slope ``cdf + x * pdf``, which the
-    closure keeps; every value has the bits of the unblocked formula.
+    closure keeps, before each block's value, so ``out`` may be ``a``'s
+    buffer; every value has the bits of the unblocked formula.
     """
     x = a.data.reshape(-1)
-    y = _empty(tape, a.data.shape, a.data.dtype)
+    y = _out(tape, out, a.data.shape, a.data.dtype)
     slope = None if tape is None else tape.empty(a.data.shape, a.data.dtype)
     for lo in range(0, x.size, _GELU_BLOCK):
         hi = lo + _GELU_BLOCK
@@ -591,14 +616,14 @@ def gelu(a: Tensor, tape: Tape | None = None) -> Tensor:
         cdf = erf(xb / math.sqrt(2.0))
         cdf += 1.0
         cdf *= 0.5
-        np.multiply(xb, cdf, out=y.reshape(-1)[lo:hi])
-        if slope is not None:
+        if slope is not None:  # before the value, which may overwrite xb
             pdf = -0.5 * xb
             pdf *= xb
             np.exp(pdf, out=pdf)
             pdf /= xb.dtype.type(math.sqrt(2.0 * math.pi))
             pdf *= xb
             np.add(cdf, pdf, out=slope.reshape(-1)[lo:hi])
+        np.multiply(xb, cdf, out=y.reshape(-1)[lo:hi])
     out = Tensor(y)
     if tape is not None:
         def bwd(g):

@@ -322,6 +322,9 @@ def _cmd_finetune(args, cp, kind: str) -> int:
         dataset = TaggedTokenDataset.from_records(records, seed=split_seed)
         run, metric = finetune_tag, "span f1"
     task = _file_name(args.task or data_path.stem, "task name")
+    if "_" in task:  # else (a_b, c) and (a, b_c) would write one file
+        raise ValueError(f"bad task name {task!r}: a task name has no '_', as '_' "
+                         f"ends it in the result file {kind}_<task>_<model>.tsv")
     name = _model_name(args, ckpt)
     report = run(config, params, vocab, dataset, seeds, ft, task=task, model_name=name)
     path = out / f"{kind}_{task}_{name}.tsv"

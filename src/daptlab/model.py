@@ -181,8 +181,10 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
     x = add(x, gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
     # every position is segment 0: that one row is the layer norm's broadcast residual
     segment = gather_rows(params["emb.segment"], np.zeros(1, dtype=np.int64), tape)
+    # Each softmax, gelu and layer norm below writes over the input it consumes
+    # (autodiff's out=): no backward reads a sublayer's output, only its inputs.
     x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"], tape=tape,
-                   residual=segment)
+                   residual=segment, out=x.data)
     x = drop(x)
     hidden = [x]
 
@@ -198,19 +200,20 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         # [B, S, H]; k is copied to [B, heads, dh, S], so every GEMM keeps the
         # transposition flags (and the bits) of copying all three
         kt = transpose(reshape(k, (batch, seq, heads, dh), tape), (0, 2, 3, 1), tape)
-        probs = drop(softmax(matmul(q, kt, tape, heads=heads), tape,
-                             scale=1.0 / np.sqrt(dh), bias=key_bias))
+        scores = matmul(q, kt, tape, heads=heads)
+        probs = drop(softmax(scores, tape, scale=1.0 / np.sqrt(dh), bias=key_bias,
+                             out=scores.data))
         ctx = matmul(probs, v, tape, heads=heads)
         if rows is not None and i == config.num_layers - 1:
             ctx, x = gather_rows(ctx, rows, tape), gather_rows(x, rows, tape)
         attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))
         x = layer_norm(attn, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"],
-                       tape=tape, residual=x)
-        inner = gelu(matmul(x, params[f"{p}.ffn.w1"], tape, bias=params[f"{p}.ffn.b1"]),
-                     tape)
+                       tape=tape, residual=x, out=attn.data)
+        inner = matmul(x, params[f"{p}.ffn.w1"], tape, bias=params[f"{p}.ffn.b1"])
+        inner = gelu(inner, tape, out=inner.data)
         out = drop(matmul(inner, params[f"{p}.ffn.w2"], tape, bias=params[f"{p}.ffn.b2"]))
         x = layer_norm(out, params[f"{p}.ffn.ln.gamma"], params[f"{p}.ffn.ln.beta"],
-                       tape=tape, residual=x)
+                       tape=tape, residual=x, out=out.data)
         hidden.append(x)
     return hidden
 
@@ -218,9 +221,9 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
 def mlm_logits(last_hidden: Tensor, params: dict[str, Tensor],
                tape: Tape | None = None) -> Tensor:
     """Transform + layer norm, then decode against the tied embedding table."""
-    t = gelu(matmul(last_hidden, params["mlm.dense.w"], tape, bias=params["mlm.dense.b"]),
-             tape)
-    t = layer_norm(t, params["mlm.ln.gamma"], params["mlm.ln.beta"], tape=tape)
+    t = matmul(last_hidden, params["mlm.dense.w"], tape, bias=params["mlm.dense.b"])
+    t = gelu(t, tape, out=t.data)  # over the dense output, then the norm over gelu's
+    t = layer_norm(t, params["mlm.ln.gamma"], params["mlm.ln.beta"], tape=tape, out=t.data)
     decoder = transpose(params["emb.word"], (1, 0), tape)
     return matmul(t, decoder, tape, bias=params["mlm.bias"])
 

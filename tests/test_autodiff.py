@@ -522,6 +522,68 @@ class TestFusedEpilogues:
             matmul(t64((3, 4), 0), t64((4, 5), 1), bias=t64((1, 5), 2))
 
 
+def assert_same_bits_written_over(op, a, leaves, weights):
+    """``op(a, tape, out=)`` written over its input's own buffer has the
+    bits of a fresh output, taped (value and every gradient) and untaped. A
+    taped copy of ``a`` stands in for the sublayer output the op consumes."""
+    def over(tape):
+        copy = transpose(a, tuple(range(a.data.ndim)), tape)
+        got = op(copy, tape, out=copy.data)
+        assert got.data is copy.data
+        return got
+
+    assert_same_bits(lambda tape: op(a, tape), over, [a, *leaves], weights)
+    assert np.array_equal(over(None).data, op(a, None).data)
+
+
+class TestOutWrittenOverInput:
+    """gelu, layer_norm and softmax take out= and may write over their input."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_softmax_scale_and_mask(self, geometry):
+        batch, seq, h, heads, _ = GEOMETRIES[geometry]
+        scores = t32((batch, heads, seq, seq), 0)
+        mask_bias = key_bias(np.random.default_rng(1).integers(1, seq + 1, batch), seq,
+                             np.float32)
+        c = 1.0 / np.sqrt(h // heads)
+        assert_same_bits_written_over(
+            lambda a, tape, out=None: softmax(a, tape, scale=c, bias=mask_bias, out=out),
+            scores, [], t32(scores.shape, 2))
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("residual", [None, "same", "row"])
+    def test_layer_norm(self, geometry, residual):
+        batch, seq, h, _, _ = GEOMETRIES[geometry]
+        sub, gamma, beta = t32((batch, seq, h), 0), t32((h,), 2), t32((h,), 3)
+        r = {None: None, "same": t32((batch, seq, h), 1), "row": t32((1, h), 1)}[residual]
+        assert_same_bits_written_over(
+            lambda a, tape, out=None: layer_norm(a, gamma, beta, tape=tape, residual=r,
+                                                 out=out),
+            sub, [gamma, beta] + ([] if r is None else [r]), t32((batch, seq, h), 4))
+
+    def test_desk_shaped_gelu_value_and_slope(self):
+        batch, seq, _, _, ffn = GEOMETRIES["desk"]
+        x = Tensor((np.random.default_rng(5).standard_normal((batch, seq, ffn)) * 3.0)
+                   .astype(np.float32))
+        # unit weights: the input's gradient is the slope itself
+        assert_same_bits_written_over(gelu, x, [], Tensor(np.ones(x.shape, np.float32)))
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only", "list"])
+    def test_out_of_another_kind_raises(self, bad):
+        x, gamma, beta = t32((3, 4, 8), 0), t32((8,), 1), t32((8,), 2)
+        out = {"shape": np.empty((3, 4, 9), np.float32),
+               "dtype": np.empty((3, 4, 8), np.float64),
+               "strided": np.empty((3, 4, 16), np.float32)[..., ::2],
+               "read-only": np.frombuffer(bytes(4 * 96), np.float32).reshape(3, 4, 8),
+               "list": np.zeros((3, 4, 8), np.float32).tolist()}[bad]
+        for op in (lambda tape: gelu(x, tape, out=out),
+                   lambda tape: layer_norm(x, gamma, beta, tape=tape, out=out),
+                   lambda tape: softmax(x, tape, scale=0.5, out=out)):
+            for tape in (None, Tape()):
+                with pytest.raises(ValueError, match="out must be"):
+                    op(tape)
+
+
 def split_heads(x, heads, axes, tape):
     """[B, S, heads·d] to per-head layout by the reshape and transpose copy
     that matmul(heads=) does without."""

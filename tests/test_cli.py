@@ -583,8 +583,8 @@ class TestErrorHandling:
         root, run = pipeline
         real_gelu = model.gelu
 
-        def poisoned_gelu(a, tape=None):
-            out = real_gelu(a, tape)
+        def poisoned_gelu(a, tape=None, **kwargs):
+            out = real_gelu(a, tape, **kwargs)
             if tape is not None:
                 def poison():
                     if out.grad is not None:
@@ -818,6 +818,28 @@ class TestOutputNames:
         argv = self.argv(command, root, run, tmp_path / "out")
         argv[argv.index(flag) + 1] = str(given)
         self.assert_refused(argv, capsys, tmp_path, what, stem, inputs=[given])
+
+    def test_task_name_has_no_underscore(self, pipeline, capsys, tmp_path):
+        # <kind>_<task>_<model>.tsv: (a_b, c) and (a, b_c) would share one
+        # file, so a task name has no '_' while a model name may
+        root, run = pipeline
+        kept = tmp_path / "kept"
+        argv = self.argv("finetune-classify", root, run, kept)
+        assert cli.main(argv + ["--task", "a", "--model-name", "b_c"]) == 0
+        assert [path.name for path in kept.iterdir()] == ["classify_a_b_c.tsv"]
+        capsys.readouterr()
+        given = tmp_path / "a_b.jsonl"
+        given.write_bytes((root / "classify.jsonl").read_bytes())
+        by_stem = self.argv("finetune-classify", root, run, tmp_path / "out")
+        by_stem[by_stem.index("--data") + 1] = str(given)
+        by_flag = self.argv("finetune-classify", root, run, tmp_path / "out") + [
+            "--task", "a_b"]
+        for argv in (by_flag, by_stem):
+            assert cli.main(argv + ["--model-name", "c"]) == 1
+            assert capsys.readouterr().err == (
+                "error: bad task name 'a_b': a task name has no '_', as '_' ends it in "
+                "the result file classify_<task>_<model>.tsv\n")
+            assert sorted(tmp_path.iterdir()) == [given, kept]
 
 
 class TestInputErrors:

@@ -457,6 +457,23 @@ class TestMlmStep:
             assert np.array_equal(t.grad, want_grads[name]), name
         assert all(t.grad is None for t in created)
 
+    def test_step_tape_holds_no_consumed_sublayer_output(self):
+        # the step train() takes at desk geometry, dropout on: every softmax,
+        # gelu and layer norm writes over its input, so none asks the tape for
+        # its output
+        config = ModelConfig.desk(vocab_size=40, max_seq=12, dropout=0.1)
+        ids, mask, keep = self.batch(config, 2)
+        tape = Tape()
+        fused_mlm_loss(ids, mask, keep, config, init_params(config, 0), tape,
+                       np.random.default_rng(3))
+        # embeddings: 3 gathers, their sum, the norm's xhat and 2 row
+        # statistics, dropout's factor and output (9). A layer: q, k, k's head
+        # copy, v, the scores, softmax's 3 scratch arrays, the context, the wo,
+        # w1 and w2 outputs, gelu's slope, 3 per norm and 2 per dropout (25).
+        # The pruned rows: 2 gathers. The head: the dense output, gelu's slope,
+        # the norm's 3, the decoder's transpose, the logits (7). The loss: 2.
+        assert len(tape._buffers) == 9 + config.num_layers * 25 + 2 + 7 + 2
+
     def test_tied_embedding_gets_gather_and_decoder_paths(self):
         config = tiny_config(vocab_size=20, max_seq=12)
         ids, mask, keep = self.batch(config, 1)
