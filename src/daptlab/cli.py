@@ -19,26 +19,45 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .corpus import build_corpus, compute_stats, read_corpus, write_corpus
-from .evaluate import (SIMILAR, build_pairs, cluster_eval, evaluate_pairs,
-                       forgetting_report, load_pairs, model_cloze_predictor,
-                       render_cluster_report, render_similarity_report)
 from .fileio import atomic_write_text, read_jsonl
-from .finetune import (FinetuneConfig, LabeledTextDataset, TaggedTokenDataset,
-                       finetune_classify, finetune_tag)
-from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .pretrain import (TrainConfig, TrainingDiverged, corpus_token_count,
-                       dapt, train)
 from .tokenizer import Vocab, train_vocab
+
+# The names the commands read from modules that load numpy, by home module.
+# The first read of one, ``_cli.train``, imports its home (``__getattr__``)
+# and keeps the name here, so a stage loads numpy only if its command
+# computes with it, and a name rebound on this module is the one called.
+_LAZY = {name: home for home, names in (
+    ("numpy", ("np",)),
+    (".evaluate", ("SIMILAR", "build_pairs", "cluster_eval", "evaluate_pairs", "load_pairs",
+                   "model_cloze_predictor", "render_cluster_report",
+                   "render_similarity_report")),
+    (".finetune", ("FinetuneConfig", "LabeledTextDataset", "TaggedTokenDataset",
+                   "finetune_classify", "finetune_tag")),
+    (".model", ("ModelConfig", "init_params", "load_checkpoint", "save_checkpoint")),
+    (".pretrain", ("TrainConfig", "corpus_token_count", "dapt", "train")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(home, __package__)
+    value = module if name == "np" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]  # this module, also when run as __main__
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +137,12 @@ def _from_ini(cp, section: str, keys, base, **given):
 
 
 def model_config_from(cp, vocab_size: int) -> ModelConfig:
-    return _from_ini(cp, "model", _MODEL_KEYS, ModelConfig.desk(vocab_size))
+    return _from_ini(cp, "model", _MODEL_KEYS, _cli.ModelConfig.desk(vocab_size))
 
 
 def train_config_from(cp, section: str, default_lr: float, seed_override) -> TrainConfig:
     given = {} if seed_override is None else {"seed": seed_override}
-    return _from_ini(cp, section, _TRAIN_KEYS, TrainConfig(peak_lr=default_lr), **given)
+    return _from_ini(cp, section, _TRAIN_KEYS, _cli.TrainConfig(peak_lr=default_lr), **given)
 
 
 def _load_texts(path: Path) -> list[str]:
@@ -136,7 +155,7 @@ def _load_vocab(cp, flag_value) -> Vocab:
 
 def _load_model(cp, flag_value, vocab: Vocab):
     path = cfg_path(cp, "checkpoint", flag_value, "checkpoint")
-    params, config = load_checkpoint(path)
+    params, config = _cli.load_checkpoint(path)
     if config.vocab_size != len(vocab.pieces):
         raise ValueError(f"vocab size {len(vocab.pieces)} does not match checkpoint "
                          f"vocab_size {config.vocab_size}")
@@ -220,7 +239,7 @@ def cmd_tokenizer_train(args, cp) -> int:
 
 def _save_trained(out: Path, name: str, params, config, log, done: str) -> int:
     ckpt, loss = out / f"{name}.ckpt", out / f"{name}_loss.tsv"
-    save_checkpoint(params, config, ckpt)
+    _cli.save_checkpoint(params, config, ckpt)
     atomic_write_text(loss, log.render())
     final = f"{log.entries[-1][1]:.6f}" if log.entries else "n/a"
     print(f"{done} {len(log.entries)} steps, final loss {final}")
@@ -234,8 +253,8 @@ def cmd_pretrain(args, cp) -> int:
     texts = _load_texts(cfg_path(cp, "corpus", args.corpus, "corpus file"))
     config = model_config_from(cp, len(vocab.pieces))
     train_config = train_config_from(cp, "train.base", 1e-4, args.seed)
-    params = init_params(config, train_config.seed)
-    log = train(config, params, texts, vocab, train_config)
+    params = _cli.init_params(config, train_config.seed)
+    log = _cli.train(config, params, texts, vocab, train_config)
     return _save_trained(out, name, params, config, log, "trained")
 
 
@@ -252,9 +271,9 @@ def cmd_dapt(args, cp) -> int:
               file=sys.stderr)
     else:
         base_corpus = cfg_path(cp, "corpus", None, "base corpus")
-        base_tokens = corpus_token_count(_load_texts(base_corpus), vocab)
-    adapted, log = dapt(config, base_params, domain_texts, vocab, dapt_config,
-                        base_config, base_token_count=base_tokens)
+        base_tokens = _cli.corpus_token_count(_load_texts(base_corpus), vocab)
+    adapted, log = _cli.dapt(config, base_params, domain_texts, vocab, dapt_config,
+                             base_config, base_token_count=base_tokens)
     return _save_trained(out, name, adapted, config, log, "adapted for")
 
 
@@ -269,9 +288,9 @@ def cmd_eval_cluster(args, cp) -> int:
     if k_max < k_min:
         raise ValueError(f"bad k range: k_min {k_min} > k_max {k_max}")
     seed = args.seed if args.seed is not None else cfg_get(cp, "eval", "seed", 0, int)
-    runs = cluster_eval(config, params, vocab, texts,
-                        k_values=range(k_min, k_max + 1), seed=seed)
-    table = render_cluster_report(name, runs)
+    runs = _cli.cluster_eval(config, params, vocab, texts,
+                             k_values=range(k_min, k_max + 1), seed=seed)
+    table = _cli.render_cluster_report(name, runs)
     atomic_write_text(out / f"cluster_{name}.tsv", table)
     print(table, end="")
     print(f"wrote {out / ('cluster_' + name + '.tsv')}")
@@ -283,16 +302,16 @@ def cmd_eval_similarity(args, cp) -> int:
     vocab = _load_vocab(cp, args.vocab)
     params, config, ckpt = _load_model(cp, args.checkpoint, vocab)
     name = _model_name(args, ckpt)
-    pairs = load_pairs(cfg_path(cp, "pairs", args.pairs, "word pair file"))
+    pairs = _cli.load_pairs(cfg_path(cp, "pairs", args.pairs, "word pair file"))
     seed = args.seed if args.seed is not None else cfg_get(cp, "eval", "seed", 0, int)
-    if all(pair.label == SIMILAR for pair in pairs):
+    if all(pair.label == _cli.SIMILAR for pair in pairs):
         n_pos = len(pairs)
-        pairs = build_pairs(pairs, np.random.default_rng(seed))
+        pairs = _cli.build_pairs(pairs, _cli.np.random.default_rng(seed))
         print(f"balanced {n_pos} positive pairs with {len(pairs) - n_pos} "
               f"sampled negatives")
-    predictor = model_cloze_predictor(config, params, vocab)
-    f1, predictions = evaluate_pairs(pairs, predictor)
-    table = render_similarity_report(name, f1, predictions)
+    predictor = _cli.model_cloze_predictor(config, params, vocab)
+    f1, predictions = _cli.evaluate_pairs(pairs, predictor)
+    table = _cli.render_similarity_report(name, f1, predictions)
     atomic_write_text(out / f"similarity_{name}.tsv", table)
     print(f"{name}\tf1={f1:.6f}")
     print(f"wrote {out / ('similarity_' + name + '.tsv')}")
@@ -308,19 +327,19 @@ def _cmd_finetune(args, cp, kind: str) -> int:
         seeds = tuple(range(args.seed, args.seed + 5))
     else:
         seeds = cfg_get(cp, "finetune", "seeds", (0, 1, 2, 3, 4), _int_list)
-    ft = _from_ini(cp, "finetune", _FINETUNE_KEYS, FinetuneConfig())
+    ft = _from_ini(cp, "finetune", _FINETUNE_KEYS, _cli.FinetuneConfig())
     what = "classification data" if kind == "classify" else "tagging data"
     data_path = cfg_path(cp, f"{kind}_data", args.data, what)
     records = _read_records(data_path, what)
     split_seed = cfg_get(cp, "finetune", "split_seed", 0, int)
     if kind == "classify":
-        dataset = LabeledTextDataset.from_records(
+        dataset = _cli.LabeledTextDataset.from_records(
             records, positive_label=cfg_get(cp, "finetune", "positive_label", None),
             seed=split_seed)
-        run, metric = finetune_classify, "f1"
+        run, metric = _cli.finetune_classify, "f1"
     else:
-        dataset = TaggedTokenDataset.from_records(records, seed=split_seed)
-        run, metric = finetune_tag, "span f1"
+        dataset = _cli.TaggedTokenDataset.from_records(records, seed=split_seed)
+        run, metric = _cli.finetune_tag, "span f1"
     task = _file_name(args.task or data_path.stem, "task name")
     if "_" in task:  # else (a_b, c) and (a, b_c) would write one file
         raise ValueError(f"bad task name {task!r}: a task name has no '_', as '_' "
@@ -351,6 +370,55 @@ def _read_scores(path: Path, what: str) -> dict[str, float]:
             raise ValueError(f"{what}: score for task {task!r} is not a finite number")
         scores[str(task)] = float(value)
     return scores
+
+
+@dataclasses.dataclass(frozen=True)
+class ForgettingRow:
+    task: str
+    base: float
+    adapted: float
+
+    @property
+    def delta(self) -> float:
+        return self.adapted - self.base
+
+    @property
+    def improved(self) -> bool:
+        return self.delta > 0.0
+
+
+@dataclasses.dataclass
+class ForgettingReport:
+    rows: list[ForgettingRow]
+
+    @property
+    def mean_delta(self) -> float:
+        return sum(r.delta for r in self.rows) / len(self.rows)
+
+    def render(self) -> str:
+        lines = ["task\tbase\tadapted\tdelta\tnote"]
+        for r in self.rows:
+            note = "improved" if r.improved else "-"
+            lines.append(f"{r.task}\t{r.base:.4f}\t{r.adapted:.4f}"
+                         f"\t{r.delta:+.4f}\t{note}")
+        lines.append(f"mean\t-\t-\t{self.mean_delta:+.4f}\t-")
+        return "\n".join(lines) + "\n"
+
+
+def forgetting_report(base_scores, adapted_scores) -> ForgettingReport:
+    """Per-task deltas (adapted - base) over identical task sets."""
+    base = dict(base_scores)
+    adapted = dict(adapted_scores)
+    if not base:
+        raise ValueError("no tasks to compare")
+    if set(base) != set(adapted):
+        only_base = sorted(set(base) - set(adapted))
+        only_adapted = sorted(set(adapted) - set(base))
+        raise ValueError(f"task sets differ: only in base {only_base}, "
+                         f"only in adapted {only_adapted}")
+    rows = [ForgettingRow(task, float(base[task]), float(adapted[task]))
+            for task in base]
+    return ForgettingReport(rows=rows)
 
 
 def cmd_forgetting(args, cp) -> int:
@@ -572,14 +640,16 @@ def main(argv=None) -> int:
     try:
         cp = load_config(args.config, args.set)
         return args.func(args, cp)
-    except TrainingDiverged as exc:
-        print(f"error: {_single_line(exc)}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {_single_line(exc)}", file=sys.stderr)
         return 1
-    except Exception as exc:  # anything else is a runtime failure
-        print(f"error: unexpected failure: {_single_line(repr(exc))}", file=sys.stderr)
+    except Exception as exc:  # a diverged run, or any other runtime failure
+        # only a stage that loaded pretrain can diverge; the rest never import it
+        pretrain = sys.modules.get(f"{__package__}.pretrain")
+        if pretrain is not None and isinstance(exc, pretrain.TrainingDiverged):
+            print(f"error: {_single_line(exc)}", file=sys.stderr)
+        else:
+            print(f"error: unexpected failure: {_single_line(repr(exc))}", file=sys.stderr)
         return 2
 
 

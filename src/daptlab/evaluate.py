@@ -1,4 +1,4 @@
-"""Intrinsic evaluation: document clustering, cloze word similarity, forgetting.
+"""Intrinsic evaluation: document clustering and cloze word similarity.
 
 Document embeddings come from model.embed_document (last four layers,
 concatenated, mean over content positions). Clustering quality is the mean
@@ -254,55 +254,3 @@ def render_similarity_report(model_name: str, f1: float, predictions) -> str:
              "word1\tword2\tgold\tpredicted"]
     lines += [f"{p.word1}\t{p.word2}\t{p.label}\t{pred}" for p, pred in predictions]
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# forgetting
-
-@dataclass(frozen=True)
-class ForgettingRow:
-    task: str
-    base: float
-    adapted: float
-
-    @property
-    def delta(self) -> float:
-        return self.adapted - self.base
-
-    @property
-    def improved(self) -> bool:
-        return self.delta > 0.0
-
-
-@dataclass
-class ForgettingReport:
-    rows: list[ForgettingRow]
-
-    @property
-    def mean_delta(self) -> float:
-        return sum(r.delta for r in self.rows) / len(self.rows)
-
-    def render(self) -> str:
-        lines = ["task\tbase\tadapted\tdelta\tnote"]
-        for r in self.rows:
-            note = "improved" if r.improved else "-"
-            lines.append(f"{r.task}\t{r.base:.4f}\t{r.adapted:.4f}"
-                         f"\t{r.delta:+.4f}\t{note}")
-        lines.append(f"mean\t-\t-\t{self.mean_delta:+.4f}\t-")
-        return "\n".join(lines) + "\n"
-
-
-def forgetting_report(base_scores, adapted_scores) -> ForgettingReport:
-    """Per-task deltas (adapted - base) over identical task sets."""
-    base = dict(base_scores)
-    adapted = dict(adapted_scores)
-    if not base:
-        raise ValueError("no tasks to compare")
-    if set(base) != set(adapted):
-        only_base = sorted(set(base) - set(adapted))
-        only_adapted = sorted(set(adapted) - set(base))
-        raise ValueError(f"task sets differ: only in base {only_base}, "
-                         f"only in adapted {only_adapted}")
-    rows = [ForgettingRow(task, float(base[task]), float(adapted[task]))
-            for task in base]
-    return ForgettingReport(rows=rows)

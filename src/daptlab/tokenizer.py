@@ -7,13 +7,12 @@ inside words). Word-internal continuation pieces carry the usual "##" prefix.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .fileio import atomic_write_text
 
@@ -44,9 +43,14 @@ class Vocab:
         self.pad_id = index[PAD]
         self.mask_id = index[MASK]
         self.special_ids = frozenset(index[t] for t in SPECIAL_TOKENS)
-        # ids a random MLM replacement draws from, in id order
-        self.non_special_ids = np.array([i for i in range(len(pieces))
-                                         if i not in self.special_ids], dtype=np.int64)
+
+    @functools.cached_property
+    def non_special_ids(self):
+        """The ids a random MLM replacement draws from, in id order (int64);
+        built on first use, so reading or training a vocabulary loads no numpy."""
+        import numpy as np
+        return np.array([i for i in range(len(self.pieces)) if i not in self.special_ids],
+                        dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.pieces)

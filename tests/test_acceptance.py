@@ -17,8 +17,7 @@ from daptlab import cli
 from daptlab.autodiff import Tensor, cross_entropy_masked, gather_rows
 from daptlab.corpus import Document, compute_stats, dedupe, keeps
 from daptlab.evaluate import (SIMILAR, DISSIMILAR, SimilarityPair, cluster_eval,
-                              evaluate_pairs, forgetting_report, render_cloze,
-                              silhouette)
+                              evaluate_pairs, render_cloze, silhouette)
 from daptlab.finetune import (FinetuneConfig, LabeledTextDataset, f1_binary,
                               finetune_classify, span_f1)
 from daptlab.model import ModelConfig, forward, init_params, mlm_logits, pad_batch
@@ -269,8 +268,8 @@ def test_criterion_9_corpus_rules():
     columns_ok = table.splitlines()[0] == \
         "Source\tMin\tMax\tSum\tMedian\tMean\tEntries"
 
-    report = forgetting_report({"total_score": 0.600994},
-                               {"total_score": 0.546831})
+    report = cli.forgetting_report({"total_score": 0.600994},
+                                   {"total_score": 0.546831})
     forgetting_ok = abs(report.mean_delta - (-0.0542)) <= 1e-4
 
     ok = boundaries_ok and dedupe_ok and keyword_ok and columns_ok and forgetting_ok

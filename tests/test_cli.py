@@ -5,6 +5,9 @@ model, then individual tests inspect artifacts, exit codes, and determinism.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -298,6 +301,18 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: dump file not found")
         assert err.count("\n") == 1  # single line
+
+    def test_missing_dump_file_in_a_fresh_interpreter(self, tmp_path):
+        # as the benchmark and the demo run a stage, with no pretrain loaded
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "daptlab.cli", "corpus-build",
+                               str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: dump file not found: {tmp_path / 'nope.jsonl'}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_no_dumps_configured(self, capsys, tmp_path):
         assert cli.main(["corpus-build", "--out", str(tmp_path)]) == 1

@@ -1,19 +1,17 @@
-"""Clustering, cloze similarity, and forgetting-report behavior."""
+"""Clustering, cloze similarity, and the forgetting report (``cli``'s table)."""
 
 import numpy as np
 import pytest
 
+from daptlab.cli import ForgettingReport, ForgettingRow, forgetting_report
 from daptlab.evaluate import (
     DISSIMILAR,
     SIMILAR,
     ClusterRun,
-    ForgettingReport,
-    ForgettingRow,
     SimilarityPair,
     build_pairs,
     cluster_eval,
     evaluate_pairs,
-    forgetting_report,
     kmeans,
     load_pairs,
     model_cloze_predictor,

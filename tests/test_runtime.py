@@ -1,11 +1,13 @@
-"""The runtime in fresh interpreters: imports, declared dependencies, and
-trained bytes that do not depend on the BLAS thread count; what the
-benchmark's tracer, which patches names from outside the package, relies on;
-and the demo-06 chain that the demo and the benchmark both run."""
+"""The runtime in fresh interpreters: imports, the CLI stages that load no
+numpy, declared dependencies, and trained bytes that do not depend on the
+BLAS thread count; what the benchmark's tracer, which patches names from
+outside the package, relies on; and the demo-06 chain that the demo and the
+benchmark both run."""
 
 import ast
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +48,66 @@ def test_cli_import_loads_no_scipy():
                               "print(*sorted(m for m in sys.modules\n"
                               "              if m.split('.')[0] == 'scipy'))")
     assert loaded == []
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = run_python("-c", "import sys, daptlab.cli\n"
+                              "print(*sorted(m for m in sys.modules\n"
+                              "              if m.split('.')[0] == 'numpy'))")
+    assert loaded == []
+
+
+def test_cli_lazy_names_resolve_to_their_homes():
+    from daptlab import cli
+
+    for name, home in cli._LAZY.items():
+        module = importlib.import_module(home, "daptlab")
+        assert getattr(cli, name) is (module if name == "np" else getattr(module, name)), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
+# Runs ``cli.main`` on its arguments, then prints its exit code and whether
+# any numpy module was loaded, after a marker that follows the stage's output.
+STAGE = """
+import sys
+from daptlab import cli
+code = cli.main(sys.argv[1:])
+print("--stage-done--", code, any(m.split(".")[0] == "numpy" for m in sys.modules))
+"""
+
+
+def write_light_stage_inputs(root: Path) -> list[list[str]]:
+    """A dump and two score files in root; returns the argv of each stage
+    that computes nothing with numpy, in chain order, into root / "run"."""
+    texts = ["heap overflow in the parser", "the parser reads past the buffer",
+             "overflow in the buffer of the reader", "heap reader overflow"]
+    (root / "dump.jsonl").write_text("".join(
+        json.dumps({"id": f"n{i}", "source": "nvd", "text": text}) + "\n"
+        for i, text in enumerate(texts)), encoding="utf-8")
+    (root / "base.json").write_text('{"ner": 0.8, "cls": 0.9}', encoding="utf-8")
+    (root / "adapted.json").write_text('{"ner": 0.85, "cls": 0.88}', encoding="utf-8")
+    run = root / "run"
+    out = ["--out", str(run)]
+    return [["corpus-build", str(root / "dump.jsonl"), *out],
+            ["tokenizer-train", "--corpus", str(run / "corpus.jsonl"), *out],
+            ["corpus-stats", "--corpus", str(run / "corpus.jsonl"),
+             "--vocab", str(run / "vocab.txt"), *out],
+            ["forgetting", "--base", str(root / "base.json"),
+             "--adapted", str(root / "adapted.json"), *out],
+            ["report", str(run)]]
+
+
+def test_light_stages_load_no_numpy(tmp_path):
+    for argv in write_light_stage_inputs(tmp_path):
+        out = run_python("-c", STAGE, *argv)
+        assert out[out.index("--stage-done--") + 1:] == ["0", "False"], argv
+    # an error exits 1, and matching it against a diverged run imports nothing
+    out = run_python("-c", STAGE, "corpus-build", str(tmp_path / "nope.jsonl"))
+    assert out[out.index("--stage-done--") + 1:] == ["1", "False"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "corpus.jsonl", "corpus_stats.tsv", "drop_report.tsv", "forgetting.tsv",
+        "report.txt", "vocab.txt"]
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -169,6 +231,37 @@ def test_tracer_labels_each_backward_with_its_op_and_restores_bindings():
     assert [step for step, _ in log.entries] == [1, 2]
     backward_spans = {name for name in tracer.names if name.startswith("autodiff.bwd.")}
     assert backward_spans == {f"autodiff.bwd.{op}" for op in TRACED_BACKWARD_OPS}
+    for (mod, attr), original in zip(bound, originals):
+        assert getattr(modules[mod], attr) is original, f"daptlab.{mod}.{attr}"
+
+
+def test_tracer_wraps_what_cli_commands_call(tmp_path):
+    """A command calls what is bound on ``daptlab.cli`` when it runs: a name
+    imported at the top, or one of the lazy table resolved on first use. The
+    spans checked are of names the tracer binds on ``cli`` only."""
+    from daptlab import cli
+
+    spans = load_perfbench("spans")
+    bound = [(mod, attr) for mod, attr, _ in spans.BINDINGS]
+    modules = {mod: importlib.import_module(f"daptlab.{mod}") for mod, _ in bound}
+    # resolves cli's lazy names before the tracer does: one first resolved
+    # inside ``installed`` can copy another module's wrapper (ROADMAP item 1a)
+    originals = [getattr(modules[mod], attr) for mod, attr in bound]
+
+    stages = write_light_stage_inputs(tmp_path)[:3]
+    run = tmp_path / "run"
+    tiny = [f"{key}={value}" for key, value in (
+        ("model.num_layers", 1), ("model.hidden", 8), ("model.num_heads", 2),
+        ("model.ffn_dim", 16), ("model.max_seq", 16), ("train.base.epochs", 1),
+        ("train.base.batch_size", 2), ("train.base.warmup_steps", 1))]
+    stages.append(["pretrain", "--corpus", str(run / "corpus.jsonl"),
+                   "--vocab", str(run / "vocab.txt"), "--out", str(run),
+                   *(arg for item in tiny for arg in ("--set", item))])
+    with spans.installed(spans.Tracer()) as tracer:
+        for argv in stages:
+            assert cli.main(argv) == 0, argv
+    assert {"corpus.build_corpus", "tokenizer.train_vocab", "corpus.compute_stats",
+            "model.save_checkpoint"} <= set(tracer.names)
     for (mod, attr), original in zip(bound, originals):
         assert getattr(modules[mod], attr) is original, f"daptlab.{mod}.{attr}"
 
