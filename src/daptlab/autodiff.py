@@ -30,20 +30,22 @@ keeps one past its step. A training step thus hands no activation storage
 back to the allocator, which would trim the heap and fault it back in on the
 next step. Untaped calls allocate fresh arrays.
 
-``gelu``, ``layer_norm`` and ``softmax`` take ``out=``, a C-contiguous
-writable array of the result's shape and dtype to write the result into, in
-place of a new one; anything else raises ValueError. It may be the input's own
+``gelu``, ``layer_norm``, ``softmax`` and ``dropout`` take ``out=``, a
+C-contiguous writable array of the result's shape and dtype to write the
+result into, in place of a new one; anything else raises ValueError. It may be the input's own
 buffer, as each reads its input before it writes. Pass that only when nothing
 reads the input's values afterwards: no closure reads its op's output, only
 the op's inputs and what it keeps. ``model`` passes it at each such call. So
 a training step keeps what its closures read (each matmul's inputs, softmax's
 probabilities, layer norm's normalised values and row statistics, gelu's
 slope, dropout's factor) but no attention score, no w1 output before gelu and
-no sublayer output before its norm: each result lives in its input's buffer.
+no sublayer output before its dropout or its norm: each result lives in its
+input's buffer.
 
-Every axis sum an op takes is one BLAS GEMV with a ones vector: ``_row_sum``
-over the last axis, ``_lead_sum`` over the leading ones (so every bias
-gradient). Their bits, like a matmul's, depend on the BLAS kernel.
+Every axis sum an op takes is one BLAS GEMV with a ones vector, a prefix of
+one kept per dtype (``_ones``): ``_row_sum`` over the last axis, ``_lead_sum``
+over the leading ones (so every bias gradient). Their bits, like a matmul's,
+depend on the BLAS kernel.
 ``softmax`` takes its row max as the column max of a transposed copy, with
 numpy's bits.
 
@@ -184,12 +186,26 @@ def _record(tape: Tape, out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
     tape.record(run)
 
 
+_ONES: dict[np.dtype, np.ndarray] = {}
+
+
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """``n`` ones of ``dtype``: a prefix of one read-only vector per dtype,
+    replaced by a longer one when a longer sum needs it."""
+    ones = _ONES.get(dtype)
+    if ones is None or ones.size < n:
+        ones = np.ones(n, dtype)
+        ones.flags.writeable = False
+        _ONES[dtype] = ones
+    return ones[:n]
+
+
 def _row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sums over the last axis, keepdims, as ``x2 @ ones[h]``: one BLAS GEMV in
     place of numpy's loop over short rows. Written into ``out`` when given, a
     C-contiguous array of ``x``'s dtype with one element per row."""
     n, h = math.prod(x.shape[:-1]), x.shape[-1]
-    s = np.matmul(x.reshape(n, h), np.ones(h, x.dtype),
+    s = np.matmul(x.reshape(n, h), _ones(h, x.dtype),
                   out=None if out is None else out.reshape(n))
     return s.reshape(x.shape[:-1] + (1,))
 
@@ -198,7 +214,7 @@ def _lead_sum(g: np.ndarray, lead: int) -> np.ndarray:
     """Sums over the ``lead`` leading axes as ``ones[n] @ g2``, one BLAS GEMV;
     a fresh array, as an adjoint handed to ``_accumulate`` must be."""
     n, rest = math.prod(g.shape[:lead]), g.shape[lead:]
-    return (np.ones(n, g.dtype) @ g.reshape(n, math.prod(rest))).reshape(rest)
+    return (_ones(n, g.dtype) @ g.reshape(n, math.prod(rest))).reshape(rest)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -634,8 +650,9 @@ def gelu(a: Tensor, tape: Tape | None = None, *, out: np.ndarray | None = None) 
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator,
-            tape: Tape | None = None) -> Tensor:
-    """Inverted dropout; call only on the training path."""
+            tape: Tape | None = None, *, out: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout; call only on the training path. At rate 0 it returns
+    ``a`` itself and leaves ``out`` untouched."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
@@ -643,7 +660,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator,
     shape, dtype = a.data.shape, a.data.dtype
     keep = (rng.random(shape) >= p).astype(dtype)
     factor = np.divide(keep, dtype.type(1.0 - p), out=_empty(tape, shape, dtype))
-    out = Tensor(np.multiply(a.data, factor, out=_empty(tape, shape, dtype)))
+    out = Tensor(np.multiply(a.data, factor, out=_out(tape, out, shape, dtype)))
     if tape is not None:
         def bwd(g):
             g *= factor

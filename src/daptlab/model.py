@@ -174,18 +174,20 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
     dh = config.hidden // heads
     dtype = params["emb.word"].data.dtype
 
-    def drop(t: Tensor) -> Tensor:
-        return t if rng is None else dropout(t, config.dropout, rng, tape)
+    def drop(t: Tensor, out: np.ndarray | None = None) -> Tensor:
+        return t if rng is None else dropout(t, config.dropout, rng, tape, out=out)
 
     x = gather_rows(params["emb.word"], ids, tape)
     x = add(x, gather_rows(params["emb.pos"], np.arange(seq), tape), tape)
     # every position is segment 0: that one row is the layer norm's broadcast residual
     segment = gather_rows(params["emb.segment"], np.zeros(1, dtype=np.int64), tape)
-    # Each softmax, gelu and layer norm below writes over the input it consumes
-    # (autodiff's out=): no backward reads a sublayer's output, only its inputs.
+    # Each softmax, gelu, layer norm and dropout below writes over the input it
+    # consumes (autodiff's out=): no backward reads a sublayer's output, only
+    # its inputs. The dropout on softmax's probabilities cannot, as softmax's
+    # backward reads them.
     x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"], tape=tape,
                    residual=segment, out=x.data)
-    x = drop(x)
+    x = drop(x, out=x.data)
     hidden = [x]
 
     # [B, 1, 1, S] additive bias: 0 on real keys, -1e9 on padding keys.
@@ -206,12 +208,14 @@ def forward(ids, attention_mask, config: ModelConfig, params: dict[str, Tensor],
         ctx = matmul(probs, v, tape, heads=heads)
         if rows is not None and i == config.num_layers - 1:
             ctx, x = gather_rows(ctx, rows, tape), gather_rows(x, rows, tape)
-        attn = drop(matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"]))
+        attn = matmul(ctx, params[f"{p}.attn.wo"], tape, bias=params[f"{p}.attn.bo"])
+        attn = drop(attn, out=attn.data)
         x = layer_norm(attn, params[f"{p}.attn.ln.gamma"], params[f"{p}.attn.ln.beta"],
                        tape=tape, residual=x, out=attn.data)
         inner = matmul(x, params[f"{p}.ffn.w1"], tape, bias=params[f"{p}.ffn.b1"])
         inner = gelu(inner, tape, out=inner.data)
-        out = drop(matmul(inner, params[f"{p}.ffn.w2"], tape, bias=params[f"{p}.ffn.b2"]))
+        out = matmul(inner, params[f"{p}.ffn.w2"], tape, bias=params[f"{p}.ffn.b2"])
+        out = drop(out, out=out.data)
         x = layer_norm(out, params[f"{p}.ffn.ln.gamma"], params[f"{p}.ffn.ln.beta"],
                        tape=tape, residual=x, out=out.data)
         hidden.append(x)

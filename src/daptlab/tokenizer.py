@@ -24,7 +24,11 @@ _WORDS = re.compile(r"[^\W_]+|\S")
 
 
 class Vocab:
-    """Immutable piece list; a piece's id is its line number in the vocab file."""
+    """Immutable piece list; a piece's id is its line number in the vocab file.
+
+    It keeps the piece ids of every word it has encoded, so a corpus segments
+    each distinct word once.
+    """
 
     def __init__(self, pieces):
         pieces = list(pieces)
@@ -43,6 +47,15 @@ class Vocab:
         self.pad_id = index[PAD]
         self.mask_id = index[MASK]
         self.special_ids = frozenset(index[t] for t in SPECIAL_TOKENS)
+        # The greedy match looks a word's first piece up in ``index`` and every
+        # later one in ``_continuations`` (a "##" piece without its prefix, so
+        # no lookup builds a string), trying no prefix longer than the
+        # longest key of the dict it reads.
+        self._continuations = {p[2:]: i for p, i in index.items() if p.startswith("##")}
+        self._longest = max(map(len, pieces))
+        self._longest_continuation = max(map(len, self._continuations), default=0)
+        # word -> its piece ids, filled on the word's first encoding (``_word_ids``)
+        self._memo: dict[str, tuple[int, ...]] = {}
 
     @functools.cached_property
     def non_special_ids(self):
@@ -92,56 +105,72 @@ def split_words(text: str) -> list[str]:
     return _WORDS.findall(text.lower())
 
 
-def wordpiece(word: str, vocab: Vocab) -> list[str] | None:
-    """Greedy longest-prefix-match segmentation; None when the word is unrepresentable."""
+def _piece_ids(word: str, vocab: Vocab) -> list[int] | None:
+    """Greedy longest-prefix match: the ids of ``word``'s pieces, None when
+    the word is unrepresentable."""
     if len(word) > MAX_WORD_CHARS:
         return None
-    pieces: list[str] = []
-    start = 0
-    while start < len(word):
-        end = len(word)
-        found = None
-        while start < end:
-            sub = word[start:end]
-            if start > 0:
-                sub = "##" + sub
-            if sub in vocab:
-                found = sub
+    ids: list[int] = []
+    index, longest = vocab.index, vocab._longest
+    start, n = 0, len(word)
+    while start < n:
+        end = min(n, start + longest)
+        while end > start:
+            i = index.get(word[start:end])
+            if i is not None:
                 break
             end -= 1
-        if found is None:
+        else:
             return None
-        pieces.append(found)
+        ids.append(i)
+        index, longest = vocab._continuations, vocab._longest_continuation
         start = end
-    return pieces
+    return ids
 
 
-def _word_groups(text: str, vocab: Vocab) -> list[list[str]]:
-    """The pieces of each pre-tokenized word; [UNK] for a word WordPiece cannot spell."""
-    return [wordpiece(word, vocab) or [UNK] for word in split_words(text)]
+def wordpiece(word: str, vocab: Vocab) -> list[str] | None:
+    """Greedy longest-prefix-match segmentation; None when the word is unrepresentable."""
+    ids = _piece_ids(word, vocab)
+    return None if ids is None else [vocab.pieces[i] for i in ids]
 
 
-def _assemble(word_groups: list[list[str]], vocab: Vocab, max_seq: int) -> Encoding:
+def _segment(word: str, vocab: Vocab) -> tuple[int, ...]:
+    """The piece ids of one word, (id of [UNK],) when WordPiece cannot spell
+    it; kept in the vocabulary's memo. A tuple, so no caller can edit it."""
+    ids = vocab._memo[word] = tuple(_piece_ids(word, vocab) or (vocab.index[UNK],))
+    return ids
+
+
+def _word_ids(text: str, vocab: Vocab) -> list[tuple[int, ...]]:
+    """The piece ids of each pre-tokenized word; each distinct word is segmented
+    once per vocabulary and then read from its memo."""
+    memo = vocab._memo
+    return [memo.get(word) or _segment(word, vocab) for word in split_words(text)]
+
+
+def _assemble(word_groups: list[tuple[int, ...]], vocab: Vocab, max_seq: int) -> Encoding:
     if max_seq < 2:
         raise ValueError(f"max_seq must be >= 2, got {max_seq}")
-    pieces: list[str] = [CLS]
+    sep = vocab.index[SEP]
+    ids: list[int] = [vocab.index[CLS]]
     spans: list[tuple[int, int]] = []
     for group in word_groups:
-        spans.append((len(pieces), len(pieces) + len(group)))
-        pieces.extend(group)
-    pieces.append(SEP)
+        start = len(ids)
+        ids += group
+        spans.append((start, len(ids)))
+    ids.append(sep)
 
-    if len(pieces) > max_seq:
-        pieces = pieces[:max_seq - 1] + [SEP]
+    if len(ids) > max_seq:
         limit = max_seq - 1
+        ids[limit:] = [sep]
         spans = [(s, min(e, limit)) for s, e in spans if s < limit]
 
-    return Encoding(ids=[vocab.id_of(p) for p in pieces], word_spans=spans)
+    return Encoding(ids=ids, word_spans=spans)
 
 
 def encode(text: str, vocab: Vocab, max_seq: int) -> Encoding:
     """[CLS] + pieces + [SEP], truncated from the tail with [SEP] preserved."""
-    return _assemble(_word_groups(text, vocab), vocab, max_seq)
+    return _assemble(_word_ids(text, vocab), vocab, max_seq)
 
 
 def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
@@ -150,7 +179,8 @@ def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
     Each input word may still normalize into several sub-words (punctuation
     splits); all resulting pieces stay inside that word's span.
     """
-    groups = [[p for group in _word_groups(word, vocab) for p in group] or [UNK]
+    unk = (vocab.index[UNK],)
+    groups = [tuple(i for group in _word_ids(word, vocab) for i in group) or unk
               for word in words]
     return _assemble(groups, vocab, max_seq)
 
@@ -158,7 +188,7 @@ def encode_words(words, vocab: Vocab, max_seq: int) -> Encoding:
 def count_pieces(text: str, vocab: Vocab) -> int:
     """Piece count of a text without [CLS]/[SEP] or truncation; a word
     WordPiece cannot spell counts as one [UNK]."""
-    return sum(map(len, _word_groups(text, vocab)))
+    return sum(map(len, _word_ids(text, vocab)))
 
 
 def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
@@ -167,8 +197,9 @@ def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
     Characters below min_frequency are left out (words containing them encode
     to [UNK]); merges stop when no adjacent pair reaches min_frequency or the
     target size is hit. Deterministic: ties break on the lexicographically
-    smallest pair. The pair counts are taken once and then updated on each
-    merge, only in the words that hold the merged pair.
+    smallest pair. The pair counts are taken once; a merge then changes only
+    the counts of the pairs around each of its sites, in the words that hold
+    the merged pair.
     """
     if target_size < 1:
         raise ValueError(f"target_size must be >= 1, got {target_size}")
@@ -208,11 +239,11 @@ def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
     # (indices into seqs) that contain it. The heap may keep stale (-freq, pair)
     # entries; one whose freq is no longer the pair's count is dropped when it
     # surfaces, so the first fresh top is the pair min((-freq, pair)) picks.
-    pair_freq: Counter = Counter()
+    pair_freq: dict[tuple[str, str], int] = {}
     holders: dict[tuple[str, str], set[int]] = {}
     for w, (symbols, freq) in enumerate(seqs):
         for pair in zip(symbols, symbols[1:]):
-            pair_freq[pair] += freq
+            pair_freq[pair] = pair_freq.get(pair, 0) + freq
             holders.setdefault(pair, set()).add(w)
     heap = [(-freq, pair) for pair, freq in pair_freq.items()]
     heapq.heapify(heap)
@@ -230,27 +261,41 @@ def train_vocab(documents, target_size: int, min_frequency: int = 2) -> Vocab:
         # it is segmented as it would be alone, so every adjacent occurrence of
         # a pair merges on the same step and no later pair spells it again.
         merged = best_pair[0] + best_pair[1][2:]
-        delta = Counter()
-        for w in list(holders[best_pair]):
+        # Merging left to right leaves no occurrence of the pair, and each site
+        # swaps its neighbours' pairs (left, first) and (second, right) for
+        # (left, merged) and (merged, right): only those counts change.
+        first, second = best_pair
+        del pair_freq[best_pair]
+        delta: dict[tuple[str, str], int] = {}
+        for w in holders.pop(best_pair):
             symbols, freq = seqs[w]
-            old = list(zip(symbols, symbols[1:]))
+            gained, lost = [], []
             i = 0
             while i < len(symbols) - 1:
-                if (symbols[i], symbols[i + 1]) == best_pair:
-                    symbols[i:i + 2] = [merged]
-                else:
+                if symbols[i] != first or symbols[i + 1] != second:
                     i += 1
-            new = list(zip(symbols, symbols[1:]))
-            for pair in old:
-                delta[pair] -= freq
-            for pair in new:
-                delta[pair] += freq
+                    continue
+                if i:
+                    lost.append((symbols[i - 1], first))
+                    gained.append((symbols[i - 1], merged))
+                if i + 2 < len(symbols):
+                    lost.append((second, symbols[i + 2]))
+                    gained.append((merged, symbols[i + 2]))
+                symbols[i:i + 2] = [merged]
+            for pair in gained:
+                delta[pair] = delta.get(pair, 0) + freq
                 holders.setdefault(pair, set()).add(w)
-            for pair in set(old).difference(new):
-                holders[pair].discard(w)
+            if lost:
+                # a word may still hold a pair it lost one occurrence of
+                held = set(zip(symbols, symbols[1:]))
+                for pair in lost:
+                    if pair != best_pair:  # (second, right) may be the pair itself
+                        delta[pair] = delta.get(pair, 0) - freq
+                        if pair not in held:
+                            holders[pair].discard(w)
         for pair, change in delta.items():
             if change:
-                freq = pair_freq[pair] + change
+                freq = pair_freq.get(pair, 0) + change
                 if freq:
                     pair_freq[pair] = freq
                     heapq.heappush(heap, (-freq, pair))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import fd_gradient, grad_check, max_rel_error
 
-from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, Tape, Tensor, _lead_sum,
+from daptlab.autodiff import (_ERF32_P, _ERF32_Q, _GELU_BLOCK, Tape, Tensor, _lead_sum, _ones,
                               _row_sum, add, add_const, backward, cross_entropy_masked,
                               dropout, erf, gather_rows, gelu, layer_norm, matmul, mul,
                               reshape, scale, select_position, softmax, transpose, tsum)
@@ -537,7 +537,8 @@ def assert_same_bits_written_over(op, a, leaves, weights):
 
 
 class TestOutWrittenOverInput:
-    """gelu, layer_norm and softmax take out= and may write over their input."""
+    """gelu, layer_norm, softmax and dropout take out= and may write over their
+    input."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_softmax_scale_and_mask(self, geometry):
@@ -568,6 +569,14 @@ class TestOutWrittenOverInput:
         # unit weights: the input's gradient is the slope itself
         assert_same_bits_written_over(gelu, x, [], Tensor(np.ones(x.shape, np.float32)))
 
+    def test_desk_shaped_dropout(self):
+        batch, seq, h, _, _ = GEOMETRIES["desk"]
+        # a fresh rng of one seed per call: every call drops the same entries
+        assert_same_bits_written_over(
+            lambda a, tape, out=None: dropout(a, 0.1, np.random.default_rng(7), tape,
+                                              out=out),
+            t32((batch, seq, h), 0), [], t32((batch, seq, h), 1))
+
     @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only", "list"])
     def test_out_of_another_kind_raises(self, bad):
         x, gamma, beta = t32((3, 4, 8), 0), t32((8,), 1), t32((8,), 2)
@@ -578,7 +587,8 @@ class TestOutWrittenOverInput:
                "list": np.zeros((3, 4, 8), np.float32).tolist()}[bad]
         for op in (lambda tape: gelu(x, tape, out=out),
                    lambda tape: layer_norm(x, gamma, beta, tape=tape, out=out),
-                   lambda tape: softmax(x, tape, scale=0.5, out=out)):
+                   lambda tape: softmax(x, tape, scale=0.5, out=out),
+                   lambda tape: dropout(x, 0.1, np.random.default_rng(0), tape, out=out)):
             for tape in (None, Tape()):
                 with pytest.raises(ValueError, match="out must be"):
                     op(tape)
@@ -1143,6 +1153,17 @@ class TestBlasSums:
         for lead, shape in ((1, (18, 32)), (2, (32,))):
             got = _lead_sum(x, lead)
             assert got.dtype == dtype and got.shape == shape and not got.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_ones_keep_the_bits_of_fresh_ones(self, dtype):
+        # a long sum first, so the short ones read a prefix of the kept vector
+        long, short = t64((3, 700), 0).data.astype(dtype), t64((6, 5, 9), 1).data.astype(dtype)
+        assert np.array_equal(_lead_sum(long.T, 1), ones_lead_sum(long.T))
+        for x in (short, long):
+            assert np.array_equal(_row_sum(x), ones_row_sum(x))
+            assert np.array_equal(_lead_sum(x, x.ndim - 1), ones_lead_sum(x))
+        assert not _ones(9, np.dtype(dtype)).flags.writeable
+        assert np.shares_memory(_ones(9, np.dtype(dtype)), _ones(700, np.dtype(dtype)))
 
     def test_row_sum_written_into_out(self):
         x = t32((4, 5, 6), 0).data

@@ -467,12 +467,13 @@ class TestMlmStep:
         fused_mlm_loss(ids, mask, keep, config, init_params(config, 0), tape,
                        np.random.default_rng(3))
         # embeddings: 3 gathers, their sum, the norm's xhat and 2 row
-        # statistics, dropout's factor and output (9). A layer: q, k, k's head
-        # copy, v, the scores, softmax's 3 scratch arrays, the context, the wo,
-        # w1 and w2 outputs, gelu's slope, 3 per norm and 2 per dropout (25).
+        # statistics, dropout's factor (8). A layer: q, k, k's head copy, v,
+        # the scores, softmax's 3 scratch arrays, the context, the wo, w1 and
+        # w2 outputs, gelu's slope, 3 per norm, the probabilities' dropout
+        # factor and output, and the factor of the two other dropouts (23).
         # The pruned rows: 2 gathers. The head: the dense output, gelu's slope,
         # the norm's 3, the decoder's transpose, the logits (7). The loss: 2.
-        assert len(tape._buffers) == 9 + config.num_layers * 25 + 2 + 7 + 2
+        assert len(tape._buffers) == 8 + config.num_layers * 23 + 2 + 7 + 2
 
     def test_tied_embedding_gets_gather_and_decoder_paths(self):
         config = tiny_config(vocab_size=20, max_seq=12)

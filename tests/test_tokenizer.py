@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from daptlab.evaluate import render_cloze
 from daptlab.tokenizer import (CLS, MAX_WORD_CHARS, MASK, PAD, SEP,
                                SPECIAL_TOKENS, UNK, Vocab, count_pieces,
                                encode, encode_words, split_words,
@@ -153,6 +154,40 @@ class TestWordpiece:
         pieces = wordpiece("abcd", vocab)
         assert pieces == ["abc", "##d"]  # longest prefix first, not "ab"
 
+    def test_word_longer_than_the_longest_piece(self):
+        # both 10-character pieces are as long as the longest, "##" counted:
+        # a match bound short by the prefix would miss one of them
+        vocab = make_vocab(["abcdefghij", "##klmnopqr", "a", "##k"])
+        word = "abcdefghij" + "klmnopqr" * 2 + "k"
+        assert wordpiece(word, vocab) == ["abcdefghij", "##klmnopqr", "##klmnopqr", "##k"]
+
+
+def exhaustive_wordpiece(word, vocab):
+    """Greedy longest match trying every prefix, longest first."""
+    if len(word) > MAX_WORD_CHARS:
+        return None
+    pieces, start = [], 0
+    while start < len(word):
+        for end in range(len(word), start, -1):
+            piece = word[start:end] if start == 0 else "##" + word[start:end]
+            if piece in vocab:
+                pieces.append(piece)
+                start = end
+                break
+        else:
+            return None
+    return pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="ab#", min_size=1, max_size=5), max_size=12, unique=True),
+       st.text(alphabet="ab#", max_size=14))
+def test_wordpiece_equals_the_exhaustive_match(extra, word):
+    # "#" makes "##" pieces that a word may also start with, and pieces
+    # longer after their prefix than any other
+    vocab = make_vocab([p for p in extra if p != "##"])
+    assert wordpiece(word, vocab) == exhaustive_wordpiece(word, vocab)
+
 
 class TestEncode:
     def test_affable_example(self, affable_vocab):
@@ -225,6 +260,66 @@ class TestCountPieces:
     def test_counts_without_truncation(self, affable_vocab):
         n = count_pieces(" ".join(["unaffable"] * 50), affable_vocab)
         assert n == 150  # 3 pieces per word, no [CLS]/[SEP], no max_seq cap
+
+
+def reference_groups(text, vocab):
+    """Each word's ids through wordpiece's piece strings and id_of."""
+    return [[vocab.id_of(p) for p in wordpiece(word, vocab) or [UNK]]
+            for word in split_words(text)]
+
+
+def reference_encoding(groups, vocab, max_seq):
+    """[CLS] + the groups + [SEP], cut to max_seq with [SEP] kept, and the spans."""
+    ids, spans = [vocab.id_of(CLS)], []
+    for group in groups:
+        spans.append((len(ids), len(ids) + len(group)))
+        ids += group
+    if len(ids) + 1 > max_seq:
+        ids, spans = ids[:max_seq - 1], [(s, min(e, max_seq - 1)) for s, e in spans
+                                         if s < max_seq - 1]
+    return ids + [vocab.id_of(SEP)], spans
+
+
+MEMO_PIECES = ["un", "##aff", "##able", "able", "a", "##a", "##n", "!", "'", "1", "##1"]
+MEMO_WORDS = st.one_of(
+    st.sampled_from(["unaffable", "able", "un", "a", "!", "1", " "]),
+    st.text(alphabet="unafbleA1!'-", min_size=1, max_size=10),  # punctuation inside
+    st.text(alphabet="qxé", min_size=1, max_size=3),  # rare characters: [UNK]
+    st.integers(MAX_WORD_CHARS - 2, MAX_WORD_CHARS + 2).map(lambda n: "a" * n),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(MEMO_WORDS, max_size=6), min_size=1, max_size=3),
+       st.integers(2, 24))
+def test_encodings_equal_the_wordpiece_reference(texts, max_seq):
+    vocab = make_vocab(MEMO_PIECES)  # fresh, so each word's first lookup misses
+    unk = vocab.id_of(UNK)
+    for words in texts + texts:  # every word is met once and then again
+        text = " ".join(words)
+        groups = reference_groups(text, vocab)
+        enc = encode(text, vocab, max_seq)
+        assert (enc.ids, enc.word_spans) == reference_encoding(groups, vocab, max_seq)
+        assert count_pieces(text, vocab) == sum(map(len, groups))
+        word_groups = [[i for group in reference_groups(word, vocab) for i in group] or [unk]
+                       for word in words]
+        enc = encode_words(words, vocab, max_seq)
+        assert (enc.ids, enc.word_spans) == reference_encoding(word_groups, vocab, max_seq)
+
+
+def test_cloze_insert_leaves_the_next_encoding_unchanged():
+    # render_cloze inserts [MASK] into its encoding's id list; the ids a
+    # vocabulary keeps per word must not be that list
+    vocab = make_vocab(["are", "and", "similar", "?", "cat", "dog", "##s"])
+    text = "are dogs and cat similar ?"
+    before = encode(text, vocab, max_seq=16)
+    enc, mask_pos = render_cloze("dogs", "cat", vocab, max_seq=16)
+    assert enc.ids[mask_pos] == vocab.mask_id
+    assert encode(text, vocab, max_seq=16) == before
+    assert render_cloze("dogs", "cat", vocab, max_seq=16) == (enc, mask_pos)
+    single = encode("cat", vocab, max_seq=16)
+    single.ids.insert(1, vocab.mask_id)
+    assert encode("cat", vocab, max_seq=16).ids == [vocab.id_of(p) for p in (CLS, "cat", SEP)]
 
 
 class TestTrainVocab:
