@@ -9,6 +9,8 @@ applies dropout exactly when it is given an rng.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -26,10 +28,13 @@ from .tokenizer import Vocab, encode
 ATTENTION_MASK_BIAS = -1e9
 
 _CKPT_MAGIC = b"DLABCKP1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 # The ModelConfig fields stored as uint32, in file order; dropout follows as float64.
 _CKPT_INTS = ("num_layers", "hidden", "num_heads", "ffn_dim", "vocab_size", "max_seq",
               "type_vocab")
+# magic, version, _CKPT_INTS, dropout; the values and the sha256 follow
+_CKPT_HEADER = struct.Struct(f"<{len(_CKPT_MAGIC)}sI{len(_CKPT_INTS)}Id")
+_CKPT_DIGEST = hashlib.sha256().digest_size
 
 
 @dataclass(frozen=True)
@@ -254,68 +259,52 @@ def embed_document(text: str, vocab: Vocab, config: ModelConfig,
 
 
 def save_checkpoint(params: dict[str, Tensor], config: ModelConfig, path) -> None:
-    """Little-endian binary: magic, version, config block, named tensor records."""
-    buf = bytearray()
-    buf += _CKPT_MAGIC
-    buf += struct.pack("<I", _CKPT_VERSION)
-    buf += struct.pack(f"<{len(_CKPT_INTS)}I", *(getattr(config, f) for f in _CKPT_INTS))
-    buf += struct.pack("<d", config.dropout)
-    buf += struct.pack("<I", len(params))
-    for name, tensor in params.items():
-        if tensor.data.dtype != np.float32:
-            raise ValueError(f"checkpoint tensors must be float32, {name!r} is "
-                             f"{tensor.data.dtype}")
-        raw = name.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
-        buf += struct.pack("<I", tensor.data.ndim)
-        buf += struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape)
-        buf += tensor.data.astype("<f4", copy=False).tobytes(order="C")
-    fileio.atomic_write_bytes(path, bytes(buf))
+    """Format v2, little-endian: magic, version, config (``_CKPT_INTS``, then
+    float64 dropout), each tensor's float32 values in ``param_shapes(config)``
+    order, and the sha256 of all the bytes before it. The config fixes every
+    name and shape, so the file stores neither, and params that differ from
+    them in name, order, shape or dtype are refused before anything is written."""
+    shapes = param_shapes(config)
+    got = [(name, str(t.data.dtype), t.data.shape) for name, t in params.items()]
+    want = [(name, "float32", shape) for name, shape in shapes.items()]
+    for slot, (have, need) in enumerate(itertools.zip_longest(got, want)):
+        if have != need:
+            raise ValueError(f"checkpoint tensor {slot} is {have}, the config's is {need}")
+    blob = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION,
+                             *(getattr(config, f) for f in _CKPT_INTS), config.dropout)
+    blob += b"".join(params[name].data.astype("<f4", copy=False).tobytes() for name in shapes)
+    fileio.atomic_write_bytes(path, blob + hashlib.sha256(blob).digest())
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Read and validate a checkpoint; the MLM decoder stays tied on load."""
-    data, off = Path(path).read_bytes(), 0
-
-    def take(fmt: str) -> tuple:
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise ValueError(f"truncated checkpoint {path}")
-        off += size
-        return struct.unpack_from(fmt, data, off - size)
-
-    if take(f"{len(_CKPT_MAGIC)}s")[0] != _CKPT_MAGIC:
+    """Read a v2 checkpoint; the MLM decoder stays tied on load. Checks the
+    magic, the version, the sha256, the config, a layer count the file can
+    hold and the exact length of the values, in that order."""
+    data = memoryview(Path(path).read_bytes())
+    if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
-    (version,) = take("<I")
+    if len(data) < _CKPT_HEADER.size + _CKPT_DIGEST:
+        raise ValueError(f"truncated checkpoint {path}")
+    _, version, *ints, drop_rate = _CKPT_HEADER.unpack_from(data)
     if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    ints = take(f"<{len(_CKPT_INTS)}I")
-    (drop_rate,) = take("<d")
+        raise ValueError(f"checkpoint {path} has format version {version}, this release "
+                         f"reads {_CKPT_VERSION}: re-run the stage that wrote it")
+    body, digest = data[:-_CKPT_DIGEST], data[-_CKPT_DIGEST:]
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError(f"corrupt checkpoint {path}: sha256 mismatch "
+                         "(the file was cut, extended or altered)")
     config = ModelConfig(**dict(zip(_CKPT_INTS, ints)), dropout=drop_rate)
-    (n_tensors,) = take("<I")
-    # Bound the declared geometry by the file before building its shape map: a
-    # tensor record takes at least 13 bytes, and every layer owns tensors.
-    if 13 * n_tensors > len(data) - off or config.num_layers > n_tensors:
-        raise ValueError(f"corrupt checkpoint {path}: {config.num_layers} layers and "
-                         f"{n_tensors} tensors declared in {len(data)} bytes")
-    expected = param_shapes(config)
-    if n_tensors != len(expected):
-        raise ValueError(f"checkpoint {path} declares {n_tensors} tensors, "
-                         f"its config has {len(expected)}")
-    # The records follow param_shapes' order, as save_checkpoint writes them.
-    params: dict[str, Tensor] = {}
-    for slot, (want, want_shape) in enumerate(expected.items()):
-        (name_len,) = take("<I")
-        name = take(f"{name_len}s")[0].decode("utf-8")
-        (rank,) = take("<I")
-        shape = take(f"<{rank}I")
-        if (name, shape) != (want, want_shape):
-            raise ValueError(f"tensor {slot} of checkpoint {path} is {name!r} of shape "
-                             f"{shape}, expected {want!r} of shape {want_shape}")
-        (raw,) = take(f"{4 * math.prod(shape)}s")
-        params[name] = Tensor(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-    if off != len(data):
-        raise ValueError(f"trailing bytes in checkpoint {path}")
-    return params, config
+    values = body[_CKPT_HEADER.size:]
+    # Bound the declared depth by the file before building its shape map:
+    # every layer owns 16 tensors of at least one float32 each.
+    if 64 * config.num_layers > len(values):
+        raise ValueError(f"corrupt checkpoint {path}: {config.num_layers} layers "
+                         f"declared in {len(data)} bytes")
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if 4 * sum(sizes) != len(values):
+        raise ValueError(f"corrupt checkpoint {path}: {len(values)} bytes of values, "
+                         f"its config needs {4 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(values, dtype="<f4"), np.cumsum(sizes)[:-1])
+    return ({name: Tensor(chunk.reshape(shape).copy())
+             for (name, shape), chunk in zip(shapes.items(), chunks)}, config)

@@ -4,8 +4,13 @@ Each fixture is expensive (tens of seconds of CPU training), so they are
 built once per session and only when a test actually requests them.
 """
 
+import os
 import time
 from types import SimpleNamespace
+
+# BLAS on one thread, as the CLI and the benchmark run it. This runs before
+# the first numpy import, which the daptlab imports below make.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import pytest
 

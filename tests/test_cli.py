@@ -406,6 +406,27 @@ class TestErrorHandling:
                          "--out", str(tmp_path)]) == 1
         assert "does not match checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval-similarity", "dapt"])
+    def test_flipped_checkpoint_byte_exits_one(self, pipeline, capsys, tmp_path, command):
+        # the low byte of one emb.word value (the values start after the
+        # 48-byte header): the weight moves by a few ulps
+        root, run = pipeline
+        blob = bytearray((run / "base.ckpt").read_bytes())
+        blob[48 + 4 * 16] ^= 0xFF
+        ckpt = tmp_path / "base.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        inputs = {"eval-similarity": ["--pairs", str(root / "pairs.jsonl")],
+                  "dapt": ["--corpus", str(root / "domain.jsonl")] + MODEL_SETS +
+                          ["--set", "train.dapt.epochs=1", "--set", "train.dapt.batch_size=8",
+                           "--set", "train.dapt.warmup_steps=1"]}[command]
+        assert cli.main([command, *inputs, "--checkpoint", str(ckpt),
+                         "--vocab", str(run / "vocab.txt"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: corrupt checkpoint {ckpt}: sha256 mismatch "
+            "(the file was cut, extended or altered)\n")
+        assert not out.exists()
+
     def test_finetune_tag_bad_record(self, pipeline, capsys, tmp_path):
         _, run = pipeline
         data = tmp_path / "tagged.jsonl"

@@ -1,5 +1,6 @@
 """Encoder model: shapes, init statistics, masking invariance, checkpoints."""
 
+import hashlib
 import math
 import re
 import struct
@@ -568,57 +569,76 @@ class TestCheckpoint:
         save_checkpoint(loaded, cfg, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
-
-    def test_truncated_file(self, tiny, tmp_path):
+    def test_layout(self, tiny, tmp_path):
+        # magic, version 2, the config, the values in param_shapes' order and
+        # the sha256 of everything before it: nothing else
         config, params = tiny
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(params, config, path)
-        clipped = tmp_path / "clip.ckpt"
-        clipped.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(clipped)
+        blob = self.saved(tiny, tmp_path)
+        header = struct.pack("<8sI7Id", b"DLABCKP1", 2, 2, 8, 2, 16, 12, 8, 2, 0.0)
+        values = b"".join(params[name].data.astype("<f4").tobytes()
+                          for name in param_shapes(config))
+        assert blob == header + values + hashlib.sha256(header + values).digest()
 
-    def test_trailing_bytes(self, tiny, tmp_path):
-        config, params = tiny
+    # Save-time refusals: the params must be param_shapes(config), in its
+    # order and in float32, and nothing is written otherwise.
+    def assert_refused_at_save(self, params, config, tmp_path, message):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(params, config, path)
-        padded = tmp_path / "pad.ckpt"
-        padded.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(padded)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_checkpoint(params, config, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_tensor(self, tiny, tmp_path):
         config, params = tiny
         partial = {k: v for k, v in params.items() if k != "mlm.bias"}
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(partial, config, path)
-        message = (f"checkpoint {path} declares {len(partial)} tensors, "
-                   f"its config has {len(params)}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_checkpoint(path)
+        self.assert_refused_at_save(
+            partial, config, tmp_path,
+            f"checkpoint tensor {len(partial)} is None, the config's is "
+            f"('mlm.bias', 'float32', ({config.vocab_size},))")
 
     def test_unexpected_tensor(self, tiny, tmp_path):
-        from daptlab.autodiff import Tensor
         config, params = tiny
         extra = dict(params)
         extra["rogue"] = Tensor(np.zeros(3, dtype=np.float32))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(extra, config, path)
-        message = (f"checkpoint {path} declares {len(extra)} tensors, "
-                   f"its config has {len(params)}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_checkpoint(path)
+        self.assert_refused_at_save(
+            extra, config, tmp_path,
+            f"checkpoint tensor {len(params)} is ('rogue', 'float32', (3,)), "
+            "the config's is None")
+
+    def test_reordered_tensors(self, tiny, tmp_path):
+        config, params = tiny
+        names = list(params)
+        swapped = {name: params[name] for name in [names[1], names[0], *names[2:]]}
+        shapes = param_shapes(config)
+        self.assert_refused_at_save(
+            swapped, config, tmp_path,
+            f"checkpoint tensor 0 is ('emb.pos', 'float32', {shapes['emb.pos']}), "
+            f"the config's is ('emb.word', 'float32', {shapes['emb.word']})")
+
+    def test_shape_mismatch(self, tiny, tmp_path):
+        config, params = tiny
+        bad = dict(params)
+        bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size + 1, dtype=np.float32))
+        v = config.vocab_size
+        self.assert_refused_at_save(
+            bad, config, tmp_path,
+            f"checkpoint tensor {len(params) - 1} is ('mlm.bias', 'float32', ({v + 1},)), "
+            f"the config's is ('mlm.bias', 'float32', ({v},))")
+
+    def test_float64_rejected_at_save(self, tiny, tmp_path):
+        config, params = tiny
+        bad = dict(params)
+        bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size, dtype=np.float64))
+        v = config.vocab_size
+        self.assert_refused_at_save(
+            bad, config, tmp_path,
+            f"checkpoint tensor {len(params) - 1} is ('mlm.bias', 'float64', ({v},)), "
+            f"the config's is ('mlm.bias', 'float32', ({v},))")
 
     # Fault injection: each corrupt file is rejected with a message that names
     # what it holds. The header is magic (8 bytes), version, seven uint32
-    # config fields, float64 dropout and the tensor count (52 bytes); the
-    # tensor records follow it in param_shapes' order.
-    HEADER = 52
+    # config fields and float64 dropout (48 bytes); the float32 values follow
+    # it, and the file ends with their sha256 (32 bytes).
+    HEADER, DIGEST = 48, 32
 
     def saved(self, tiny, tmp_path):
         config, params = tiny
@@ -626,108 +646,116 @@ class TestCheckpoint:
         save_checkpoint(params, config, path)
         return path.read_bytes()
 
-    def record(self, blob, start):
-        """(offset of its rank field, end offset, name) of the record at start."""
-        (name_len,) = struct.unpack_from("<I", blob, start)
-        rank_at = start + 4 + name_len
-        (rank,) = struct.unpack_from("<I", blob, rank_at)
-        shape = struct.unpack_from(f"<{rank}I", blob, rank_at + 4)
-        end = rank_at + 4 + 4 * rank + 4 * math.prod(shape)
-        return rank_at, end, blob[start + 4:rank_at].decode()
-
-    def load_bytes(self, tmp_path, blob):
+    def refused(self, tmp_path, blob, message):
+        """Assert that loading ``blob`` raises exactly ``message``, where
+        {path} stands for the file's path."""
         path = tmp_path / "bad.ckpt"
         path.write_bytes(blob)
-        return load_checkpoint(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+            load_checkpoint(path)
+
+    BAD_MAGIC = "{path} is not a checkpoint file (bad magic)"
+    TRUNCATED = "truncated checkpoint {path}"
+    MISMATCH = "corrupt checkpoint {path}: sha256 mismatch (the file was cut, extended or altered)"
+
+    def version_message(self, version):
+        return (f"checkpoint {{path}} has format version {version}, this release reads 2: "
+                "re-run the stage that wrote it")
+
+    def rehashed(self, blob):
+        """``blob`` with its trailing sha256 replaced by the right one."""
+        body = blob[:-self.DIGEST]
+        return body + hashlib.sha256(body).digest()
+
+    def test_bad_magic(self, tmp_path):
+        self.refused(tmp_path, b"NOTACKPT" + b"\x00" * 64, self.BAD_MAGIC)
+
+    def test_truncated_file(self, tiny, tmp_path):
+        self.refused(tmp_path, self.saved(tiny, tmp_path)[:-10], self.MISMATCH)
+
+    def test_trailing_bytes(self, tiny, tmp_path):
+        self.refused(tmp_path, self.saved(tiny, tmp_path) + b"\x00", self.MISMATCH)
+
+    def test_cut_inside_config_block(self, tiny, tmp_path):
+        self.refused(tmp_path, self.saved(tiny, tmp_path)[:20], self.TRUNCATED)
+
+    def test_every_flipped_byte_is_refused(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        for at in range(len(blob)):
+            flipped = blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+            if at < 8:
+                message = self.BAD_MAGIC
+            elif at < 12:
+                message = self.version_message(struct.unpack_from("<I", flipped, 8)[0])
+            else:
+                message = self.MISMATCH
+            self.refused(tmp_path, flipped, message)
+
+    def test_every_cut_is_refused(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        end = len(blob)
+        for length in (0, 1, 7, 8, 11, 12, 47, 48, 79, 80, 81, 500,
+                       end - self.DIGEST - 4, end - self.DIGEST, end - 1):
+            message = (self.BAD_MAGIC if length < 8 else
+                       self.TRUNCATED if length < self.HEADER + self.DIGEST else self.MISMATCH)
+            self.refused(tmp_path, blob[:length], message)
+
+    def test_swapped_records(self, tiny, tmp_path):
+        # emb.ln.gamma (ones) and emb.ln.beta (zeros) trade places: each value
+        # is whole and the length is right, but the hash no longer matches
+        config, _ = tiny
+        blob = self.saved(tiny, tmp_path)
+        sizes = [4 * math.prod(shape) for shape in param_shapes(config).values()]
+        gamma = self.HEADER + sum(sizes[:3])
+        beta = gamma + sizes[3]
+        assert sizes[3] == sizes[4]
+        swapped = (blob[:gamma] + blob[beta:beta + sizes[4]] + blob[gamma:beta] +
+                   blob[beta + sizes[4]:])
+        assert swapped != blob and len(swapped) == len(blob)
+        self.refused(tmp_path, swapped, self.MISMATCH)
 
     def test_unsupported_version(self, tiny, tmp_path):
         blob = self.saved(tiny, tmp_path)
-        blob = blob[:8] + struct.pack("<I", 2) + blob[12:]
-        with pytest.raises(ValueError, match="^unsupported checkpoint version 2$"):
-            self.load_bytes(tmp_path, blob)
+        blob = blob[:8] + struct.pack("<I", 3) + blob[12:]
+        self.refused(tmp_path, blob, self.version_message(3))
 
-    def test_implausible_rank(self, tiny, tmp_path):
-        # the rank is not bounded on its own: nine dimensions are read, and the
-        # first slot's shape does not match them
-        config, _ = tiny
-        blob = self.saved(tiny, tmp_path)
-        rank_at, _, name = self.record(blob, self.HEADER)
-        blob = blob[:rank_at] + struct.pack("<I", 9) + blob[rank_at + 4:]
-        read = struct.unpack_from("<9I", blob, rank_at + 4)
-        message = (f"tensor 0 of checkpoint {tmp_path / 'bad.ckpt'} is {name!r} of shape "
-                   f"{read}, expected {name!r} of shape {param_shapes(config)[name]}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self.load_bytes(tmp_path, blob)
-
-    def test_duplicate_tensor(self, tiny, tmp_path):
-        _, params = tiny
-        blob = self.saved(tiny, tmp_path)
-        _, end, _ = self.record(blob, self.HEADER)
-        (count,) = struct.unpack_from("<I", blob, self.HEADER - 4)
-        blob = (blob[:self.HEADER - 4] + struct.pack("<I", count + 1) +
-                blob[self.HEADER:end] + blob[self.HEADER:end] + blob[end:])
-        message = (f"checkpoint {tmp_path / 'bad.ckpt'} declares {len(params) + 1} "
-                   f"tensors, its config has {len(params)}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self.load_bytes(tmp_path, blob)
-
-    def test_swapped_records(self, tiny, tmp_path):
-        # every record is whole and the count is right, but the first two
-        # trade places: the records must follow the config's order
-        config, _ = tiny
-        blob = self.saved(tiny, tmp_path)
-        _, first_end, first = self.record(blob, self.HEADER)
-        _, second_end, second = self.record(blob, first_end)
-        blob = (blob[:self.HEADER] + blob[first_end:second_end] +
-                blob[self.HEADER:first_end] + blob[second_end:])
-        shapes = param_shapes(config)
-        message = (f"tensor 0 of checkpoint {tmp_path / 'bad.ckpt'} is {second!r} of "
-                   f"shape {shapes[second]}, expected {first!r} of shape {shapes[first]}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self.load_bytes(tmp_path, blob)
-
-    def test_shape_mismatch(self, tiny, tmp_path):
+    def test_version_1_is_refused(self, tiny, tmp_path):
+        # the v1 layout: the header, a tensor count, then per tensor its name,
+        # rank, shape and values
         config, params = tiny
-        bad = dict(params)
-        bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size + 1, dtype=np.float32))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(bad, config, path)
-        message = (f"tensor {len(params) - 1} of checkpoint {path} is 'mlm.bias' of shape "
-                   f"({config.vocab_size + 1},), expected 'mlm.bias' of shape "
-                   f"({config.vocab_size},)")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_checkpoint(path)
+        blob = struct.pack("<8sI7IdI", b"DLABCKP1", 1, 2, 8, 2, 16, 12, 8, 2, 0.0,
+                           len(params))
+        for name, tensor in params.items():
+            shape = tensor.data.shape
+            blob += struct.pack(f"<I{len(name)}sI{len(shape)}I", len(name), name.encode(),
+                                len(shape), *shape)
+            blob += tensor.data.astype("<f4").tobytes()
+        self.refused(tmp_path, blob, self.version_message(1))
+
+    # A file whose sha256 matches but whose config does not fit its values
+    # (a saver bug or a hand-made file): the later checks still hold.
+    def test_invalid_config_behind_a_good_hash(self, tiny, tmp_path):
+        blob = self.saved(tiny, tmp_path)
+        blob = self.rehashed(blob[:16] + struct.pack("<I", 0) + blob[20:])
+        self.refused(tmp_path, blob, "hidden must be >= 1, got 0")
 
     def test_layer_count_beyond_the_file(self, tiny, tmp_path):
-        # a 52-byte file that declares 2**32 - 1 layers and no tensor: rejected
-        # before a shape map is built for the layers
+        # 2**32 - 1 layers declared in a 6 KB file: rejected before a shape
+        # map is built for the layers
         blob = self.saved(tiny, tmp_path)
-        blob = (blob[:12] + struct.pack("<I", 2**32 - 1) + blob[16:self.HEADER - 4] +
-                struct.pack("<I", 0))
-        assert len(blob) == self.HEADER
+        blob = self.rehashed(blob[:12] + struct.pack("<I", 2**32 - 1) + blob[16:])
         started = time.perf_counter()
-        with pytest.raises(ValueError,
-                           match=": 4294967295 layers and 0 tensors declared in 52 bytes$"):
-            self.load_bytes(tmp_path, blob)
+        self.refused(tmp_path, blob, f"corrupt checkpoint {{path}}: 4294967295 layers "
+                                     f"declared in {len(blob)} bytes")
         assert time.perf_counter() - started < 1.0
 
-    def test_tensor_count_beyond_the_file(self, tiny, tmp_path):
+    def test_values_the_config_does_not_fit(self, tiny, tmp_path):
+        # one layer declared where the values hold two
+        config, _ = tiny
         blob = self.saved(tiny, tmp_path)
-        blob = blob[:self.HEADER - 4] + struct.pack("<I", 2**32 - 1) + blob[self.HEADER:]
-        with pytest.raises(ValueError, match=" and 4294967295 tensors declared in "):
-            self.load_bytes(tmp_path, blob)
-
-    def test_cut_inside_config_block(self, tiny, tmp_path):
-        blob = self.saved(tiny, tmp_path)[:20]
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match=f"^truncated checkpoint {re.escape(str(path))}$"):
-            load_checkpoint(path)
-
-    def test_float64_rejected_at_save(self, tiny, tmp_path):
-        from daptlab.autodiff import Tensor
-        config, params = tiny
-        bad = dict(params)
-        bad["mlm.bias"] = Tensor(np.zeros(config.vocab_size, dtype=np.float64))
-        with pytest.raises(ValueError, match="float32"):
-            save_checkpoint(bad, config, tmp_path / "m.ckpt")
+        blob = self.rehashed(blob[:12] + struct.pack("<I", 1) + blob[16:])
+        one_layer = sum(4 * math.prod(shape) for shape in
+                        param_shapes(tiny_config(num_layers=1)).values())
+        values = len(blob) - self.HEADER - self.DIGEST
+        self.refused(tmp_path, blob, f"corrupt checkpoint {{path}}: {values} bytes of "
+                                     f"values, its config needs {one_layer}")

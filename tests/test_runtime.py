@@ -5,6 +5,7 @@ outside the package, relies on; and the demo-06 chain that the demo and the
 benchmark both run."""
 
 import ast
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -190,6 +191,31 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
         digests.append(hashlib.sha256((out / "base.ckpt").read_bytes()).hexdigest())
     assert time.perf_counter() - start < 10.0
     assert digests[0] == digests[1]
+
+
+OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads")
+
+
+def test_suite_runs_blas_on_one_thread():
+    # conftest.py pins the thread count before numpy loads, as cli.py does;
+    # this reads it back from the OpenBLAS this process loaded
+    import numpy  # noqa: F401  (loads the BLAS)
+
+    maps = Path("/proc/self/maps")
+    if not maps.is_file():
+        pytest.skip("no /proc/self/maps to find the loaded BLAS in")
+    libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line.lower()})
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in OPENBLAS_THREAD_GETTERS:
+            if hasattr(handle, symbol):
+                getter = getattr(handle, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                assert getter() == 1
+                return
+    pytest.skip("numpy's BLAS is not OpenBLAS")
 
 
 # The op labels the benchmark's tracer gives the backward closures of a
